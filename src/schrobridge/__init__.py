@@ -13,11 +13,10 @@ from .bridge import (BoundaryData, BridgeFactors, BridgeSolution,
 from .burgers import (CompatibilityPotential, burgers_residual,
                       compatibility_potential, force_from_potential,
                       hopf_cole_forward, hopf_cole_inverse)
-from .dynamics import (CallableDrift, PathEnsemble, SDEConfig,
-                       acceleration_residual, acceleration_residual_pair,
-                       cdf_from_field, conditional_derivatives,
-                       empirical_density, fokker_planck_residual, ks_distance,
-                       material_derivative, simulate_backward, simulate_forward)
+from .dynamics import (CallableDrift, PathEnsemble, SDEConfig, cdf_from_field,
+                       conditional_derivatives, empirical_density,
+                       fokker_planck_residual, ks_distance, material_derivative,
+                       simulate_backward, simulate_forward)
 from .errors import (BoundaryLeakError, ConfigError, ConvergenceError,
                      ExtrapolationWarning, IncompatibilityError,
                      MissingInputError, NormalizationError, NumericDomainError,
@@ -28,10 +27,11 @@ from .gallery import (eval_packet, example1_suite, example2_suite,
                       run_scenario, scenario_names, verify_parabolic_system)
 from .grids import (FieldStack, Grid1D, ScalarField, TimeGrid, gradient,
                     integrate, laplacian, normalize, sample_field)
-from .kernels import (HeatKernel, Kernel, KernelMatrix, MarkovFamilyKernel,
-                      MomentRates, NumericFeynmanKacKernel,
-                      PinnedGaussianKernel, Potential, TiltedPinnedKernel,
-                      TiltedTimeSquaredKernel, TimeSquaredHeatKernel,
+from .kernels import (FeynmanKacPropagator, HeatKernel, Kernel, KernelMatrix,
+                      MarkovFamilyKernel, MomentRates, NumericFeynmanKacKernel,
+                      PinnedGaussianKernel, Potential, Propagator,
+                      TiltedPinnedKernel, TiltedTimeSquaredKernel,
+                      TimeSquaredHeatKernel,
                       check_chapman_kolmogorov, extract_forward_drift,
                       generalized_heat_residual, make_kernel,
                       short_time_moments, solve_feynman_kac)

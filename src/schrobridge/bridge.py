@@ -4,9 +4,9 @@ The boundary problem asks for positive factors (u0, vT) such that the
 product measure u0(y) k(y, 0, x, T) vT(x) has the prescribed densities
 as its two marginals.  ``solve_boundary_system`` finds the factor pair
 by iterative proportional fitting; ``propagate_factors`` carries the
-pair across a time lattice, giving interpolating densities and the two
-drifts; the transition constructors tilt the reference kernel by the
-propagated factors.
+pair across a time lattice through the kernel's ``Propagator``, giving
+interpolating densities and the two drifts; the transition constructors
+tilt the reference kernel by the propagated factors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (ConvergenceError, IncompatibilityError, NormalizationError,
                      PositivityError, PropagationError)
 from .grids import FieldStack, Grid1D, ScalarField, gradient_values, integrate
-from .kernels import Kernel, KernelMatrix
+from .kernels import Kernel, KernelMatrix, Propagator
 
 FACTOR_CLIP = 1e-300
 MASS_TOL = 1e-8
@@ -164,10 +164,12 @@ class BridgeSolution:
             raise PositivityError("bridge factors must be nonnegative")
         rho = u * v
         masses = rho @ grid.weights
-        drift = float(np.max(np.abs(masses - 1.0)))
-        if drift > mass_tol:
+        drifts = np.abs(masses - 1.0)
+        worst = int(np.argmax(drifts))
+        if drifts[worst] > mass_tol:
             raise PropagationError(
-                f"interpolating density mass drifts by {drift:.3e} (> {mass_tol})")
+                f"interpolating density mass drifts by {drifts[worst]:.3e} "
+                f"(> {mass_tol}) at slice {worst} (t = {times[worst]:.6g})")
         h = grid.spacing
         return cls(grid=grid, times=times, u=u, v=v, rho=rho,
                    b=_log_gradient_drift(v, h, nu, +1.0),
@@ -197,41 +199,45 @@ class BridgeSolution:
         return self.rho >= floor
 
 
-def propagate_factors(factors: BridgeFactors, kernel: Kernel,
+def propagate_factors(factors: BridgeFactors, kernel: Kernel | Propagator,
                       times: np.ndarray | None = None, nu: float | None = None,
                       mass_tol: float = 1e-4) -> BridgeSolution:
     """Carry the factor pair across a time lattice via the reference kernel.
 
     u(., t) integrates u0 against the kernel from time 0; v(., s)
-    integrates vT against the kernel toward the horizon.  The lattice
-    must start at 0 and end at the horizon (101 uniform slices when not
-    given).  Mass drift of rho = u*v beyond ``mass_tol`` raises.
+    integrates vT against the kernel toward the horizon.  ``kernel`` is a
+    Kernel, whose ``propagator(grid, times)`` is built here, or a
+    Propagator already built for the factors' grid and its own lattice
+    (``times`` may then be left out).  Closed-form kernels sample one
+    KernelMatrix per (0, t_k) and (t_k, T) pair; ``numeric-fk`` sweeps
+    both factors through its slice-aligned Crank-Nicolson lattice.  The
+    lattice must start at 0 and end at the horizon (101 uniform slices
+    when not given).  Mass drift of rho = u*v beyond ``mass_tol`` raises,
+    naming the worst slice.
     """
     grid = factors.u0.grid
     horizon = factors.vT.time_label
-    if times is None:
-        times = np.linspace(0.0, horizon, 101)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing with >= 2 entries")
+    if isinstance(kernel, Propagator):
+        propagator = kernel
+        if propagator.grid != grid:
+            raise ValueError("the propagator and the factors use different grids")
+        if times is not None and not np.array_equal(times, propagator.times):
+            raise ValueError("times differ from the propagator's lattice")
+    else:
+        if times is None:
+            times = np.linspace(0.0, horizon, 101)
+        # any object with evaluate() is a kernel; Kernel subclasses may
+        # bring their own propagator
+        build = getattr(kernel, "propagator", None)
+        propagator = (build(grid, times) if build is not None
+                      else Propagator(kernel, grid, times))
+    times = propagator.times
     if abs(times[0]) > 1e-12 or abs(times[-1] - horizon) > 1e-12:
         raise ValueError(f"times must run from 0 to the horizon {horizon}")
     if nu is None:
-        nu = getattr(kernel, "nu", 1.0)
+        nu = getattr(propagator.kernel, "nu", 1.0)
 
-    n_t = times.size
-    u = np.empty((n_t, grid.n_points))
-    v = np.empty((n_t, grid.n_points))
-    u[0] = factors.u0.values
-    v[-1] = factors.vT.values
-    for k in range(1, n_t):
-        mat = KernelMatrix.from_kernel(kernel, grid, float(times[0]),
-                                       float(times[k]))
-        u[k] = mat.apply_source(factors.u0.values)
-    for k in range(n_t - 1):
-        mat = KernelMatrix.from_kernel(kernel, grid, float(times[k]),
-                                       float(times[-1]))
-        v[k] = mat.apply_target(factors.vT.values)
+    u, v = propagator.sweep(factors.u0.values, factors.vT.values)
     return BridgeSolution.from_factor_stacks(grid, times, u, v, nu,
                                              mass_tol=mass_tol)
 

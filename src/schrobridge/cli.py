@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import (BoundaryData, KernelMatrix, propagate_factors,
-                     solve_boundary_system)
+from .bridge import BoundaryData, propagate_factors, solve_boundary_system
 from .burgers import burgers_residual
 from .dynamics import SDEConfig, simulate_backward, simulate_forward
 from .errors import (ConfigError, MissingInputError, NumericDomainError,
@@ -38,7 +37,7 @@ from .packet import PACKET
 from .report import RunReport
 from .scenario import (ScenarioConfig, density_from_spec, kernel_from_config,
                        load_scenario, write_density_csv, write_field_csv,
-                       write_paths_csv, write_report, write_single_time_csv)
+                       write_paths_csv, write_report)
 from . import gallery
 
 EXIT_OK = 0
@@ -92,42 +91,50 @@ def run_gallery_pipeline(name: str, outdir: Path, grid_points: int | None = None
     return _emit(report, outdir, f"{name}-report")
 
 
-def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
-    if cfg.boundary is None:
-        raise ConfigError("bridge-solve needs a 'boundary' section")
-    grid = cfg.make_grid()
+def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
+    """Boundary data, propagator, IPF factors and bridge of a config.
+
+    The kernel's propagator is built once for the config's slice lattice:
+    IPF iterates on its K(0, T) and the factors are swept through it.
+    """
     kernel = kernel_from_config(cfg.kernel, grid=grid)
     rho0 = density_from_spec(cfg.boundary.get("rho0"), grid, cfg.base_dir, 0.0)
     rhoT = density_from_spec(cfg.boundary.get("rhoT"), grid, cfg.base_dir,
                              cfg.horizon)
     boundary = BoundaryData(rho0=rho0, rhoT=rhoT, horizon=cfg.horizon)
-    matrix = KernelMatrix.from_kernel(kernel, grid, 0.0, cfg.horizon)
+    propagator = kernel.propagator(grid, cfg.make_times())
+    factors = solve_boundary_system(propagator.matrix, boundary,
+                                    tol=cfg.ipf_tol, callback=callback)
+    solution = propagate_factors(factors, propagator)
+    return boundary, propagator, factors, solution
 
+
+def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
+    if cfg.boundary is None:
+        raise ConfigError("bridge-solve needs a 'boundary' section")
+    grid = cfg.make_grid()
     sweeps: list[tuple[int, float, float]] = []
-    factors = solve_boundary_system(
-        matrix, boundary, tol=cfg.ipf_tol,
-        callback=lambda k, ch, res: sweeps.append((k, ch, res)))
+    boundary, propagator, factors, solution = _solve_bridge(
+        cfg, grid, callback=lambda k, ch, res: sweeps.append((k, ch, res)))
 
     report = RunReport(scenario="bridge-solve", config={
         "kernel": cfg.kernel.get("tag"), "grid_points": grid.n_points,
         "horizon": cfg.horizon, "ipf_tol": cfg.ipf_tol})
     report.add("ipf-sweeps", float(len(sweeps)), upper=500.0,
                detail=f"last change {sweeps[-1][1]:.3e}")
-    recovered0 = factors.u0.values * matrix.apply_target(factors.vT.values)
-    l1 = float(grid.weights @ np.abs(recovered0 - rho0.values))
+    recovered0 = factors.u0.values * propagator.matrix.apply_target(
+        factors.vT.values)
+    l1 = float(grid.weights @ np.abs(recovered0 - boundary.rho0.values))
     report.add("boundary-recovery-l1", l1, upper=1e-6)
 
     write_density_csv(outdir / "u0.csv", factors.u0)
     write_density_csv(outdir / "vT.csv", factors.vT)
-    if cfg.time_slices >= 2:
-        solution = propagate_factors(factors, kernel, times=cfg.make_times())
-        write_field_csv(outdir / "rho.csv", solution.rho_stack)
-        write_field_csv(outdir / "drift-forward.csv",
-                        solution.forward_drift_stack)
-        write_field_csv(outdir / "drift-backward.csv",
-                        solution.backward_drift_stack)
-        report.add("interpolation-mass-drift",
-                   float(np.max(np.abs(solution.masses - 1.0))), upper=1e-4)
+    write_field_csv(outdir / "rho.csv", solution.rho_stack)
+    write_field_csv(outdir / "drift-forward.csv", solution.forward_drift_stack)
+    write_field_csv(outdir / "drift-backward.csv",
+                    solution.backward_drift_stack)
+    report.add("interpolation-mass-drift",
+               float(np.max(np.abs(solution.masses - 1.0))), upper=1e-4)
     return _emit(report, outdir, "bridge-report")
 
 
@@ -148,20 +155,14 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
     if cfg.boundary is not None:
         # bridge-driven run: solve the factor system, then ride its drift
-        kernel = kernel_from_config(cfg.kernel, grid=grid)
-        rho0 = density_from_spec(cfg.boundary.get("rho0"), grid, cfg.base_dir, 0.0)
-        rhoT = density_from_spec(cfg.boundary.get("rhoT"), grid, cfg.base_dir,
-                                 cfg.horizon)
-        boundary = BoundaryData(rho0=rho0, rhoT=rhoT, horizon=cfg.horizon)
-        matrix = KernelMatrix.from_kernel(kernel, grid, 0.0, cfg.horizon)
-        factors = solve_boundary_system(matrix, boundary, tol=cfg.ipf_tol)
-        solution = propagate_factors(factors, kernel, times=cfg.make_times())
+        boundary, _, _, solution = _solve_bridge(cfg, grid)
         if direction == "forward":
-            ens = simulate_forward(solution.forward_drift_stack, rho0, config,
-                                   cfg.horizon, record_times=record)
+            ens = simulate_forward(solution.forward_drift_stack, boundary.rho0,
+                                   config, cfg.horizon, record_times=record)
         else:
-            ens = simulate_backward(solution.backward_drift_stack, rhoT, config,
-                                    cfg.horizon, record_times=record)
+            ens = simulate_backward(solution.backward_drift_stack,
+                                    boundary.rhoT, config, cfg.horizon,
+                                    record_times=record)
         rho_ref = solution.rho_stack
     elif cfg.scenario == "quantum-free":
         if abs(cfg.horizon - 1.0) > 1e-12:
@@ -188,7 +189,7 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     for t_probe in (0.0, cfg.horizon):
         samples = ens.slice(t_probe)
         v_emp = float(np.var(samples))
-        k = rho_ref.slice_index(t_probe) if hasattr(rho_ref, "slice_index") else 0
+        k = rho_ref.slice_index(t_probe)
         nodes = grid.nodes
         w = grid.weights
         rho_slice = rho_ref.values[k]

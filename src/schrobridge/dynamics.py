@@ -300,25 +300,3 @@ def conditional_derivatives(solution: BridgeSolution,
     d_minus = material_derivative(f, solution.backward_drift_stack, solution.nu,
                                   -1.0)
     return d_plus, d_minus
-
-
-def acceleration_residual_pair(b: FieldStack, b_star: FieldStack, nu: float,
-                               force: FieldStack,
-                               mask: np.ndarray | None = None) -> tuple[float, float]:
-    """Interior residuals of D+ b = F and D- b* = F for given drift stacks."""
-    fwd = material_derivative(b, b, nu, +1.0).values - force.values
-    back = material_derivative(b_star, b_star, nu, -1.0).values - force.values
-    keep = np.ones_like(fwd, dtype=bool) if mask is None else np.asarray(mask, bool)
-    win = keep[1:-1, 1:-1]
-    r_fwd = float(np.max(np.where(win, np.abs(fwd[1:-1, 1:-1]), 0.0)))
-    r_back = float(np.max(np.where(win, np.abs(back[1:-1, 1:-1]), 0.0)))
-    return r_fwd, r_back
-
-
-def acceleration_residual(solution: BridgeSolution, force: FieldStack,
-                          mask_floor: float = 1e-12) -> float:
-    """Worst of the two drift acceleration residuals on the bridge lattice."""
-    pair = acceleration_residual_pair(
-        solution.forward_drift_stack, solution.backward_drift_stack,
-        solution.nu, force, mask=solution.density_mask(mask_floor))
-    return max(pair)

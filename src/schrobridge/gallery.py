@@ -82,9 +82,9 @@ def packet_bridge(kernel, grid: Grid1D | None = None,
     if times is None:
         times = BRIDGE_TIMES
     boundary = packet_boundary(grid)
-    matrix = KernelMatrix.from_kernel(kernel, grid, 0.0, HORIZON)
-    factors = solve_boundary_system(matrix, boundary, tol=ipf_tol)
-    solution = propagate_factors(factors, kernel, times=times)
+    propagator = kernel.propagator(grid, times)
+    factors = solve_boundary_system(propagator.matrix, boundary, tol=ipf_tol)
+    solution = propagate_factors(factors, propagator)
     return boundary, factors, solution
 
 

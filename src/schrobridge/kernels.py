@@ -7,6 +7,10 @@ imperfect companions; ``solve_feynman_kac`` builds grid kernels for an
 arbitrary potential as fundamental solutions of the adjoint parabolic
 pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
 
+Bridge factors travel through a ``Propagator``, built once per grid and
+slice lattice from ``Kernel.propagator``: it holds the boundary matrix
+K(0, T) and sweeps a factor pair to every slice at once.
+
 Tilted kernels are evaluated as a single exp of summed log-factors so no
 0 * inf intermediates can appear in far tails.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,6 +79,10 @@ class Kernel:
 
     def evaluate(self, y, s: float, x, t: float) -> np.ndarray:
         raise NotImplementedError
+
+    def propagator(self, grid: Grid1D, times) -> "Propagator":
+        """Factor propagation over the slice lattice ``times`` on ``grid``."""
+        return Propagator(self, grid, times)
 
 
 class HeatKernel(Kernel):
@@ -272,23 +281,171 @@ class KernelMatrix:
         return self.apply_target(np.ones(self.target.n_points))
 
 
+class Propagator:
+    """Factor propagation of one kernel over one slice lattice.
+
+    Built once per (grid, slice lattice).  ``matrix`` is the boundary
+    matrix K(times[0], times[-1]) that IPF iterates on, built on first
+    use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
+    This base serves the closed-form kernels: it samples one KernelMatrix
+    per (times[0], t_k) and (t_k, times[-1]) pair.
+    """
+
+    def __init__(self, kernel: Kernel, grid: Grid1D, times):
+        self.kernel = kernel
+        self.grid = grid
+        self.times = _slice_times(times)
+
+    @cached_property
+    def matrix(self) -> KernelMatrix:
+        return KernelMatrix.from_kernel(self.kernel, self.grid,
+                                        float(self.times[0]),
+                                        float(self.times[-1]))
+
+    def sweep(self, u0: np.ndarray, vT: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Factor stacks u[k] = K(t_0, t_k)^T u0 and v[k] = K(t_k, t_N) vT.
+
+        Row 0 of u is u0 and the last row of v is vT; integrals use the
+        grid's quadrature weights as in ``KernelMatrix``.
+        """
+        kernel, grid, times = self.kernel, self.grid, self.times
+        n_t = times.size
+        u = np.empty((n_t, grid.n_points))
+        v = np.empty((n_t, grid.n_points))
+        u[0] = u0
+        v[-1] = vT
+        for k in range(1, n_t):
+            mat = KernelMatrix.from_kernel(kernel, grid, float(times[0]),
+                                           float(times[k]))
+            u[k] = mat.apply_source(u0)
+        for k in range(n_t - 1):
+            mat = KernelMatrix.from_kernel(kernel, grid, float(times[k]),
+                                           float(times[-1]))
+            v[k] = mat.apply_target(vT)
+        return u, v
+
+
+def _slice_times(times) -> np.ndarray:
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be strictly increasing with >= 2 entries")
+    return times
+
+
 def _tridiag_apply(diag: np.ndarray, off: float, w: np.ndarray) -> np.ndarray:
-    out = diag[:, None] * w
+    out = (diag if w.ndim == 1 else diag[:, None]) * w
     out[:-1] += off * w[1:]
     out[1:] += off * w[:-1]
     return out
 
 
+def _banded(diag: np.ndarray, off: float) -> np.ndarray:
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    return ab
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One factor A^-1 B of the evolution on the interior nodes.
+
+    A (banded form ``a``) and B are symmetric tridiagonal; B has diagonal
+    ``b_diag`` and off-diagonal ``b_off``, or is the identity for an
+    implicit-Euler step (``b_diag`` None).
+    """
+
+    a: np.ndarray
+    b_diag: np.ndarray | None = None
+    b_off: float = 0.0
+
+    def apply(self, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """A^-1 B w, or (A^-1 B)^T w = B A^-1 w; w is a vector or columns."""
+        if transpose:
+            return self._apply_b(solve_banded((1, 1), self.a, w))
+        return solve_banded((1, 1), self.a, self._apply_b(w))
+
+    def _apply_b(self, w: np.ndarray) -> np.ndarray:
+        if self.b_diag is None:
+            return w
+        return _tridiag_apply(self.b_diag, self.b_off, w)
+
+
+def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
+                          times: np.ndarray,
+                          n_substeps: int | None = None) -> list[list[_Step]]:
+    """The steps of every slice interval on the slice-aligned lattice.
+
+    ``n_substeps`` over times[0]..times[-1] are rounded up to a whole
+    number in every slice interval.  The first two substeps of the lattice
+    are taken as four implicit-Euler half steps (Rannacher start), which
+    damps the checkerboard mode that delta data would otherwise excite.
+    """
+    nu, h2 = potential.nu, grid.spacing ** 2
+    widths = np.diff(times)
+    span = float(times[-1] - times[0])
+    if n_substeps is None:
+        n_substeps = max(16, int(np.ceil(nu * span / (2.0 * h2))))
+    if n_substeps < 4:
+        raise ValueError("need at least 4 substeps for the damped start")
+    # slice widths carry rounding noise: a count of 5.000000000001 is 5
+    counts = np.maximum(1, np.ceil(n_substeps * widths / span - 1e-9)).astype(int)
+    diffusion = nu * float(np.max(widths / counts)) / h2
+    if diffusion > 10.0:
+        raise ValueError(
+            f"diffusion number nu*dt/h^2 = {diffusion:.3g} exceeds 10; "
+            "increase n_substeps")
+
+    xs = grid.nodes[1:-1]
+    rate = nu / h2
+
+    def implicit_euler(tau_next, dt):
+        c_next = potential(xs, tau_next)
+        return _Step(_banded(1.0 + dt * (2.0 * rate + c_next), -dt * rate))
+
+    def crank_nicolson(tau, tau_next):
+        dt = tau_next - tau
+        r = dt * rate
+        return _Step(_banded(1.0 + r + 0.5 * dt * potential(xs, tau_next),
+                             -0.5 * r),
+                     b_diag=1.0 - r - 0.5 * dt * potential(xs, tau),
+                     b_off=0.5 * r)
+
+    steps = []
+    damped = 0
+    for k, count in enumerate(counts):
+        taus = np.linspace(times[k], times[k + 1], count + 1)
+        interval = []
+        for tau, tau_next in zip(taus[:-1], taus[1:]):
+            if damped < 2:
+                half = 0.5 * (tau_next - tau)
+                interval += [implicit_euler(tau + half, half),
+                             implicit_euler(tau_next, half)]
+                damped += 1
+            else:
+                interval.append(crank_nicolson(tau, tau_next))
+        steps.append(interval)
+    return steps
+
+
 def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
-                      n_substeps: int | None = None) -> KernelMatrix:
+                      n_substeps: int | None = None,
+                      slices=None) -> KernelMatrix:
     """Numeric fundamental solution of the forward generalized heat equation.
 
-    Evolves a full set of grid deltas (columns scaled 1/h) from s to t
-    under du/dt = nu*lap(u) - c*u with homogeneous values at the grid
-    edges, using Crank-Nicolson with a Rannacher start (the first two
-    substeps are taken as four implicit-Euler half steps, which damps the
-    checkerboard mode the delta data would otherwise excite) and a
-    Thomas-style tridiagonal solve per step.
+    Evolves the interior grid deltas (scaled 1/h) from s to t under
+    du/dt = nu*lap(u) - c*u with homogeneous values at the grid edges,
+    as one dense block, using Crank-Nicolson with a Rannacher start (the
+    first two substeps are taken as four implicit-Euler half steps, which
+    damps the checkerboard mode the delta data would otherwise excite) and
+    a tridiagonal solve per step.
+
+    The substep lattice is aligned to ``slices``: every slice interval
+    holds a whole number of substeps, and the Rannacher start happens only
+    at s.  ``FeynmanKacPropagator`` sweeps single vectors through the same
+    steps.
 
     Parameters
     ----------
@@ -299,8 +456,13 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
     s, t : float
         Initial and final times, 0 <= s < t.
     n_substeps : int, optional
-        Number of time substeps (>= 4).  Default targets a diffusion
-        number nu*dt/h^2 of about 2; values above 10 are rejected.
+        Number of time substeps over [s, t] (>= 4), rounded up to a whole
+        number in every slice interval.  Default targets a diffusion
+        number nu*dt/h^2 of about 2 with at least 16 substeps; lattices
+        whose largest diffusion number exceeds 10 are rejected.
+    slices : array_like, optional
+        Increasing slice times from s to t that the lattice lands on;
+        default (s, t), a single interval.
 
     Returns
     -------
@@ -308,52 +470,17 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
         entries[i, j] approximates k(y_i, s, x_j, t).
     """
     s, t = _check_order(s, t)
-    h = grid.spacing
-    nu = potential.nu
-    if n_substeps is None:
-        n_substeps = max(16, int(np.ceil(nu * (t - s) / (2.0 * h * h))))
-    if n_substeps < 4:
-        raise ValueError("need at least 4 substeps for the damped start")
-    dt = (t - s) / n_substeps
-    if nu * dt / h**2 > 10.0:
-        raise ValueError(
-            f"diffusion number nu*dt/h^2 = {nu * dt / h**2:.3g} exceeds 10; "
-            "increase n_substeps")
-
-    n = grid.n_points
-    xs = grid.nodes[1:-1]
-    m = n - 2
-    r = nu * dt / h**2
-    # interior unknowns; every grid node contributes a delta column
-    w = np.zeros((m, n))
-    w[np.arange(m), np.arange(1, n - 1)] = 1.0 / h
-
-    ab = np.zeros((3, m))
-
-    def implicit_step(w, t_next, step):
-        c_next = potential(xs, t_next)
-        ab[0, 1:] = -step * nu / h**2
-        ab[2, :-1] = -step * nu / h**2
-        ab[1, :] = 1.0 + step * (2.0 * nu / h**2 + c_next)
-        return solve_banded((1, 1), ab, w)
-
-    tau = s
-    # Rannacher start: two substeps as four implicit-Euler half steps
-    for _ in range(4):
-        tau += 0.5 * dt
-        w = implicit_step(w, tau, 0.5 * dt)
-    for _ in range(n_substeps - 2):
-        c_now = potential(xs, tau)
-        rhs = _tridiag_apply(1.0 - r - 0.5 * dt * c_now, 0.5 * r, w)
-        tau += dt
-        c_next = potential(xs, tau)
-        ab[0, 1:] = -0.5 * r
-        ab[2, :-1] = -0.5 * r
-        ab[1, :] = 1.0 + r + 0.5 * dt * c_next
-        w = solve_banded((1, 1), ab, rhs)
+    times = _slice_times((s, t) if slices is None else slices)
+    if times[0] != s or times[-1] != t:
+        raise ValueError(f"slices must run from s={s} to t={t}")
+    n, h = grid.n_points, grid.spacing
+    w = np.eye(n - 2) / h
+    for interval in _crank_nicolson_steps(potential, grid, times, n_substeps):
+        for step in interval:
+            w = step.apply(w)
 
     full = np.zeros((n, n))
-    full[1:-1, :] = w
+    full[1:-1, 1:-1] = w
     entries = full.T
     worst = float(np.min(entries))
     if worst < NEGATIVITY_TOL:
@@ -365,10 +492,16 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
 
 
 class NumericFeynmanKacKernel(Kernel):
-    """Kernel interface over cached Feynman-Kac grid solutions.
+    """Kernel interface over Feynman-Kac grid solutions.
 
-    evaluate() solves (once per requested time pair) on the attached grid
-    and interpolates bilinearly between nodes.
+    ``propagator(grid, times)`` is the bridge path: one dense solve of
+    K(times[0], times[-1]) for IPF and two Crank-Nicolson sweeps over the
+    same slice-aligned lattice (``FeynmanKacPropagator``); there
+    ``n_substeps`` counts substeps over the whole lattice, rounded up to
+    whole substeps per slice.  ``evaluate`` and ``matrix(s, t)`` remain
+    the path for probes (Chapman-Kolmogorov check, transitions, moments):
+    they solve once per requested time pair (``n_substeps`` over that
+    pair), cache the matrix, and interpolate bilinearly between nodes.
     """
 
     tag = "numeric-fk"
@@ -380,6 +513,9 @@ class NumericFeynmanKacKernel(Kernel):
         self.n_substeps = n_substeps
         self.nu = potential.nu
         self._cache: dict[tuple[float, float], KernelMatrix] = {}
+
+    def propagator(self, grid: Grid1D, times) -> "FeynmanKacPropagator":
+        return FeynmanKacPropagator(self, grid, times)
 
     def matrix(self, s: float, t: float) -> KernelMatrix:
         key = (float(s), float(t))
@@ -402,6 +538,66 @@ class NumericFeynmanKacKernel(Kernel):
         val = ((1 - fy) * (1 - fx) * e[iy, ix] + fy * (1 - fx) * e[iy + 1, ix]
                + (1 - fy) * fx * e[iy, ix + 1] + fy * fx * e[iy + 1, ix + 1])
         return val
+
+
+class FeynmanKacPropagator(Propagator):
+    """Feynman-Kac propagation on one slice-aligned Crank-Nicolson lattice.
+
+    ``matrix`` is the single dense ``solve_feynman_kac`` over the lattice.
+    ``sweep`` evolves u0 forward through the same steps, one vector at a
+    time, and applies their transposes to vT in reverse order (the exact
+    discrete adjoint).  So u[-1] and v[0] equal ``matrix.apply_source(u0)``
+    and ``matrix.apply_target(vT)`` to rounding error, and <u_k, v_k>_w is
+    the same at every slice.  Every swept slice is checked for negative
+    values (relative to its peak, against NEGATIVITY_TOL); the rounding
+    noise it lets through is set to zero.
+    """
+
+    @cached_property
+    def matrix(self) -> KernelMatrix:
+        return solve_feynman_kac(self.kernel.potential, self.grid,
+                                 self.times[0], self.times[-1],
+                                 n_substeps=self.kernel.n_substeps,
+                                 slices=self.times)
+
+    @cached_property
+    def steps(self) -> list[list[_Step]]:
+        return _crank_nicolson_steps(self.kernel.potential, self.grid,
+                                     self.times, self.kernel.n_substeps)
+
+    def sweep(self, u0: np.ndarray, vT: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        u = np.zeros((self.times.size, self.grid.n_points))
+        v = np.zeros_like(u)
+        u[0] = u0
+        v[-1] = vT
+        w = u[0, 1:-1]
+        for k, interval in enumerate(self.steps, start=1):
+            for step in interval:
+                w = step.apply(w)
+            u[k, 1:-1] = w
+        w = v[-1, 1:-1]
+        for k in range(self.times.size - 2, -1, -1):
+            for step in reversed(self.steps[k]):
+                w = step.apply(w, transpose=True)
+            v[k, 1:-1] = w
+        for name, stack in (("u", u), ("v", v)):
+            _check_swept(name, stack, self.times, self.grid)
+        return np.maximum(u, 0.0), np.maximum(v, 0.0)
+
+
+def _check_swept(name: str, stack: np.ndarray, times: np.ndarray,
+                 grid: Grid1D):
+    """Raise at the slice whose lowest value is most negative for its peak."""
+    peak = np.max(np.abs(stack), axis=1)
+    low = np.min(stack, axis=1) / np.where(peak > 0.0, peak, 1.0)
+    k = int(np.argmin(low))
+    if low[k] < NEGATIVITY_TOL:
+        j = int(np.argmin(stack[k]))
+        raise PositivityError(
+            f"swept factor {name} went negative at slice {k} "
+            f"(t = {times[k]:.6g}), node {j} (x = {grid.nodes[j]:.6g}): "
+            f"{stack[k, j]:.3e}; refine the substeps")
 
 
 def check_chapman_kolmogorov(kernel: Kernel, s: float, tau: float, t: float,

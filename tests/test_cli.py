@@ -85,6 +85,31 @@ def test_backward_simulation_subcommand(tmp_path, outdir):
     assert (outdir / "simulate-report.txt").is_file()
 
 
+FK_CONFIG = {
+    "pipeline": "bridge-solve",
+    "kernel": {"tag": "numeric-fk", "potential": {"kind": "packet"}},
+    "boundary": {"rho0": {"form": "gaussian", "mean": 0.0, "var": 1.0},
+                 "rhoT": {"form": "gaussian", "mean": 0.0, "var": 2.0}},
+    "grid": {"n_points": 257},
+    "time_slices": 21,
+}
+
+
+def test_numeric_fk_bridge_run_passes(tmp_path, outdir):
+    code = cli.main(["run", "--config", _write_config(tmp_path, FK_CONFIG)])
+    assert code == cli.EXIT_OK
+    payload = json.loads((outdir / "bridge-report.json").read_text())
+    assert payload["all_passed"] is True
+
+
+def test_numeric_fk_bridge_drives_a_simulation(tmp_path, outdir):
+    payload = dict(FK_CONFIG, pipeline="simulate",
+                   sde={"n_paths": 2000, "dt": 1e-2, "seed": 5})
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_OK
+    assert (outdir / "simulate-report.txt").is_file()
+
+
 def test_burgers_subcommand(outdir):
     assert cli.main(["burgers-residual"]) == cli.EXIT_OK
     assert (outdir / "burgers-report.txt").is_file()

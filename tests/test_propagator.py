@@ -1,0 +1,146 @@
+"""Propagators: slice-aligned Feynman-Kac sweeps and the closed-form path."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
+                         NumericFeynmanKacKernel, PositivityError, Potential,
+                         PropagationError, TiltedTimeSquaredKernel,
+                         normalize, propagate_factors, sample_field)
+
+# 129 points trip the substep rule on the packet potential (a known
+# defect), so the Feynman-Kac checks run on 257
+GRID = Grid1D(-10.0, 10.0, 257)
+TIMES = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.fixture(scope="module")
+def packet_propagator():
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=GRID)
+    return kernel.propagator(GRID, TIMES)
+
+
+@pytest.fixture(scope="module")
+def packet_sweep(packet_propagator):
+    u0 = PACKET.factor_u(GRID.nodes, 0.0)
+    vT = PACKET.factor_v(GRID.nodes, 1.0)
+    return u0, vT, packet_propagator.sweep(u0, vT)
+
+
+def _rel(got, ref) -> float:
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def test_sweeps_equal_the_dense_boundary_matrix(packet_propagator,
+                                                packet_sweep):
+    u0, vT, (u, v) = packet_sweep
+    mat = packet_propagator.matrix
+    assert _rel(u[-1], mat.apply_source(u0)) <= 1e-13
+    assert _rel(v[0], mat.apply_target(vT)) <= 1e-13
+
+
+def test_adjoint_sweep_is_the_transpose_and_conserves_the_pairing(
+        packet_propagator):
+    x, w = GRID.nodes, GRID.weights
+    f = np.exp(-((x - 1.0) ** 2) / 3.0)
+    g = 1.5 + np.sin(0.5 * x)
+    u, v = packet_propagator.sweep(f, g)
+    forward = float(w @ (u[-1] * g))
+    adjoint = float(w @ (f * v[0]))
+    assert abs(forward - adjoint) <= 1e-13 * abs(forward)
+    pairing = (u * v) @ w
+    assert np.max(np.abs(pairing - pairing[0])) <= 1e-12 * abs(pairing[0])
+
+
+def test_sweeps_track_the_packet_factors(packet_sweep):
+    _, _, (u, v) = packet_sweep
+    x = GRID.nodes
+    # factor_v does not decay toward the horizon, so the box's zero edge
+    # values pull v down near the edges; compare it inside |x| <= 6
+    inner = np.abs(x) <= 6.0
+    for k, t in enumerate(TIMES):
+        assert _rel(u[k], PACKET.factor_u(x, t)) <= 1e-3, k
+        ref = PACKET.factor_v(x, t)
+        err = np.max(np.abs(v[k][inner] - ref[inner])) / np.max(ref)
+        assert err <= 1e-3, k
+
+
+def test_substeps_are_whole_per_slice_with_one_damped_start():
+    # 50 substeps over 20 slice intervals round up to 3 per interval; the
+    # first two substeps become four implicit-Euler half steps
+    kernel = NumericFeynmanKacKernel(Potential.zero(), grid=GRID,
+                                     n_substeps=50)
+    steps = kernel.propagator(GRID, TIMES).steps
+    assert [len(interval) for interval in steps] == [5] + [3] * 19
+    assert [step.b_diag is None for step in steps[0]] == [True] * 4 + [False]
+
+
+def test_swept_negativity_names_the_factor_slice_and_node():
+    # one undamped step per slice at diffusion number ~8 turns a spike in
+    # vT into a checkerboard on the adjoint slices
+    kernel = NumericFeynmanKacKernel(Potential.zero(), grid=GRID,
+                                     n_substeps=20)
+    propagator = kernel.propagator(GRID, TIMES)
+    vT = np.full(GRID.n_points, 1e-3)
+    vT[128] = 1.0
+    with pytest.raises(PositivityError,
+                       match=r"swept factor v went negative at slice \d+ "
+                             r"\(t = [0-9.]+\), node \d+ \(x = -?[0-9.]+\): "
+                             r"-[0-9.]+e[-+]\d+"):
+        propagator.sweep(np.ones(GRID.n_points), vT)
+
+
+def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge):
+    _, factors, _ = coarse_bridge
+    kernel = TiltedTimeSquaredKernel()
+    grid = factors.u0.grid
+    times = np.linspace(0.0, 1.0, 6)
+    solution = propagate_factors(factors, kernel, times=times)
+
+    u = [factors.u0.values]
+    u += [KernelMatrix.from_kernel(kernel, grid, 0.0, float(t))
+          .apply_source(factors.u0.values) for t in times[1:]]
+    v = [KernelMatrix.from_kernel(kernel, grid, float(t), 1.0)
+         .apply_target(factors.vT.values) for t in times[:-1]]
+    v += [factors.vT.values]
+    np.testing.assert_array_equal(solution.u, np.array(u))
+    np.testing.assert_array_equal(solution.v, np.array(v))
+
+
+def test_an_object_with_evaluate_still_propagates(coarse_bridge):
+    class PlainKernel:
+        nu = 1.0
+
+        def evaluate(self, y, s, x, t):
+            return TiltedTimeSquaredKernel().evaluate(y, s, x, t)
+
+    _, factors, solution = coarse_bridge
+    plain = propagate_factors(factors, PlainKernel(), times=solution.times)
+    np.testing.assert_array_equal(plain.rho, solution.rho)
+
+
+def test_propagate_accepts_a_built_propagator(coarse_bridge):
+    _, factors, solution = coarse_bridge
+    kernel = TiltedTimeSquaredKernel()
+    propagator = kernel.propagator(factors.u0.grid, solution.times)
+    again = propagate_factors(factors, propagator)
+    np.testing.assert_array_equal(again.rho, solution.rho)
+    with pytest.raises(ValueError):
+        propagate_factors(factors, propagator, times=np.linspace(0.0, 1.0, 3))
+    with pytest.raises(ValueError):
+        propagate_factors(factors, kernel.propagator(GRID, solution.times))
+
+
+def test_mass_drift_error_names_the_worst_slice():
+    grid = Grid1D(-10.0, 10.0, 65)
+    rho = normalize(sample_field(grid, PACKET.rho, 0.0)).values
+    u = np.tile(rho, (3, 1))
+    v = np.ones_like(u)
+    v[1] *= 1.01
+    v[2] *= 1.001
+    with pytest.raises(PropagationError,
+                       match=r"drifts by 1\.000e-02 \(> 0\.0001\) at slice 1 "
+                             r"\(t = 0\.5\)"):
+        BridgeSolution.from_factor_stacks(grid, np.array([0.0, 0.5, 1.0]),
+                                          u, v, nu=1.0)
