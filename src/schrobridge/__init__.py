@@ -25,8 +25,8 @@ from .errors import (BoundaryLeakError, ConfigError, ConvergenceError,
 from .gallery import (eval_packet, example1_suite, example2_suite,
                       packet_boundary, packet_bridge, quantum_free_suite,
                       run_scenario, scenario_names, verify_parabolic_system)
-from .grids import (FieldStack, Grid1D, ScalarField, TimeGrid, gradient,
-                    integrate, laplacian, normalize, sample_field)
+from .grids import (FieldStack, Grid1D, ScalarField, gradient, integrate,
+                    laplacian, normalize, sample_field)
 from .kernels import (FeynmanKacPropagator, HeatKernel, Kernel, KernelMatrix,
                       MarkovFamilyKernel, MomentRates, NumericFeynmanKacKernel,
                       PinnedGaussianKernel, Potential, Propagator,

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, IncompatibilityError, NormalizationError,
                      PositivityError, PropagationError)
-from .grids import FieldStack, Grid1D, ScalarField, gradient_values, integrate
+from .grids import (FieldStack, Grid1D, ScalarField, gradient_values, integrate,
+                    lattice_index)
 from .kernels import Kernel, KernelMatrix, Propagator
 
 FACTOR_CLIP = 1e-300
@@ -177,10 +178,7 @@ class BridgeSolution:
                    nu=float(nu), masses=masses)
 
     def slice_index(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the solution lattice")
-        return k
+        return lattice_index(self.times, t, "is not on the solution lattice")
 
     @cached_property
     def rho_stack(self) -> FieldStack:

@@ -22,7 +22,7 @@ import numpy as np
 from .bridge import BridgeSolution
 from .errors import BoundaryLeakError
 from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
-                    laplacian_values, normalize)
+                    laplacian_values, lattice_index, normalize)
 
 BOUNDARY_POLICIES = ("reflect", "absorb-and-discard")
 DEFAULT_BLOCK = 8192
@@ -65,10 +65,7 @@ class PathEnsemble:
         return self.positions.shape[0]
 
     def slice(self, t: float) -> np.ndarray:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9:
-            raise ValueError(f"time {t} was not recorded")
-        return self.positions[:, k]
+        return self.positions[:, lattice_index(self.times, t, "was not recorded")]
 
 
 class CallableDrift:

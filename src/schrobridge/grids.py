@@ -62,33 +62,6 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time lattice with n_steps intervals on [t_start, t_end]."""
-
-    t_start: float
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
-            raise NumericDomainError("time endpoints must be finite")
-        if self.t_start < 0.0:
-            raise ValueError("t_start must be nonnegative")
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
-        if self.n_steps < 1:
-            raise ValueError("need at least one time step")
-
-    @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        return _readonly(self.t_start + self.dt * np.arange(self.n_steps + 1))
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """Real-valued samples on a Grid1D at a single time label.
 
@@ -204,17 +177,33 @@ class FieldStack:
         return cls(grid, times, vals)
 
     def slice_index(self, t: float, tol: float = 1e-9) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > tol:
-            raise ValueError(f"time {t} is not on the stack lattice")
-        return k
+        return lattice_index(self.times, t, "is not on the stack lattice", tol)
 
     def slice(self, t: float) -> ScalarField:
         k = self.slice_index(t)
         return ScalarField(self.grid, self.values[k], time_label=float(self.times[k]))
 
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Right edge of each node's cell (inf past the last node), and the
+        per-slice cell slopes (v[i+1] - v[i]) / (x[i+1] - x[i]) as np.interp
+        computes them (the last column, which starts no cell, is 0)."""
+        nodes = self.grid.nodes
+        right = np.append(nodes[1:], np.inf)
+        slopes = np.zeros_like(self.values)
+        slopes[:, :-1] = np.diff(self.values, axis=1) / np.diff(nodes)
+        return right, slopes
+
     def at(self, positions: np.ndarray, t: float) -> np.ndarray:
-        """Bilinear interpolation in (t, x); clamped outside the lattice."""
+        """Bilinear interpolation in (t, x); clamped outside the lattice.
+
+        Each position's cell is found arithmetically on the uniform grid
+        (one floor, then a one-step correction against the nodes) and
+        serves both bracketing slices.  The result equals ``np.interp`` on
+        each slice, blended linearly in time, bit for bit: a position on a
+        node returns the node value, positions beyond the first or last
+        node take that node's value, and NaN positions return NaN.
+        """
         x = np.asarray(positions, dtype=float)
         times = self.times
         if t <= times[0]:
@@ -226,8 +215,36 @@ class FieldStack:
             lo = hi - 1
             w = (t - times[lo]) / (times[hi] - times[lo])
         nodes = self.grid.nodes
-        a = np.interp(x, nodes, self.values[lo])
+        right, slopes = self._cells
+        xc = np.clip(x, nodes[0], nodes[-1])
+        # measured from the middle of cell 0, the floor is the cell or the
+        # one below it (rounding moves nodes by far less than half a
+        # spacing); fmax sends NaN to cell 0, so no NaN is cast to an integer
+        mid0 = nodes[0] + 0.5 * self.grid.spacing
+        cell = np.fmax((xc - mid0) / self.grid.spacing, 0.0).astype(np.intp)
+        cell += right[cell] <= xc
+        dx = xc - nodes[cell]
+        on_node = dx == 0.0
+
+        def on_slice(k: int) -> np.ndarray:
+            v = self.values[k][cell]
+            # np.interp returns a node's own value, not slope * 0 + value
+            return np.where(on_node, v, slopes[k][cell] * dx + v)
+
+        a = on_slice(lo)
         if hi == lo:
             return a
-        b = np.interp(x, nodes, self.values[hi])
-        return (1.0 - w) * a + w * b
+        return (1.0 - w) * a + w * on_slice(hi)
+
+
+def lattice_index(times: np.ndarray, t: float, missing: str,
+                  tol: float = 1e-9) -> int:
+    """Index of the entry of ``times`` nearest t.
+
+    Raises ValueError("time {t} {missing}") when that entry is more than
+    ``tol`` away.
+    """
+    k = int(np.argmin(np.abs(times - t)))
+    if abs(times[k] - t) > tol:
+        raise ValueError(f"time {t} {missing}")
+    return k

@@ -288,7 +288,8 @@ class Propagator:
     matrix K(times[0], times[-1]) that IPF iterates on, built on first
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
     This base serves the closed-form kernels: it samples one KernelMatrix
-    per (times[0], t_k) and (t_k, times[-1]) pair.
+    per (times[0], t_k) and (t_k, times[-1]) pair, and uses ``matrix`` for
+    the pair (times[0], times[-1]) that both sweeps share.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -315,11 +316,13 @@ class Propagator:
         v = np.empty((n_t, grid.n_points))
         u[0] = u0
         v[-1] = vT
-        for k in range(1, n_t):
+        for k in range(1, n_t - 1):
             mat = KernelMatrix.from_kernel(kernel, grid, float(times[0]),
                                            float(times[k]))
             u[k] = mat.apply_source(u0)
-        for k in range(n_t - 1):
+        u[-1] = self.matrix.apply_source(u0)
+        v[0] = self.matrix.apply_target(vT)
+        for k in range(1, n_t - 1):
             mat = KernelMatrix.from_kernel(kernel, grid, float(times[k]),
                                            float(times[-1]))
             v[k] = mat.apply_target(vT)
@@ -373,6 +376,22 @@ class _Step:
         return _tridiag_apply(self.b_diag, self.b_off, w)
 
 
+def _default_substeps(potential: Potential, grid: Grid1D,
+                      times: np.ndarray) -> int:
+    """max(16, ceil(nu*span/(2h^2)), ceil(span*max|c|)) substeps over times.
+
+    The second term keeps the diffusion number nu*dt/h^2 near 2; the third
+    keeps dt*|c| <= 1, with max|c| taken over the interior nodes at every
+    slice time, which a strong potential on a coarse grid needs for
+    nonnegative kernel entries.
+    """
+    span = float(times[-1] - times[0])
+    xs = grid.nodes[1:-1]
+    c_max = max(float(np.max(np.abs(potential(xs, t)))) for t in times)
+    return max(16, int(np.ceil(potential.nu * span / (2.0 * grid.spacing ** 2))),
+               int(np.ceil(span * c_max)))
+
+
 def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
                           times: np.ndarray,
                           n_substeps: int | None = None) -> list[list[_Step]]:
@@ -387,7 +406,7 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
     widths = np.diff(times)
     span = float(times[-1] - times[0])
     if n_substeps is None:
-        n_substeps = max(16, int(np.ceil(nu * span / (2.0 * h2))))
+        n_substeps = _default_substeps(potential, grid, times)
     if n_substeps < 4:
         raise ValueError("need at least 4 substeps for the damped start")
     # slice widths carry rounding noise: a count of 5.000000000001 is 5
@@ -458,8 +477,9 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
     n_substeps : int, optional
         Number of time substeps over [s, t] (>= 4), rounded up to a whole
         number in every slice interval.  Default targets a diffusion
-        number nu*dt/h^2 of about 2 with at least 16 substeps; lattices
-        whose largest diffusion number exceeds 10 are rejected.
+        number nu*dt/h^2 of about 2 and dt*max|c| <= 1 (max over the
+        interior nodes at the slice times) with at least 16 substeps;
+        lattices whose largest diffusion number exceeds 10 are rejected.
     slices : array_like, optional
         Increasing slice times from s to t that the lattice lands on;
         default (s, t), a single interval.

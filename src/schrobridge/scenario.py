@@ -221,14 +221,6 @@ def write_field_csv(path: str | Path, stack: FieldStack):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_single_time_csv(path: str | Path, f: ScalarField):
-    """t,x,value CSV for one field slice (t constant)."""
-    ts = _fmt(f.time_label)
-    lines = ["t,x,value"]
-    lines += [f"{ts},{_fmt(x)},{_fmt(v)}" for x, v in zip(f.grid.nodes, f.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_paths_csv(path: str | Path, ensemble: PathEnsemble):
     """Long-format path_id,t,x CSV, ordered by path then time."""
     lines = ["path_id,t,x"]

@@ -24,6 +24,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def _interp_reference(stack, positions, t):
+    """FieldStack.at as two np.interp calls blended linearly in time."""
+    x = np.asarray(positions, dtype=float)
+    times = stack.times
+    if t <= times[0]:
+        lo, hi, w = 0, 0, 0.0
+    elif t >= times[-1]:
+        lo, hi, w = times.size - 1, times.size - 1, 0.0
+    else:
+        hi = int(np.searchsorted(times, t))
+        lo = hi - 1
+        w = (t - times[lo]) / (times[hi] - times[lo])
+    nodes = stack.grid.nodes
+    a = np.interp(x, nodes, stack.values[lo])
+    if hi == lo:
+        return a
+    b = np.interp(x, nodes, stack.values[hi])
+    return (1.0 - w) * a + w * b
+
+
+@pytest.fixture(scope="session")
+def interp_reference():
+    """The np.interp formula that FieldStack.at must reproduce bit for bit."""
+    return _interp_reference
+
+
 @pytest.fixture(scope="session")
 def wide_bridge():
     """Boundary data, solved factors, and the interpolation for the

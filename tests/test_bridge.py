@@ -154,7 +154,8 @@ def test_solution_is_mirror_symmetric(coarse_bridge):
 def test_solution_lattice_lookup(coarse_bridge):
     _, _, solution = coarse_bridge
     assert solution.slice_index(0.4) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="time 0.37 is not on the solution lattice"):
         solution.slice_index(0.37)
 
 

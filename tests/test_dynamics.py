@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schrobridge import (BoundaryLeakError, FieldStack, Grid1D, SDEConfig,
-                         ScalarField, TimeSquaredHeatKernel, cdf_from_field,
-                         conditional_derivatives, empirical_density,
-                         fokker_planck_residual, ks_distance,
-                         material_derivative, normalize, sample_field,
-                         simulate_backward, simulate_forward)
+from schrobridge import (BoundaryLeakError, CallableDrift, FieldStack, Grid1D,
+                         SDEConfig, ScalarField, TimeSquaredHeatKernel,
+                         cdf_from_field, conditional_derivatives,
+                         empirical_density, fokker_planck_residual,
+                         ks_distance, material_derivative, normalize,
+                         sample_field, simulate_backward, simulate_forward)
 from schrobridge.packet import PACKET
 
 
@@ -59,7 +59,7 @@ def test_record_lattice_and_slices():
     np.testing.assert_allclose(ens.times, times)
     assert ens.positions.shape == (64, 3)
     assert ens.slice(0.25).shape == (64,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time 0.3 was not recorded"):
         ens.slice(0.3)
 
 
@@ -132,6 +132,26 @@ def test_heavy_leak_raises():
         simulate_forward(PACKET.drift_forward, _rho0(tight),
                          _cfg(boundary_policy="absorb-and-discard",
                               n_paths=500), 1.0, domain=tight)
+
+
+@pytest.mark.parametrize("policy", ["reflect", "absorb-and-discard"])
+@pytest.mark.parametrize("simulate, drift_fn, boundary_time", [
+    (simulate_forward, PACKET.drift_forward, 0.0),
+    (simulate_backward, PACKET.drift_backward, 1.0),
+])
+def test_lattice_drift_paths_equal_the_interp_reference(
+        policy, simulate, drift_fn, boundary_time, interp_reference):
+    grid = Grid1D(-4.0, 4.0, 65)
+    stack = FieldStack.sample(grid, np.linspace(0.0, 1.0, 11), drift_fn)
+    start = normalize(sample_field(grid, PACKET.rho, boundary_time))
+    cfg = _cfg(n_paths=600, dt=1e-2, seed=5, boundary_policy=policy)
+    got = simulate(stack, start, cfg, 1.0)
+    want = simulate(CallableDrift(lambda x, t: interp_reference(stack, x, t)),
+                    start, cfg, 1.0)
+    np.testing.assert_array_equal(got.positions, want.positions)
+    if policy == "absorb-and-discard":
+        # absorbed paths carry NaN through the later lookups
+        assert got.n_paths < got.n_requested
 
 
 def test_bad_policy_is_rejected():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from schrobridge import (FieldStack, Grid1D, NormalizationError,
-                         NumericDomainError, ScalarField, TimeGrid, gradient,
-                         integrate, laplacian, normalize, sample_field)
+                         NumericDomainError, ScalarField, gradient, integrate,
+                         laplacian, normalize, sample_field)
+from schrobridge.grids import lattice_index
 
 
 def test_grid_nodes_and_spacing():
@@ -34,14 +35,6 @@ def test_grid_nodes_are_write_locked():
     g = Grid1D(0.0, 1.0, 9)
     with pytest.raises(ValueError):
         g.nodes[0] = 3.0
-
-
-def test_time_grid_basic():
-    tg = TimeGrid(0.0, 1.0, 4)
-    assert tg.dt == pytest.approx(0.25)
-    np.testing.assert_allclose(tg.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        TimeGrid(0.5, 0.5, 4)
 
 
 def test_integrate_is_exact_for_linear():
@@ -131,3 +124,48 @@ def test_field_stack_at_clamps_outside_the_box():
     stack = FieldStack.sample(g, np.array([0.0, 1.0]), lambda x, t: x)
     assert stack.at(np.array([5.0]), 0.0)[0] == pytest.approx(1.0)
     assert stack.at(np.array([-5.0]), 0.0)[0] == pytest.approx(0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_points", [3, 4, 5, 17, 129, 513, 1025])
+@pytest.mark.parametrize("box", [(-10.0, 10.0), (-3.3, 7.1), (0.1, 0.7)])
+def test_field_stack_at_equals_the_interp_reference(n_points, box,
+                                                    interp_reference):
+    g = Grid1D(box[0], box[1], n_points)
+    rng = np.random.default_rng(n_points)
+    times = np.array([0.0, 0.3, 0.35, 1.0])
+    vals = rng.normal(size=(times.size, n_points)) * [[1e-3], [1.0], [10.0], [1e3]]
+    vals[1, 0] = vals[2, -1] = -0.0
+    nodes = g.nodes
+    width = box[1] - box[0]
+    xs = np.concatenate([
+        nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+        nodes[:-1] + 0.5 * g.spacing,
+        rng.uniform(box[0] - 0.2 * width, box[1] + 0.2 * width, 500),
+        [box[0] - 1e9, box[1] + 1e9, -np.inf, np.inf, np.nan, np.nan]])
+    stack = FieldStack(g, times, vals)
+    for t in (-1.0, 0.0, 0.1, 0.3, 0.3 + 1e-12, 0.32, 0.35, 0.9, 1.0, 2.0):
+        got = stack.at(xs, t)
+        want = interp_reference(stack, xs, t)
+        assert np.array_equal(got, want, equal_nan=True)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_field_stack_at_keeps_the_position_shape(interp_reference):
+    g = Grid1D(-1.0, 1.0, 11)
+    stack = FieldStack.sample(g, np.array([0.0, 1.0]), lambda x, t: x * x + t)
+    xs = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+    got = stack.at(xs, 0.25)
+    assert got.shape == (3, 4)
+    np.testing.assert_array_equal(got, interp_reference(stack, xs, 0.25))
+    assert float(stack.at(0.37, 0.25)) == interp_reference(stack, 0.37, 0.25)
+
+
+def test_lattice_index_tolerates_rounding_and_names_a_missing_time():
+    times = np.array([0.0, 0.5, 1.0])
+    assert lattice_index(times, 0.5 + 1e-12, "is missing") == 1
+    with pytest.raises(ValueError, match="time 0.3 is missing"):
+        lattice_index(times, 0.3, "is missing")
+    stack = FieldStack.sample(Grid1D(-1.0, 1.0, 11), times, lambda x, t: x)
+    with pytest.raises(ValueError, match="time 0.3 is not on the stack lattice"):
+        stack.slice_index(0.3)

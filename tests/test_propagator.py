@@ -7,10 +7,10 @@ import pytest
 from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
                          NumericFeynmanKacKernel, PositivityError, Potential,
                          PropagationError, TiltedTimeSquaredKernel,
-                         normalize, propagate_factors, sample_field)
+                         normalize, propagate_factors, sample_field,
+                         solve_feynman_kac)
+from schrobridge.kernels import _default_substeps
 
-# 129 points trip the substep rule on the packet potential (a known
-# defect), so the Feynman-Kac checks run on 257
 GRID = Grid1D(-10.0, 10.0, 257)
 TIMES = np.linspace(0.0, 1.0, 21)
 
@@ -74,6 +74,56 @@ def test_substeps_are_whole_per_slice_with_one_damped_start():
     steps = kernel.propagator(GRID, TIMES).steps
     assert [len(interval) for interval in steps] == [5] + [3] * 19
     assert [step.b_diag is None for step in steps[0]] == [True] * 4 + [False]
+
+
+def test_default_substeps_follow_the_potential():
+    pot = Potential.packet()
+    # the fk-bridge lattice: the diffusion term (82) still sets the count,
+    # above span * max|c| = 48.2
+    assert _default_substeps(pot, GRID, TIMES) == 82
+    coarse = Grid1D(-10.0, 10.0, 129)
+    # 129 points: the potential term (ceil 47.4) beats the diffusion term (21)
+    assert _default_substeps(pot, coarse, np.linspace(0.0, 1.0, 11)) == 48
+    assert _default_substeps(Potential.zero(), coarse, TIMES) == 21
+
+
+def test_packet_propagator_on_129_points_builds_the_boundary_matrix():
+    # the rule without its potential term gave 30 substeps here and a
+    # negative entry (-2.8e-11) in K(0, T)
+    grid = Grid1D(-10.0, 10.0, 129)
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
+    mat = kernel.propagator(grid, np.linspace(0.0, 1.0, 11)).matrix
+    assert np.min(mat.entries) > 0.0
+
+
+def test_packet_pair_solve_on_129_points():
+    # the rule without its potential term gave 16 substeps and -4.1e-07
+    grid = Grid1D(-10.0, 10.0, 129)
+    mat = solve_feynman_kac(Potential.packet(), grid, 0.0, 0.5)
+    pushed = mat.apply_source(PACKET.factor_u(grid.nodes, 0.0))
+    assert _rel(pushed, PACKET.factor_u(grid.nodes, 0.5)) < 1e-2
+
+
+def test_closed_form_sweep_reuses_the_boundary_matrix(coarse_bridge,
+                                                       monkeypatch):
+    _, factors, solution = coarse_bridge
+    times = solution.times
+    propagator = TiltedTimeSquaredKernel().propagator(factors.u0.grid, times)
+    boundary = propagator.matrix
+    built = KernelMatrix.from_kernel
+    pairs = []
+
+    def counting(kernel, grid, s, t, target=None):
+        pairs.append((s, t))
+        return built(kernel, grid, s, t, target)
+
+    monkeypatch.setattr(KernelMatrix, "from_kernel", counting)
+    u, v = propagator.sweep(factors.u0.values, factors.vT.values)
+    # every (0, t_k) and (t_k, T) pair once, except (0, T) itself
+    assert len(pairs) == 2 * (times.size - 2)
+    assert (times[0], times[-1]) not in pairs
+    np.testing.assert_array_equal(u[-1], boundary.apply_source(factors.u0.values))
+    np.testing.assert_array_equal(v[0], boundary.apply_target(factors.vT.values))
 
 
 def test_swept_negativity_names_the_factor_slice_and_node():

@@ -11,8 +11,7 @@ from schrobridge.kernels import HeatKernel, PinnedGaussianKernel
 from schrobridge.packet import PACKET
 from schrobridge.scenario import (density_from_spec, kernel_from_config,
                                   load_scenario, write_density_csv,
-                                  write_field_csv, write_paths_csv,
-                                  write_single_time_csv)
+                                  write_field_csv, write_paths_csv)
 
 
 def _write_config(tmp_path, payload):
@@ -183,14 +182,6 @@ class TestWriters:
         assert len(lines) == 1 + 6
         assert lines[1].split(",") == ["0", "-1", "0"]
         assert lines[4].split(",") == ["0.5", "-1", "3"]
-
-    def test_single_time_csv_carries_the_label(self, tmp_path):
-        grid = Grid1D(-1.0, 1.0, 3)
-        f = sample_field(grid, lambda x, t: x + 10.0, 0.25)
-        write_single_time_csv(tmp_path / "s.csv", f)
-        lines = (tmp_path / "s.csv").read_text().splitlines()
-        assert lines[0] == "t,x,value"
-        assert all(ln.startswith("0.25,") for ln in lines[1:])
 
     def test_paths_csv_orders_by_path_then_time(self, tmp_path):
         from schrobridge.dynamics import PathEnsemble, SDEConfig
