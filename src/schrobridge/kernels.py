@@ -25,13 +25,17 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (ExtrapolationWarning, PositivityError, TimeOrderingError)
+from .errors import (ExtrapolationWarning, NumericDomainError, PositivityError,
+                     TimeOrderingError)
 from .grids import FieldStack, Grid1D, gradient_values, laplacian_values
 from .packet import PACKET
 
 ENTRY_FLOOR = 1e-300
 NEGATIVITY_TOL = -1e-12
 DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3)
+# the potential term of the default substep count may reach this multiple
+# of the diffusion term; stronger potentials need an explicit n_substeps
+POTENTIAL_SUBSTEP_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -288,8 +292,7 @@ class Propagator:
     matrix K(times[0], times[-1]) that IPF iterates on, built on first
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
     This base serves the closed-form kernels: it samples one KernelMatrix
-    per (times[0], t_k) and (t_k, times[-1]) pair, and uses ``matrix`` for
-    the pair (times[0], times[-1]) that both sweeps share.
+    per (times[0], t_k) and (t_k, times[-1]) pair.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -316,13 +319,11 @@ class Propagator:
         v = np.empty((n_t, grid.n_points))
         u[0] = u0
         v[-1] = vT
-        for k in range(1, n_t - 1):
+        for k in range(1, n_t):
             mat = KernelMatrix.from_kernel(kernel, grid, float(times[0]),
                                            float(times[k]))
             u[k] = mat.apply_source(u0)
-        u[-1] = self.matrix.apply_source(u0)
-        v[0] = self.matrix.apply_target(vT)
-        for k in range(1, n_t - 1):
+        for k in range(n_t - 1):
             mat = KernelMatrix.from_kernel(kernel, grid, float(times[k]),
                                            float(times[-1]))
             v[k] = mat.apply_target(vT)
@@ -383,13 +384,25 @@ def _default_substeps(potential: Potential, grid: Grid1D,
     The second term keeps the diffusion number nu*dt/h^2 near 2; the third
     keeps dt*|c| <= 1, with max|c| taken over the interior nodes at every
     slice time, which a strong potential on a coarse grid needs for
-    nonnegative kernel entries.
+    nonnegative kernel entries.  A non-finite max|c| is a domain error; a
+    potential term above POTENTIAL_SUBSTEP_CAP times the larger of the
+    first two is refused, so a huge potential asks for an explicit count
+    instead of running for as long as it takes.
     """
     span = float(times[-1] - times[0])
     xs = grid.nodes[1:-1]
     c_max = max(float(np.max(np.abs(potential(xs, t)))) for t in times)
-    return max(16, int(np.ceil(potential.nu * span / (2.0 * grid.spacing ** 2))),
-               int(np.ceil(span * c_max)))
+    if not np.isfinite(c_max):
+        raise NumericDomainError(
+            f"potential {potential.label!r}: max|c| over the lattice is {c_max}")
+    base = max(16, int(np.ceil(potential.nu * span / (2.0 * grid.spacing ** 2))))
+    wanted = span * c_max
+    if wanted > POTENTIAL_SUBSTEP_CAP * base:
+        raise ValueError(
+            f"potential {potential.label!r} needs span*max|c| = {wanted:.3g} "
+            f"substeps, over {POTENTIAL_SUBSTEP_CAP} times the {base} of the "
+            "diffusion rule; pass n_substeps explicitly")
+    return max(base, int(np.ceil(wanted)))
 
 
 def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
@@ -478,8 +491,10 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
         Number of time substeps over [s, t] (>= 4), rounded up to a whole
         number in every slice interval.  Default targets a diffusion
         number nu*dt/h^2 of about 2 and dt*max|c| <= 1 (max over the
-        interior nodes at the slice times) with at least 16 substeps;
-        lattices whose largest diffusion number exceeds 10 are rejected.
+        interior nodes at the slice times) with at least 16 substeps; a
+        default whose potential term exceeds POTENTIAL_SUBSTEP_CAP times
+        the rest raises ValueError, and lattices whose largest diffusion
+        number exceeds 10 are rejected.
     slices : array_like, optional
         Increasing slice times from s to t that the lattice lands on;
         default (s, t), a single interval.

@@ -186,7 +186,10 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
         if kind == "zero":
             potential = Potential.zero(nu)
         elif kind == "constant":
-            potential = Potential.constant(float(pot_cfg.get("value", 0.0)), nu)
+            value = float(pot_cfg.get("value", 0.0))
+            if not np.isfinite(value):
+                raise ConfigError(f"potential value must be finite, got {value}")
+            potential = Potential.constant(value, nu)
         elif kind == "packet":
             potential = Potential.packet()
         else:

@@ -110,6 +110,20 @@ def test_numeric_fk_bridge_drives_a_simulation(tmp_path, outdir):
     assert (outdir / "simulate-report.txt").is_file()
 
 
+@pytest.mark.parametrize("value, message", [
+    (1e6, "pass n_substeps explicitly"),
+    (float("inf"), "must be finite"),
+])
+def test_numeric_fk_strong_potential_fails_fast(tmp_path, outdir, capsys,
+                                                value, message):
+    # json writes inf as Infinity, which json.loads reads back
+    payload = dict(FK_CONFIG, kernel={
+        "tag": "numeric-fk", "potential": {"kind": "constant", "value": value}})
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_burgers_subcommand(outdir):
     assert cli.main(["burgers-residual"]) == cli.EXIT_OK
     assert (outdir / "burgers-report.txt").is_file()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
-                         NumericFeynmanKacKernel, PositivityError, Potential,
-                         PropagationError, TiltedTimeSquaredKernel,
-                         normalize, propagate_factors, sample_field,
-                         solve_feynman_kac)
+                         NumericDomainError, NumericFeynmanKacKernel,
+                         PositivityError, Potential, PropagationError,
+                         TiltedTimeSquaredKernel, normalize,
+                         propagate_factors, sample_field, solve_feynman_kac)
 from schrobridge.kernels import _default_substeps
 
 GRID = Grid1D(-10.0, 10.0, 257)
@@ -104,26 +104,26 @@ def test_packet_pair_solve_on_129_points():
     assert _rel(pushed, PACKET.factor_u(grid.nodes, 0.5)) < 1e-2
 
 
-def test_closed_form_sweep_reuses_the_boundary_matrix(coarse_bridge,
-                                                       monkeypatch):
-    _, factors, solution = coarse_bridge
-    times = solution.times
-    propagator = TiltedTimeSquaredKernel().propagator(factors.u0.grid, times)
-    boundary = propagator.matrix
-    built = KernelMatrix.from_kernel
-    pairs = []
+def test_default_substeps_refuse_a_huge_potential():
+    # span * max|c| may reach 4 times the diffusion term (82 here)
+    assert _default_substeps(Potential.constant(328.0), GRID, TIMES) == 328
+    with pytest.raises(ValueError, match="pass n_substeps explicitly"):
+        _default_substeps(Potential.constant(329.0), GRID, TIMES)
+    # refused before any Crank-Nicolson step is built
+    kernel = NumericFeynmanKacKernel(Potential.constant(1e6), grid=GRID)
+    with pytest.raises(ValueError, match="pass n_substeps explicitly"):
+        kernel.propagator(GRID, TIMES).matrix
+    with pytest.raises(ValueError, match="pass n_substeps explicitly"):
+        solve_feynman_kac(Potential.constant(1e6), GRID, 0.0, 1.0)
 
-    def counting(kernel, grid, s, t, target=None):
-        pairs.append((s, t))
-        return built(kernel, grid, s, t, target)
 
-    monkeypatch.setattr(KernelMatrix, "from_kernel", counting)
-    u, v = propagator.sweep(factors.u0.values, factors.vT.values)
-    # every (0, t_k) and (t_k, T) pair once, except (0, T) itself
-    assert len(pairs) == 2 * (times.size - 2)
-    assert (times[0], times[-1]) not in pairs
-    np.testing.assert_array_equal(u[-1], boundary.apply_source(factors.u0.values))
-    np.testing.assert_array_equal(v[0], boundary.apply_target(factors.vT.values))
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_default_substeps_reject_a_non_finite_potential(value):
+    with pytest.raises(NumericDomainError, match=r"max\|c\|"):
+        _default_substeps(Potential.constant(value), GRID, TIMES)
+    kernel = NumericFeynmanKacKernel(Potential.constant(value), grid=GRID)
+    with pytest.raises(NumericDomainError):
+        kernel.propagator(GRID, TIMES).matrix
 
 
 def test_swept_negativity_names_the_factor_slice_and_node():

@@ -155,6 +155,14 @@ class TestKernelFromConfig:
         assert isinstance(k, NumericFeynmanKacKernel)
         assert check(k.potential)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_numeric_fk_rejects_a_non_finite_constant(self, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            kernel_from_config(
+                {"tag": "numeric-fk",
+                 "potential": {"kind": "constant", "value": value}},
+                grid=Grid1D(-4.0, 4.0, 65))
+
     def test_numeric_fk_rejects_unknown_potential(self):
         with pytest.raises(ConfigError, match="unknown potential kind"):
             kernel_from_config(
