@@ -31,7 +31,7 @@ from .burgers import burgers_residual
 from .dynamics import SDEConfig, simulate_backward, simulate_forward
 from .errors import (ConfigError, MissingInputError, NumericDomainError,
                      SchrobridgeError)
-from .grids import FieldStack, Grid1D, ScalarField
+from .grids import FieldStack, Grid1D
 from .kernels import check_chapman_kolmogorov
 from .packet import PACKET
 from .report import RunReport

@@ -3,8 +3,13 @@
 The forward process follows dX = b(X, t) dt + sqrt(2 nu) dW from rho0;
 the backward process follows the reversed-clock integration
 dY = -b*(Y, T - tau) dtau + sqrt(2 nu) dW from rhoT.  Euler-Maruyama
-stepping, one RNG stream per path (stable under any internal batching),
-and node-centered histograms for empirical densities.
+stepping and node-centered histograms for empirical densities.
+
+Random numbers come from one PCG64 stream per fixed chunk of CHUNK
+paths, spawned from the seed with the chunk index as its key.  Each
+chunk draws its initial uniforms, then one vector of normals per step.
+An ensemble is bit-identical for a given (seed, n_paths), and the paths
+of a full chunk do not depend on n_paths.
 
 The residual engines discretize the transport identities the
 interpolating density and drifts must satisfy: the two Fokker-Planck
@@ -25,7 +30,7 @@ from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
                     laplacian_values, lattice_index, normalize)
 
 BOUNDARY_POLICIES = ("reflect", "absorb-and-discard")
-DEFAULT_BLOCK = 8192
+CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,6 @@ def _as_drift(drift):
     raise TypeError("drift must expose .at(positions, t) or be callable")
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    # one child stream per path: ensembles are bit-identical for any batching
-    ss = np.random.SeedSequence(seed, spawn_key=(path_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _inverse_cdf_table(density: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     f = normalize(density)
     v, h = f.values, f.grid.spacing
@@ -115,8 +114,8 @@ def _step_schedule(horizon: float, dt: float, record_times: np.ndarray):
 
 
 def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
-               horizon: float, record_taus: np.ndarray, domain: Grid1D,
-               block_size: int) -> np.ndarray:
+               horizon: float, record_taus: np.ndarray,
+               domain: Grid1D) -> np.ndarray:
     n_steps, rec_idx = _step_schedule(horizon, config.dt, record_taus)
     cdf, nodes = _inverse_cdf_table(init_density)
     sig = np.sqrt(2.0 * config.nu * config.dt)
@@ -125,21 +124,18 @@ def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
     rec_at = {int(step): r for r, step in enumerate(rec_idx)}
 
     out = np.empty((config.n_paths, rec_idx.size))
-    for start in range(0, config.n_paths, block_size):
-        stop = min(start + block_size, config.n_paths)
-        nb = stop - start
-        uniforms = np.empty(nb)
-        normals = np.empty((nb, n_steps))
-        for j in range(nb):
-            rng = _path_rng(config.seed, start + j)
-            uniforms[j] = rng.random()
-            normals[j] = rng.standard_normal(n_steps)
-        x = np.interp(uniforms, cdf, nodes)
+    for start in range(0, config.n_paths, CHUNK):
+        stop = min(start + CHUNK, config.n_paths)
+        ss = np.random.SeedSequence(config.seed, spawn_key=(start // CHUNK,))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        x = np.interp(rng.random(stop - start), cdf, nodes)
+        noise = np.empty(stop - start)
         if 0 in rec_at:
             out[start:stop, rec_at[0]] = x
         for k in range(n_steps):
             tau = k * config.dt
-            x = x + drift_at(x, tau) * config.dt + sig * normals[:, k]
+            rng.standard_normal(out=noise)
+            x = x + drift_at(x, tau) * config.dt + sig * noise
             if reflect:
                 x = np.where(x > hi, 2.0 * hi - x, x)
                 x = np.where(x < lo, 2.0 * lo - x, x)
@@ -167,8 +163,7 @@ def _finish(out: np.ndarray, times: np.ndarray, config: SDEConfig,
 
 def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float,
                      record_times: np.ndarray | None = None,
-                     domain: Grid1D | None = None,
-                     block_size: int = DEFAULT_BLOCK) -> PathEnsemble:
+                     domain: Grid1D | None = None) -> PathEnsemble:
     """Euler-Maruyama paths of dX = b dt + sqrt(2 nu) dW started from rho0.
 
     Initial positions are drawn by inverse-CDF sampling of rho0 on its
@@ -183,14 +178,13 @@ def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float
     times = np.asarray(record_times, dtype=float)
     domain = domain or rho0.grid
     out = _run_euler(lambda x, tau: drift.at(x, tau), rho0, config, horizon,
-                     times, domain, block_size)
+                     times, domain)
     return _finish(out, times, config, horizon)
 
 
 def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
                       horizon: float, record_times: np.ndarray | None = None,
-                      domain: Grid1D | None = None,
-                      block_size: int = DEFAULT_BLOCK) -> PathEnsemble:
+                      domain: Grid1D | None = None) -> PathEnsemble:
     """Reversed-clock paths dY = -b*(Y, T - tau) dtau + sqrt(2 nu) dW from rhoT.
 
     ``record_times`` are forward time labels; the returned ensemble's
@@ -204,7 +198,7 @@ def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
     taus = horizon - times[::-1]
     domain = domain or rhoT.grid
     out = _run_euler(lambda y, tau: -drift_star.at(y, horizon - tau), rhoT,
-                     config, horizon, taus, domain, block_size)
+                     config, horizon, taus, domain)
     return _finish(out[:, ::-1], times, config, horizon)
 
 

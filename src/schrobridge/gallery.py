@@ -27,11 +27,10 @@ from .kernels import (HeatKernel, MarkovFamilyKernel, PinnedGaussianKernel,
                       TimeSquaredHeatKernel, check_chapman_kolmogorov,
                       extract_forward_drift, generalized_heat_residual,
                       short_time_moments)
-from .packet import PACKET, FreeGaussianPacket, PacketValues, eval_packet
+from .packet import PACKET
 from .report import RunReport
 
 __all__ = [
-    "FreeGaussianPacket", "PacketValues", "PACKET", "eval_packet",
     "verify_parabolic_system", "packet_boundary", "packet_bridge",
     "quantum_free_suite", "example1_suite", "example2_suite",
     "SCENARIOS", "scenario_names", "run_scenario",

@@ -27,7 +27,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (ExtrapolationWarning, NumericDomainError, PositivityError,
                      TimeOrderingError)
-from .grids import FieldStack, Grid1D, gradient_values, laplacian_values
+from .grids import FieldStack, Grid1D, laplacian_values
 from .packet import PACKET
 
 ENTRY_FLOOR = 1e-300

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from schrobridge import dynamics
 from schrobridge import (BoundaryLeakError, CallableDrift, FieldStack, Grid1D,
                          SDEConfig, ScalarField, TimeSquaredHeatKernel,
                          cdf_from_field, conditional_derivatives,
@@ -32,13 +35,130 @@ def test_same_seed_reproduces_paths_exactly():
     np.testing.assert_array_equal(a.positions, b.positions)
 
 
-def test_block_partition_does_not_change_the_draws():
+def _still(x, t):
+    return np.zeros_like(x)
+
+
+def test_chunk_streams_follow_the_documented_layout(monkeypatch):
+    # with zero drift and far walls, step one is x0 + sig * the chunk's
+    # first normals, drawn right after its initial uniforms
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
     grid = Grid1D()
-    a = simulate_forward(PACKET.drift_forward, _rho0(grid), _cfg(), 1.0,
-                         block_size=256)
-    b = simulate_forward(PACKET.drift_forward, _rho0(grid), _cfg(), 1.0,
-                         block_size=1024)
-    np.testing.assert_array_equal(a.positions, b.positions)
+    rho0 = _rho0(grid)
+    cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2)
+    ens = simulate_forward(_still, rho0, cfg, 1.0,
+                           record_times=np.array([0.0, 0.01]),
+                           domain=Grid1D(-50.0, 50.0, 11))
+    cdf, nodes = dynamics._inverse_cdf_table(rho0)
+    sig = np.sqrt(2.0 * cfg.nu * cfg.dt)
+    for chunk, (start, stop) in enumerate(((0, 64), (64, 128), (128, 145))):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(chunk,))))
+        x0 = np.interp(rng.random(stop - start), cdf, nodes)
+        x1 = x0 + sig * rng.standard_normal(stop - start)
+        np.testing.assert_array_equal(ens.positions[start:stop, 0], x0)
+        np.testing.assert_array_equal(ens.positions[start:stop, 1], x1)
+
+
+def test_full_chunks_do_not_depend_on_n_paths(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    grid = Grid1D()
+    runs = {n: simulate_forward(PACKET.drift_forward, _rho0(grid),
+                                _cfg(n_paths=n), 1.0)
+            for n in (64, 128, 2 * 64 + 17)}
+    long = runs[2 * 64 + 17].positions
+    np.testing.assert_array_equal(long[:64], runs[64].positions)
+    np.testing.assert_array_equal(long[:128], runs[128].positions)
+
+
+def test_chunks_do_not_share_increments(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    grid = Grid1D()
+    ens = simulate_forward(_still, _rho0(grid), _cfg(n_paths=128, dt=1e-2),
+                           1.0, record_times=np.linspace(0.0, 1.0, 101),
+                           domain=Grid1D(-50.0, 50.0, 11))
+    steps = np.diff(ens.positions, axis=1)
+    first, second = steps[:64], steps[64:]
+    assert np.intersect1d(first, second).size == 0
+    assert np.intersect1d(ens.positions[:64, 0],
+                          ens.positions[64:, 0]).size == 0
+    # nor does a chunk reuse its own draws from path to path or step to step
+    assert np.unique(first).size == first.size
+
+
+def test_partial_last_chunk_records_every_path(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    grid = Grid1D()
+    times = np.array([0.0, 0.5, 1.0])
+    for simulate, drift, t0 in ((simulate_forward, PACKET.drift_forward, 0.0),
+                                (simulate_backward, PACKET.drift_backward, 1.0)):
+        start = normalize(sample_field(grid, PACKET.rho, t0))
+        ens = simulate(drift, start, _cfg(n_paths=2 * 64 + 17), 1.0,
+                       record_times=times)
+        assert ens.positions.shape == (2 * 64 + 17, 3)
+        assert ens.n_paths == ens.n_requested == 2 * 64 + 17
+        assert np.all(np.isfinite(ens.positions))
+        tail = ens.positions[128:]
+        assert np.intersect1d(tail[:, 0], ens.positions[:128, 0]).size == 0
+
+
+def test_absorbing_walls_drop_exactly_the_exited_paths(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    grid = Grid1D()
+    every_step = np.linspace(0.0, 1.0, 101)
+    cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2, seed=3,
+               boundary_policy="absorb-and-discard")
+    free = simulate_forward(PACKET.drift_forward, _rho0(grid), cfg, 1.0,
+                            record_times=every_step,
+                            domain=Grid1D(-50.0, 50.0, 11))
+    walls = Grid1D(-3.0, 3.0, 65)
+    held = simulate_forward(PACKET.drift_forward, _rho0(grid), cfg, 1.0,
+                            record_times=every_step, domain=walls)
+    # walls are checked after each step, so the start column may lie outside
+    inside = np.all(np.abs(free.positions[:, 1:]) <= 3.0, axis=1)
+    assert free.n_paths == 2 * 64 + 17
+    assert 0 < held.n_requested - held.n_paths == np.sum(~inside)
+    np.testing.assert_array_equal(held.positions, free.positions[inside])
+
+
+def test_interleaved_runs_share_no_rng_state(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    grid = Grid1D()
+    rho0 = _rho0(grid)
+    rhoT = normalize(sample_field(grid, PACKET.rho, 1.0))
+    cfg = _cfg(n_paths=150, dt=1e-2)
+    fwd = simulate_forward(PACKET.drift_forward, rho0, cfg, 1.0)
+    bwd = simulate_backward(PACKET.drift_backward, rhoT, cfg, 1.0)
+
+    inner = []
+
+    def drift(x, t):
+        # run the whole backward ensemble mid-way through the second chunk
+        if not inner and x.size == 64 and t >= 0.5:
+            inner.append(simulate_backward(PACKET.drift_backward, rhoT, cfg,
+                                           1.0))
+        return PACKET.drift_forward(x, t)
+
+    outer = simulate_forward(drift, rho0, cfg, 1.0)
+    assert len(inner) == 1
+    np.testing.assert_array_equal(outer.positions, fwd.positions)
+    np.testing.assert_array_equal(inner[0].positions, bwd.positions)
+
+
+def test_warm_forward_run_holds_no_per_step_noise():
+    # the parent's (paths x steps) normals array alone was 8 MB here
+    grid = Grid1D()
+    rho0 = _rho0(grid)
+    cfg = _cfg()
+    simulate_forward(PACKET.drift_forward, rho0, cfg, 1.0)
+    tracemalloc.start()
+    try:
+        ens = simulate_forward(PACKET.drift_forward, rho0, cfg, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.positions.shape == (2000, 11)
+    assert peak < 1_000_000
 
 
 def test_different_seed_changes_the_draws():
