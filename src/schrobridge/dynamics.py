@@ -136,12 +136,12 @@ def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
             tau = k * config.dt
             rng.standard_normal(out=noise)
             x = x + drift_at(x, tau) * config.dt + sig * noise
-            if reflect:
+            if not reflect:
+                x = np.where((x < lo) | (x > hi), np.nan, x)
+            elif not (x.min() >= lo and x.max() <= hi):  # NaN takes the folds
                 x = np.where(x > hi, 2.0 * hi - x, x)
                 x = np.where(x < lo, 2.0 * lo - x, x)
                 x = np.clip(x, lo, hi)
-            else:
-                x = np.where((x < lo) | (x > hi), np.nan, x)
             if (k + 1) in rec_at:
                 out[start:stop, rec_at[k + 1]] = x
     return out

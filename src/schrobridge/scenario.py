@@ -202,36 +202,36 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
         raise ConfigError(f"bad kernel section: {e}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _column(values: np.ndarray) -> list[str]:
+    return [f"{v:.17g}" for v in values.tolist()]
+
+
+def _write_lines(path: str | Path, header: str, blocks: list[str]):
+    """Header and each non-empty row block in one write; joining a slice's
+    rows as they are formatted keeps few row strings alive at a time."""
+    Path(path).write_text("\n".join([header, *filter(None, blocks), ""]))
 
 
 def write_density_csv(path: str | Path, density: ScalarField):
     """Two-column x,value CSV at full precision."""
-    lines = ["x,value"]
-    lines += [f"{_fmt(x)},{_fmt(v)}"
-              for x, v in zip(density.grid.nodes, density.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, "x,value", [f"{x},{v:.17g}" for x, v in zip(
+        _column(density.grid.nodes), density.values.tolist())])
 
 
 def write_field_csv(path: str | Path, stack: FieldStack):
     """Long-format t,x,value CSV for a space-time field."""
-    lines = ["t,x,value"]
-    for k, t in enumerate(stack.times):
-        ts = _fmt(t)
-        lines += [f"{ts},{_fmt(x)},{_fmt(v)}"
-                  for x, v in zip(stack.grid.nodes, stack.values[k])]
-    Path(path).write_text("\n".join(lines) + "\n")
+    xs = _column(stack.grid.nodes)
+    _write_lines(path, "t,x,value", [
+        "\n".join([f"{ts},{x},{v:.17g}" for x, v in zip(xs, row.tolist())])
+        for ts, row in zip(_column(stack.times), stack.values)])
 
 
 def write_paths_csv(path: str | Path, ensemble: PathEnsemble):
     """Long-format path_id,t,x CSV, ordered by path then time."""
-    lines = ["path_id,t,x"]
-    times = [_fmt(t) for t in ensemble.times]
-    for pid in range(ensemble.n_paths):
-        row = ensemble.positions[pid]
-        lines += [f"{pid},{ts},{_fmt(x)}" for ts, x in zip(times, row)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    times = _column(ensemble.times)
+    _write_lines(path, "path_id,t,x", [
+        "\n".join([f"{i},{t},{x:.17g}" for t, x in zip(times, row.tolist())])
+        for i, row in enumerate(ensemble.positions)])
 
 
 def write_report(path: str | Path, report: RunReport):

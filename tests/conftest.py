@@ -1,6 +1,9 @@
 """Shared fixtures and the acceptance summary hook."""
 from __future__ import annotations
 
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,42 @@ def _interp_reference(stack, positions, t):
 def interp_reference():
     """The np.interp formula that FieldStack.at must reproduce bit for bit."""
     return _interp_reference
+
+
+def _fmt(x):
+    return f"{float(x):.17g}"
+
+
+def _write(path, lines):
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _density_csv(path, density):
+    _write(path, ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in
+                                zip(density.grid.nodes, density.values)])
+
+
+def _field_csv(path, stack):
+    lines = ["t,x,value"]
+    for k, t in enumerate(stack.times):
+        lines += [f"{_fmt(t)},{_fmt(x)},{_fmt(v)}"
+                  for x, v in zip(stack.grid.nodes, stack.values[k])]
+    _write(path, lines)
+
+
+def _paths_csv(path, ensemble):
+    lines = ["path_id,t,x"]
+    for pid in range(ensemble.n_paths):
+        lines += [f"{pid},{_fmt(t)},{_fmt(x)}"
+                  for t, x in zip(ensemble.times, ensemble.positions[pid])]
+    _write(path, lines)
+
+
+@pytest.fixture(scope="session")
+def csv_reference():
+    """Per-element float() writers whose bytes the CSV writers must match."""
+    return SimpleNamespace(density=_density_csv, field=_field_csv,
+                           paths=_paths_csv)
 
 
 @pytest.fixture(scope="session")

@@ -236,6 +236,77 @@ def test_reflecting_walls_keep_paths_inside():
     assert ens.n_paths == 2000
 
 
+def _three_pass_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
+    """Reflected Euler loop folding every step, plus counts of the steps
+    on which a chunk crossed the upper and the lower wall."""
+    n_steps, rec_idx = dynamics._step_schedule(horizon, cfg.dt, record_taus)
+    cdf, nodes = dynamics._inverse_cdf_table(start)
+    sig = np.sqrt(2.0 * cfg.nu * cfg.dt)
+    out = np.empty((cfg.n_paths, rec_idx.size))
+    crossings = np.zeros(2, dtype=int)
+    for chunk, begin in enumerate(range(0, cfg.n_paths, dynamics.CHUNK)):
+        end = min(begin + dynamics.CHUNK, cfg.n_paths)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(chunk,))))
+        x = np.interp(rng.random(end - begin), cdf, nodes)
+        path = [x]
+        for k in range(n_steps):
+            x = (x + drift_at(x, k * cfg.dt) * cfg.dt
+                 + sig * rng.standard_normal(end - begin))
+            crossings += [np.any(x > hi), np.any(x < lo)]
+            x = np.where(x > hi, 2.0 * hi - x, x)
+            x = np.where(x < lo, 2.0 * lo - x, x)
+            x = np.clip(x, lo, hi)
+            path.append(x)
+        out[begin:end] = np.stack(path, axis=1)[:, rec_idx]
+    return out, crossings
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _packet_with_a_hole(drift):
+    # NaN on a narrow band, so a chunk can hold NaN paths next to paths
+    # that overshoot a wall on the same step
+    return lambda x, t: np.where(np.abs(x - 0.3) < 0.02, np.nan, drift(x, t))
+
+
+@pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.5, 3.0)])
+@pytest.mark.parametrize("make_drift", [lambda d: d, _packet_with_a_hole],
+                         ids=["packet", "packet-with-nan-band"])
+def test_reflection_equals_the_three_pass_reference(monkeypatch, box,
+                                                    make_drift):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    lo, hi = box
+    domain = Grid1D(lo, hi, 65)
+    times = np.linspace(0.0, 1.0, 101)
+    cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2, seed=4)
+    fwd_drift = make_drift(PACKET.drift_forward)
+    bwd_drift = make_drift(PACKET.drift_backward)
+    rho0 = _rho0(domain)
+    rhoT = normalize(sample_field(domain, PACKET.rho, 1.0))
+
+    fwd = simulate_forward(fwd_drift, rho0, cfg, 1.0, record_times=times,
+                           domain=domain)
+    want, crossed = _three_pass_reference(fwd_drift, rho0, cfg, 1.0, times,
+                                          lo, hi)
+    assert _same_bits(fwd.positions, want)
+    # both walls are hit, and some chunk steps stay inside the box
+    assert 0 < crossed.min() and crossed.max() < 3 * 100
+
+    bwd = simulate_backward(bwd_drift, rhoT, cfg, 1.0, record_times=times,
+                            domain=domain)
+    want, crossed = _three_pass_reference(
+        lambda y, tau: -bwd_drift(y, 1.0 - tau), rhoT, cfg, 1.0,
+        1.0 - times[::-1], lo, hi)
+    assert _same_bits(bwd.positions, want[:, ::-1])
+    assert 0 < crossed.min() and crossed.max() < 3 * 100
+    if make_drift is _packet_with_a_hole:
+        assert np.isnan(fwd.positions).any() and np.isnan(bwd.positions).any()
+
+
 def test_absorbing_walls_discard_leaked_paths():
     grid = Grid1D(-6.0, 6.0, 129)
     ens = simulate_forward(PACKET.drift_forward, _rho0(grid),

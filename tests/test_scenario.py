@@ -200,3 +200,62 @@ class TestWriters:
         write_paths_csv(tmp_path / "p.csv", ens)
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines == ["path_id,t,x", "0,0,0", "0,1,1", "1,0,2", "1,1,3"]
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e300, 0.1 + 0.2, -1.5, -2.5e-17, -1e300]
+
+
+class TestWritersMatchTheFloatReference:
+    """Each writer's bytes equal those of the per-element float() writers."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, write, reference, obj):
+        write(tmp_path / "new.csv", obj)
+        reference(tmp_path / "ref.csv", obj)
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        return got
+
+    def test_field_with_edge_values(self, tmp_path, csv_reference):
+        from schrobridge import FieldStack
+        rng = np.random.default_rng(17)
+        values = (rng.standard_normal((101, 513))
+                  * 10.0 ** rng.integers(-300, 300, (101, 513)))
+        values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+        values[50, 100:100 + len(_EDGE_VALUES)] = _EDGE_VALUES
+        times = np.concatenate(([0.0], np.sort(rng.random(100))))
+        stack = FieldStack(Grid1D(), times, values)
+        got = self._same_bytes(tmp_path, write_field_csv, csv_reference.field,
+                               stack)
+        lines = got.decode().splitlines()
+        assert len(lines) == 1 + 101 * 513
+        assert lines[1] == "0,-10,-0"
+        values = [line.split(",")[2] for line in lines[1:9]]
+        assert values == [
+            "-0", "4.9406564584124654e-324", "1e-300",
+            "1.0000000000000001e+300", "0.30000000000000004", "-1.5",
+            "-2.4999999999999999e-17", "-1.0000000000000001e+300"]
+
+    def test_density(self, tmp_path, csv_reference):
+        density = sample_field(Grid1D(-8.0, 8.0, 257), PACKET.rho, 0.5)
+        self._same_bytes(tmp_path, write_density_csv, csv_reference.density,
+                         density)
+
+    @pytest.mark.parametrize("times, positions", [
+        (np.array([0.0, 0.1 + 0.2, 1.0]),
+         np.array([[0.1, -0.0, 1e-300], [5e-324, 0.1 + 0.2, -1e300],
+                   [np.nan, 2.0, -7.25]])),
+        (np.array([0.0, 0.1 + 0.2, 1.0]), np.empty((0, 3))),
+        (np.empty(0), np.empty((3, 0))),
+    ], ids=["three-paths", "zero-paths", "zero-records"])
+    def test_paths(self, tmp_path, csv_reference, times, positions):
+        from schrobridge.dynamics import PathEnsemble, SDEConfig
+        ens = PathEnsemble(times=times, positions=positions,
+                           config=SDEConfig(n_paths=3, dt=1e-2, seed=0),
+                           horizon=1.0, n_requested=3)
+        got = self._same_bytes(tmp_path, write_paths_csv, csv_reference.paths,
+                               ens)
+        if positions.size == 0:
+            assert got == b"path_id,t,x\n"
+        else:
+            assert got.splitlines()[4] == b"1,0,4.9406564584124654e-324"
