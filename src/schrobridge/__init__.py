@@ -26,7 +26,7 @@ from .gallery import (example1_suite, example2_suite, packet_boundary,
                       packet_bridge, quantum_free_suite, run_scenario,
                       scenario_names, verify_parabolic_system)
 from .grids import (FieldStack, Grid1D, ScalarField, gradient, integrate,
-                    laplacian, normalize, sample_field)
+                    normalize, sample_field)
 from .kernels import (FeynmanKacPropagator, HeatKernel, Kernel, KernelMatrix,
                       MarkovFamilyKernel, MomentRates, NumericFeynmanKacKernel,
                       PinnedGaussianKernel, Potential, Propagator,
@@ -35,7 +35,7 @@ from .kernels import (FeynmanKacPropagator, HeatKernel, Kernel, KernelMatrix,
                       check_chapman_kolmogorov, extract_forward_drift,
                       generalized_heat_residual, make_kernel,
                       short_time_moments, solve_feynman_kac)
-from .packet import PACKET, FreeGaussianPacket, PacketValues, eval_packet
+from .packet import PACKET, FreeGaussianPacket
 from .report import CheckResult, RunReport
 
 __version__ = "0.1.0"

@@ -126,10 +126,6 @@ def gradient(f: ScalarField) -> ScalarField:
     return f.with_values(gradient_values(f.values, f.grid.spacing))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return f.with_values(laplacian_values(f.values, f.grid.spacing))
-
-
 def normalize(f: ScalarField) -> ScalarField:
     """Scale f to unit trapezoid mass; reject non-positive or non-finite mass."""
     mass = integrate(f)

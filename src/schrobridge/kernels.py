@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
 from .errors import (ExtrapolationWarning, NumericDomainError, PositivityError,
@@ -36,6 +37,9 @@ DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3)
 # the potential term of the default substep count may reach this multiple
 # of the diffusion term; stronger potentials need an explicit n_substeps
 POTENTIAL_SUBSTEP_CAP = 4
+# time pairs whose probe matrices a NumericFeynmanKacKernel keeps, the
+# most recently used ones
+FK_CACHE_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,15 @@ def _check_order(s: float, t: float) -> tuple[float, float]:
 
 
 class Kernel:
-    """Base transition-density interface."""
+    """Base transition-density interface.
+
+    ``translation_invariant`` declares that k(y, s, x, t) depends on y and
+    x only through x - y, which lets ``KernelMatrix.from_kernel`` sample
+    one row of lattice offsets instead of the whole matrix.
+    """
 
     tag = ""
+    translation_invariant = False
 
     def evaluate(self, y, s: float, x, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -93,6 +103,7 @@ class HeatKernel(Kernel):
     """Constant-diffusivity heat kernel with zero drift."""
 
     tag = "heat"
+    translation_invariant = True
 
     def __init__(self, nu: float = 1.0):
         if not nu > 0.0:
@@ -115,6 +126,7 @@ class TimeSquaredHeatKernel(Kernel):
     """
 
     tag = "example1"
+    translation_invariant = True
 
     nu = 1.0
 
@@ -210,6 +222,7 @@ class MarkovFamilyKernel(Kernel):
     """
 
     tag = "markov-family"
+    translation_invariant = True
 
     nu = 1.0
 
@@ -265,12 +278,34 @@ class KernelMatrix:
     @classmethod
     def from_kernel(cls, kernel: Kernel, grid: Grid1D, s: float, t: float,
                     target: Grid1D | None = None) -> "KernelMatrix":
+        """Sample ``kernel`` from ``grid`` at s to ``target`` (default grid).
+
+        A kernel that declares ``translation_invariant`` on a square
+        lattice is evaluated once on the 2n - 1 node offsets x_0 - x_{n-1},
+        ..., 0, ..., x_{n-1} - x_0 (as ``evaluate(0.0, s, offsets, t)``),
+        and entry (i, j) is the sample at offset x_j - x_i.  Every other
+        kernel or target grid is evaluated on all n x m node pairs.  Both
+        builds refuse values below NEGATIVITY_TOL and raise exp underflow
+        to ENTRY_FLOOR.  On grids whose nodes are exact multiples of the
+        spacing (the default boxes) the two builds agree bit for bit;
+        elsewhere they differ by the rounding of x_j - y_i.
+        """
         target = target or grid
-        e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
+        row = getattr(kernel, "translation_invariant", False) and target == grid
+        if row:
+            x = grid.nodes
+            offsets = np.concatenate((x[0] - x[:0:-1], x - x[0]))
+            e = kernel.evaluate(0.0, s, offsets, t)
+        else:
+            e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
         if np.min(e) < NEGATIVITY_TOL:
             raise PositivityError("kernel evaluation produced negative values")
         # exp underflow in remote corners floors at a tiny positive value
         e = np.maximum(e, ENTRY_FLOOR)
+        if row:
+            # window n - 1 - i holds the offsets x_j - x_i, j = 0 .. n - 1
+            windows = sliding_window_view(e, grid.n_points)
+            e = np.ascontiguousarray(windows[::-1])
         return cls(source=grid, target=target, s=float(s), t=float(t), entries=e)
 
     def apply_target(self, g: np.ndarray) -> np.ndarray:
@@ -292,7 +327,9 @@ class Propagator:
     matrix K(times[0], times[-1]) that IPF iterates on, built on first
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
     This base serves the closed-form kernels: it samples one KernelMatrix
-    per (times[0], t_k) and (t_k, times[-1]) pair.
+    per (times[0], t_k) and (t_k, times[-1]) pair, each from one row of
+    2n - 1 offsets for a translation-invariant kernel and from n^2 node
+    pairs otherwise (see ``KernelMatrix.from_kernel``).
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -536,7 +573,8 @@ class NumericFeynmanKacKernel(Kernel):
     whole substeps per slice.  ``evaluate`` and ``matrix(s, t)`` remain
     the path for probes (Chapman-Kolmogorov check, transitions, moments):
     they solve once per requested time pair (``n_substeps`` over that
-    pair), cache the matrix, and interpolate bilinearly between nodes.
+    pair), keep the FK_CACHE_PAIRS most recently used matrices, and
+    interpolate bilinearly between nodes.
     """
 
     tag = "numeric-fk"
@@ -554,10 +592,16 @@ class NumericFeynmanKacKernel(Kernel):
 
     def matrix(self, s: float, t: float) -> KernelMatrix:
         key = (float(s), float(t))
-        if key not in self._cache:
-            self._cache[key] = solve_feynman_kac(
-                self.potential, self.grid, s, t, n_substeps=self.n_substeps)
-        return self._cache[key]
+        # re-inserting every used key keeps the dict in order of use, so
+        # its first key is the least recently used
+        mat = self._cache.pop(key, None)
+        if mat is None:
+            mat = solve_feynman_kac(self.potential, self.grid, s, t,
+                                    n_substeps=self.n_substeps)
+            if len(self._cache) >= FK_CACHE_PAIRS:
+                del self._cache[next(iter(self._cache))]
+        self._cache[key] = mat
+        return mat
 
     def evaluate(self, y, s, x, t):
         s, t = _check_order(s, t)

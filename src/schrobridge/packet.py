@@ -9,25 +9,8 @@ and the quadratic force derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erf
-
-
-@dataclass(frozen=True)
-class PacketValues:
-    """Bundle of packet fields evaluated at one set of points."""
-
-    psi: np.ndarray
-    rho: np.ndarray
-    factor_u: np.ndarray
-    factor_v: np.ndarray
-    potential: np.ndarray
-    drift_forward: np.ndarray
-    drift_backward: np.ndarray
-    current_velocity: np.ndarray
-    force: np.ndarray
 
 
 class FreeGaussianPacket:
@@ -111,18 +94,3 @@ class FreeGaussianPacket:
 
 PACKET = FreeGaussianPacket()
 
-
-def eval_packet(x, t) -> PacketValues:
-    """Evaluate the full closed-form bundle at (x, t)."""
-    p = PACKET
-    return PacketValues(
-        psi=p.psi(x, t),
-        rho=p.rho(x, t),
-        factor_u=p.factor_u(x, t),
-        factor_v=p.factor_v(x, t),
-        potential=p.potential(x, t),
-        drift_forward=p.drift_forward(x, t),
-        drift_backward=p.drift_backward(x, t),
-        current_velocity=p.current_velocity(x, t),
-        force=p.force(x, t),
-    )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from schrobridge import BoundaryData, Grid1D, TiltedTimeSquaredKernel, gallery
+from schrobridge.kernels import ENTRY_FLOOR
 
 # pass/fail lines recorded by tests/test_acceptance.py, echoed at the end
 # of the run so they survive output capture
@@ -51,6 +52,19 @@ def _interp_reference(stack, positions, t):
 def interp_reference():
     """The np.interp formula that FieldStack.at must reproduce bit for bit."""
     return _interp_reference
+
+
+def _dense_entries(kernel, grid, s, t, target=None):
+    """Kernel sampled on every source x target node pair, then floored."""
+    target = target or grid
+    e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
+    return np.maximum(e, ENTRY_FLOOR)
+
+
+@pytest.fixture(scope="session")
+def dense_reference():
+    """The n x m build whose entries KernelMatrix.from_kernel reproduces."""
+    return _dense_entries
 
 
 def _fmt(x):

@@ -11,6 +11,8 @@ from schrobridge import (ExtrapolationWarning, Grid1D, HeatKernel,
                          TimeSquaredHeatKernel, check_chapman_kolmogorov,
                          extract_forward_drift, generalized_heat_residual,
                          make_kernel, short_time_moments, solve_feynman_kac)
+from schrobridge import kernels
+from schrobridge.kernels import ENTRY_FLOOR, FK_CACHE_PAIRS
 from schrobridge.packet import PACKET
 
 TAGS = ("heat", "example1", "quantum-k1", "pinned-example2", "quantum-k2")
@@ -197,6 +199,142 @@ def test_kernel_matrix_shape_validation():
         KernelMatrix(grid, grid, 0.0, 1.0, np.full((9, 9), np.nan))
 
 
+# ------------------------------------------------------- offset-row build
+
+# nodes on these boxes are exact multiples of the spacing, so every
+# difference x_j - y_i is exactly (j - i) h
+DYADIC_GRIDS = (Grid1D(-10.0, 10.0, 513), Grid1D(-10.0, 10.0, 65),
+                Grid1D(-14.0, 14.0, 1025))
+ROUNDED_GRIDS = (Grid1D(-10.0, 10.0, 500), Grid1D(-7.3, 9.1, 401),
+                 Grid1D(-6.0, 6.0, 401))
+INVARIANT_KERNELS = {
+    "heat": HeatKernel(), "heat-nu0.37": HeatKernel(nu=0.37),
+    "example1": TimeSquaredHeatKernel(),
+    # a nonzero anchor gives a mean shift, so the matrix is not symmetric
+    "markov-family": MarkovFamilyKernel(0.7, 0.1),
+}
+# a narrow pair whose far corners underflow, and a wide one
+ROW_PAIRS = ((0.1, 0.11), (0.2, 1.0))
+
+
+def _grid_id(grid):
+    return f"[{grid.x_min:g},{grid.x_max:g}]x{grid.n_points}"
+
+
+@pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("name", sorted(INVARIANT_KERNELS))
+def test_offset_row_build_is_bit_equal_on_dyadic_grids(name, grid,
+                                                       dense_reference):
+    kernel = INVARIANT_KERNELS[name]
+    for s, t in ROW_PAIRS:
+        got = KernelMatrix.from_kernel(kernel, grid, s, t).entries
+        np.testing.assert_array_equal(got, dense_reference(kernel, grid, s, t))
+
+
+@pytest.mark.parametrize("grid", ROUNDED_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("name", sorted(INVARIANT_KERNELS))
+def test_offset_row_build_matches_dense_to_rounding(name, grid,
+                                                    dense_reference):
+    kernel = INVARIANT_KERNELS[name]
+    g = 1.0 + 0.5 * np.sin(grid.nodes)
+    for s, t in ROW_PAIRS:
+        mat = KernelMatrix.from_kernel(kernel, grid, s, t)
+        ref = KernelMatrix(grid, grid, s, t, dense_reference(kernel, grid, s, t))
+        above = ref.entries > ENTRY_FLOOR
+        rel = np.abs(mat.entries - ref.entries)[above] / ref.entries[above]
+        assert np.max(rel) <= 1e-11
+        for apply in ("apply_target", "apply_source"):
+            got, want = getattr(mat, apply)(g), getattr(ref, apply)(g)
+            assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+class _RecordingHeat(HeatKernel):
+    """Heat kernel that records the shape of every evaluation."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+    def evaluate(self, y, s, x, t):
+        self.shapes.append(np.broadcast(y, x).shape)
+        return super().evaluate(y, s, x, t)
+
+
+def test_translation_invariant_kernels_sample_one_offset_row():
+    grid = Grid1D(-10.0, 10.0, 65)
+    kernel = _RecordingHeat()
+    KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5)
+    KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5,
+                             target=Grid1D(-10.0, 10.0, 33))
+    assert kernel.shapes == [(129,), (65, 33)]
+    flags = {tag: make_kernel(tag).translation_invariant for tag in TAGS}
+    assert flags == {"heat": True, "example1": True, "quantum-k1": False,
+                     "pinned-example2": False, "quantum-k2": False}
+    assert MarkovFamilyKernel(0.7, 0.1).translation_invariant
+    assert not NumericFeynmanKacKernel(Potential.zero()).translation_invariant
+
+
+class _PlainKernel:
+    """Duck-typed kernel with nothing but ``evaluate`` (here the pinned one)."""
+
+    def evaluate(self, y, s, x, t):
+        return PinnedGaussianKernel().evaluate(y, s, x, t)
+
+
+@pytest.mark.parametrize("case", ["quantum-k1", "pinned-example2",
+                                  "quantum-k2", "plain", "heat-to-other-grid"])
+def test_other_kernels_and_targets_keep_the_dense_build(case, dense_reference):
+    grid, target = Grid1D(-10.0, 10.0, 129), None
+    if case == "plain":
+        kernel = _PlainKernel()
+    elif case == "heat-to-other-grid":
+        kernel, target = HeatKernel(), Grid1D(-8.0, 12.0, 129)
+    else:
+        kernel = make_kernel(case)
+    for s, t in ROW_PAIRS:
+        got = KernelMatrix.from_kernel(kernel, grid, s, t, target=target)
+        np.testing.assert_array_equal(
+            got.entries, dense_reference(kernel, grid, s, t, target))
+
+
+class _SpoiltHeat(HeatKernel):
+    """Heat kernel with one bad value at the offset x_0 - x_{n-1}."""
+
+    def __init__(self, bad, span):
+        super().__init__()
+        self.bad, self.span = bad, span
+
+    def evaluate(self, y, s, x, t):
+        e = super().evaluate(y, s, x, t)
+        return np.where(np.asarray(x) - np.asarray(y) == -self.span,
+                        self.bad, e)
+
+
+@pytest.mark.parametrize("bad", [-1e-6, np.nan, np.inf, -np.inf])
+def test_offset_row_build_keeps_the_positivity_guard(bad):
+    grid = Grid1D(-10.0, 10.0, 65)
+    with pytest.raises(PositivityError):
+        KernelMatrix.from_kernel(_SpoiltHeat(bad, 20.0), grid, 0.0, 0.5)
+
+
+def test_offset_row_build_floors_rounding_negatives():
+    grid = Grid1D(-10.0, 10.0, 65)
+    kernel = _SpoiltHeat(-1e-13, 20.0)
+    e = KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5).entries
+    assert e[-1, 0] == ENTRY_FLOOR
+    assert np.all(e > 0.0)
+
+
+def test_offset_row_build_returns_an_owned_contiguous_matrix():
+    grid = Grid1D(-10.0, 10.0, 65)
+    e = KernelMatrix.from_kernel(MarkovFamilyKernel(0.7, 0.1), grid,
+                                 0.2, 0.6).entries
+    assert e.flags.c_contiguous and e.flags.owndata and e.base is None
+    before = e[1, 1]
+    e[0, 0] = 7.0
+    assert e[1, 1] == before
+
+
 # ---------------------------------------------------------------- numeric
 
 
@@ -270,6 +408,29 @@ def test_numeric_kernel_wraps_the_solver():
     hi = max(mat.entries[mid, mid + 3], mat.entries[mid, mid + 4])
     val = float(k.evaluate(grid.nodes[mid], 0.0, x_half, 0.5))
     assert lo <= val <= hi
+
+
+def test_numeric_kernel_keeps_the_most_recent_probe_matrices(monkeypatch):
+    solved = []
+
+    def counting_solve(*args, **kwargs):
+        solved.append(args[2:4])
+        return solve_feynman_kac(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "solve_feynman_kac", counting_solve)
+    k = NumericFeynmanKacKernel(Potential.zero(), grid=Grid1D(-4.0, 4.0, 33))
+    pairs = [(0.0, 0.05 * (i + 1)) for i in range(3 * FK_CACHE_PAIRS)]
+    for s, t in pairs:
+        k.matrix(s, t)
+    assert len(k._cache) == FK_CACHE_PAIRS
+    assert len(solved) == len(pairs)
+    oldest, second = pairs[-FK_CACHE_PAIRS], pairs[-FK_CACHE_PAIRS + 1]
+    # a repeated key is a hit and becomes the most recent
+    assert k.matrix(*oldest) is k.matrix(*oldest)
+    assert len(solved) == len(pairs)
+    k.matrix(0.0, 10.0)
+    assert len(k._cache) == FK_CACHE_PAIRS
+    assert oldest in k._cache and second not in k._cache
 
 
 # ---------------------------------------------------------------- probes

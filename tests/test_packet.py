@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schrobridge import Grid1D, PACKET, eval_packet, integrate, sample_field
+from schrobridge import Grid1D, PACKET, integrate, sample_field
 
 XS = np.linspace(-6.0, 6.0, 241)
 TS = (0.0, 0.25, 0.5, 1.0)
@@ -82,17 +82,6 @@ def test_log_factors_match_factors():
                                    PACKET.factor_u(XS, t), rtol=1e-14)
         np.testing.assert_allclose(np.exp(PACKET.log_factor_v(XS, t)),
                                    PACKET.factor_v(XS, t), rtol=1e-14)
-
-
-def test_eval_packet_bundle_agrees_with_methods():
-    vals = eval_packet(XS, 0.5)
-    np.testing.assert_array_equal(vals.rho, PACKET.rho(XS, 0.5))
-    np.testing.assert_array_equal(vals.factor_u, PACKET.factor_u(XS, 0.5))
-    np.testing.assert_array_equal(vals.factor_v, PACKET.factor_v(XS, 0.5))
-    np.testing.assert_array_equal(vals.drift_forward,
-                                  PACKET.drift_forward(XS, 0.5))
-    np.testing.assert_array_equal(vals.potential, PACKET.potential(XS, 0.5))
-    np.testing.assert_array_equal(vals.force, PACKET.force(XS, 0.5))
 
 
 def test_madelung_fields_rebuild_psi():
