@@ -12,7 +12,9 @@ slice lattice from ``Kernel.propagator``: it holds the boundary matrix
 K(0, T) and sweeps a factor pair to every slice at once.
 
 Tilted kernels are evaluated as a single exp of summed log-factors so no
-0 * inf intermediates can appear in far tails.
+0 * inf intermediates can appear in far tails; a ``TiltedKernel`` matrix
+sums its log core and log tilt on the expanded node lattice and takes
+that exp there.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .grids import FieldStack, Grid1D, laplacian_values
 from .packet import PACKET
 
 ENTRY_FLOOR = 1e-300
+# the largest argument whose exp is finite
+LOG_MAX = float(np.log(np.finfo(float).max))
 NEGATIVITY_TOL = -1e-12
 DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3)
 # the potential term of the default substep count may reach this multiple
@@ -85,7 +89,9 @@ class Kernel:
 
     ``translation_invariant`` declares that k(y, s, x, t) depends on y and
     x only through x - y, which lets ``KernelMatrix.from_kernel`` sample
-    one row of lattice offsets instead of the whole matrix.
+    one row of lattice offsets instead of the whole matrix.  A
+    ``TiltedKernel`` is the tilted form of such a kernel, sampled from one
+    row of its log core.
     """
 
     tag = ""
@@ -137,29 +143,46 @@ class TimeSquaredHeatKernel(Kernel):
         return np.exp(-((x - y) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
-def _log_time_squared(y, s, x, t):
-    var = t * t - s * s
-    return -0.5 * np.log(2.0 * np.pi * var) - (x - y) ** 2 / (2.0 * var)
+class TiltedKernel(Kernel):
+    """k(y, s, x, t) = exp(log_core(x - y, s, t) + log_tilt(y, s) - log_tilt(x, t)).
+
+    The log core depends on y and x only through the offset x - y, so
+    ``KernelMatrix.from_kernel`` evaluates it on one row of lattice
+    offsets and the tilt on the nodes, and sums them on the expanded
+    lattice in the order ``evaluate`` does.
+    """
+
+    def log_core(self, offsets, s: float, t: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def log_tilt(self, x, t: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def evaluate(self, y, s, x, t):
+        s, t = _check_order(s, t)
+        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+        return np.exp(self.log_core(x - y, s, t) + self.log_tilt(y, s)
+                      - self.log_tilt(x, t))
 
 
-class TiltedTimeSquaredKernel(Kernel):
+class TiltedTimeSquaredKernel(TiltedKernel):
     """Time-squared kernel tilted by the packet's forward factor.
 
-    k(y, s, x, t) = p(y, s, x, t) * v(y, s) / v(x, t) with v the packet
-    factor; this is the kernel whose bridge factors reproduce the packet
-    pair exactly.
+    k(y, s, x, t) = p(y, s, x, t) * v(y, s) / v(x, t) with p the
+    ``example1`` density and v the packet factor; this is the kernel whose
+    bridge factors reproduce the packet pair exactly.
     """
 
     tag = "quantum-k1"
 
     nu = 1.0
 
-    def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        log_k = (_log_time_squared(y, s, x, t)
-                 + PACKET.log_factor_v(y, s) - PACKET.log_factor_v(x, t))
-        return np.exp(log_k)
+    def log_core(self, offsets, s, t):
+        var = t * t - s * s
+        return -0.5 * np.log(2.0 * np.pi * var) - offsets ** 2 / (2.0 * var)
+
+    def log_tilt(self, x, t):
+        return PACKET.log_factor_v(x, t)
 
 
 class PinnedGaussianKernel(Kernel):
@@ -276,37 +299,71 @@ class KernelMatrix:
             raise PositivityError("kernel matrix entries must be finite")
 
     @classmethod
+    def _expanded(cls, grid: Grid1D, s: float, t: float,
+                  entries: np.ndarray) -> "KernelMatrix":
+        """A square matrix whose finite entries come from a checked row;
+        skips the n^2 finiteness scan of ``__post_init__``."""
+        mat = object.__new__(cls)
+        mat.__dict__.update(source=grid, target=grid, s=float(s), t=float(t),
+                            entries=entries)
+        return mat
+
+    @classmethod
     def from_kernel(cls, kernel: Kernel, grid: Grid1D, s: float, t: float,
                     target: Grid1D | None = None) -> "KernelMatrix":
         """Sample ``kernel`` from ``grid`` at s to ``target`` (default grid).
 
-        A kernel that declares ``translation_invariant`` on a square
-        lattice is evaluated once on the 2n - 1 node offsets x_0 - x_{n-1},
-        ..., 0, ..., x_{n-1} - x_0 (as ``evaluate(0.0, s, offsets, t)``),
-        and entry (i, j) is the sample at offset x_j - x_i.  Every other
-        kernel or target grid is evaluated on all n x m node pairs.  Both
-        builds refuse values below NEGATIVITY_TOL and raise exp underflow
-        to ENTRY_FLOOR.  On grids whose nodes are exact multiples of the
-        spacing (the default boxes) the two builds agree bit for bit;
-        elsewhere they differ by the rounding of x_j - y_i.
+        On a square lattice a kernel that declares ``translation_invariant``
+        is evaluated once on the 2n - 1 node offsets x_0 - x_{n-1}, ..., 0,
+        ..., x_{n-1} - x_0 (as ``evaluate(0.0, s, offsets, t)``), and entry
+        (i, j) is the sample at offset x_j - x_i.  A ``TiltedKernel``
+        evaluates its log core on the same offsets and its log tilt on the
+        nodes at s and at t, sums them on the expanded lattice and takes
+        one exp there.  Every other kernel or target grid is evaluated on
+        all n x m node pairs.  Builds refuse non-finite or overflowing
+        values and values below NEGATIVITY_TOL (a row build checks its
+        2n - 1 samples and tilt vectors, not the n^2 entries) and raise exp
+        underflow to ENTRY_FLOOR.  On grids whose nodes are exact multiples
+        of the spacing (the default boxes) the row builds agree with the
+        n x m build bit for bit; elsewhere they differ by the rounding of
+        x_j - y_i.
         """
         target = target or grid
-        row = getattr(kernel, "translation_invariant", False) and target == grid
-        if row:
-            x = grid.nodes
-            offsets = np.concatenate((x[0] - x[:0:-1], x - x[0]))
-            e = kernel.evaluate(0.0, s, offsets, t)
-        else:
-            e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
-        if np.min(e) < NEGATIVITY_TOL:
-            raise PositivityError("kernel evaluation produced negative values")
-        # exp underflow in remote corners floors at a tiny positive value
-        e = np.maximum(e, ENTRY_FLOOR)
-        if row:
-            # window n - 1 - i holds the offsets x_j - x_i, j = 0 .. n - 1
-            windows = sliding_window_view(e, grid.n_points)
-            e = np.ascontiguousarray(windows[::-1])
-        return cls(source=grid, target=target, s=float(s), t=float(t), entries=e)
+        square = target == grid
+        if square and isinstance(kernel, TiltedKernel):
+            return cls._from_log_row(kernel, grid, s, t)
+        if not (square and getattr(kernel, "translation_invariant", False)):
+            # the unfloored samples are freed before __post_init__ scans
+            e = _floored(kernel.evaluate(grid.nodes[:, None], s,
+                                         target.nodes[None, :], t))
+            return cls(source=grid, target=target, s=float(s), t=float(t),
+                       entries=e)
+        row = kernel.evaluate(0.0, s, _offsets(grid.nodes), t)
+        if not np.all(np.isfinite(row)):
+            raise PositivityError("kernel evaluation produced non-finite values")
+        return cls._expanded(grid, s, t, _lattice(_floored(row), grid.n_points))
+
+    @classmethod
+    def _from_log_row(cls, kernel: TiltedKernel, grid: Grid1D, s: float,
+                      t: float) -> "KernelMatrix":
+        s, t = _check_order(s, t)
+        x = grid.nodes
+        row = kernel.log_core(_offsets(x), s, t)
+        tilt_s, tilt_t = kernel.log_tilt(x, s), kernel.log_tilt(x, t)
+        if not all(np.all(np.isfinite(a)) for a in (row, tilt_s, tilt_t)):
+            raise PositivityError(
+                "tilted kernel produced non-finite log values")
+        # rounding is monotone, so no entry exceeds this sum of extremes
+        top = (np.max(row) + np.max(tilt_s)) - np.min(tilt_t)
+        if not top <= LOG_MAX:
+            raise PositivityError(
+                f"tilted kernel entries overflow: log entry up to {top:.6g}")
+        e = _lattice(row, grid.n_points)
+        e += tilt_s[:, None]
+        e -= tilt_t[None, :]
+        np.exp(e, out=e)
+        np.maximum(e, ENTRY_FLOOR, out=e)
+        return cls._expanded(grid, s, t, e)
 
     def apply_target(self, g: np.ndarray) -> np.ndarray:
         """Integrate k(y_i, s, x, t) g(x) dx over the target grid."""
@@ -328,8 +385,9 @@ class Propagator:
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
     This base serves the closed-form kernels: it samples one KernelMatrix
     per (times[0], t_k) and (t_k, times[-1]) pair, each from one row of
-    2n - 1 offsets for a translation-invariant kernel and from n^2 node
-    pairs otherwise (see ``KernelMatrix.from_kernel``).
+    2n - 1 offsets for a translation-invariant kernel, from one row of
+    log-core offsets and two tilt vectors for a ``TiltedKernel``, and from
+    n^2 node pairs otherwise (see ``KernelMatrix.from_kernel``).
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -365,6 +423,25 @@ class Propagator:
                                            float(times[-1]))
             v[k] = mat.apply_target(vT)
         return u, v
+
+
+def _offsets(x: np.ndarray) -> np.ndarray:
+    """The 2n - 1 node offsets x_0 - x_{n-1}, ..., 0, ..., x_{n-1} - x_0."""
+    return np.concatenate((x[0] - x[:0:-1], x - x[0]))
+
+
+def _lattice(row: np.ndarray, n: int) -> np.ndarray:
+    """The owned n x n matrix whose entry (i, j) is the row's sample at
+    offset x_j - x_i."""
+    # window n - 1 - i holds the offsets x_j - x_i, j = 0 .. n - 1
+    return np.ascontiguousarray(sliding_window_view(row, n)[::-1])
+
+
+def _floored(e: np.ndarray) -> np.ndarray:
+    if np.min(e) < NEGATIVITY_TOL:
+        raise PositivityError("kernel evaluation produced negative values")
+    # exp underflow in remote corners floors at a tiny positive value
+    return np.maximum(e, ENTRY_FLOOR)
 
 
 def _slice_times(times) -> np.ndarray:

@@ -207,14 +207,25 @@ DYADIC_GRIDS = (Grid1D(-10.0, 10.0, 513), Grid1D(-10.0, 10.0, 65),
                 Grid1D(-14.0, 14.0, 1025))
 ROUNDED_GRIDS = (Grid1D(-10.0, 10.0, 500), Grid1D(-7.3, 9.1, 401),
                  Grid1D(-6.0, 6.0, 401))
-INVARIANT_KERNELS = {
+# kernels built from one row of offsets: the translation-invariant ones
+# and quantum-k1, whose log core is
+ROW_KERNELS = {
     "heat": HeatKernel(), "heat-nu0.37": HeatKernel(nu=0.37),
     "example1": TimeSquaredHeatKernel(),
     # a nonzero anchor gives a mean shift, so the matrix is not symmetric
     "markov-family": MarkovFamilyKernel(0.7, 0.1),
+    "quantum-k1": TiltedTimeSquaredKernel(),
 }
 # a narrow pair whose far corners underflow, and a wide one
 ROW_PAIRS = ((0.1, 0.11), (0.2, 1.0))
+
+
+def _row_pairs(name):
+    """ROW_PAIRS plus the narrow pair (0, 0.05) from s = 0, which precedes
+    the markov family's anchor time."""
+    if name == "markov-family":
+        return ROW_PAIRS
+    return ROW_PAIRS + ((0.0, 0.05),)
 
 
 def _grid_id(grid):
@@ -222,22 +233,22 @@ def _grid_id(grid):
 
 
 @pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
-@pytest.mark.parametrize("name", sorted(INVARIANT_KERNELS))
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
 def test_offset_row_build_is_bit_equal_on_dyadic_grids(name, grid,
                                                        dense_reference):
-    kernel = INVARIANT_KERNELS[name]
-    for s, t in ROW_PAIRS:
+    kernel = ROW_KERNELS[name]
+    for s, t in _row_pairs(name):
         got = KernelMatrix.from_kernel(kernel, grid, s, t).entries
         np.testing.assert_array_equal(got, dense_reference(kernel, grid, s, t))
 
 
 @pytest.mark.parametrize("grid", ROUNDED_GRIDS, ids=_grid_id)
-@pytest.mark.parametrize("name", sorted(INVARIANT_KERNELS))
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
 def test_offset_row_build_matches_dense_to_rounding(name, grid,
                                                     dense_reference):
-    kernel = INVARIANT_KERNELS[name]
+    kernel = ROW_KERNELS[name]
     g = 1.0 + 0.5 * np.sin(grid.nodes)
-    for s, t in ROW_PAIRS:
+    for s, t in _row_pairs(name):
         mat = KernelMatrix.from_kernel(kernel, grid, s, t)
         ref = KernelMatrix(grid, grid, s, t, dense_reference(kernel, grid, s, t))
         above = ref.entries > ENTRY_FLOOR
@@ -260,6 +271,25 @@ class _RecordingHeat(HeatKernel):
         return super().evaluate(y, s, x, t)
 
 
+class _RecordingTilted(TiltedTimeSquaredKernel):
+    """quantum-k1 that records the shape of every evaluated piece."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def evaluate(self, y, s, x, t):
+        self.shapes.append(("evaluate", np.broadcast(y, x).shape))
+        return super().evaluate(y, s, x, t)
+
+    def log_core(self, offsets, s, t):
+        self.shapes.append(("core", np.shape(offsets)))
+        return super().log_core(offsets, s, t)
+
+    def log_tilt(self, x, t):
+        self.shapes.append(("tilt", np.shape(x)))
+        return super().log_tilt(x, t)
+
+
 def test_translation_invariant_kernels_sample_one_offset_row():
     grid = Grid1D(-10.0, 10.0, 65)
     kernel = _RecordingHeat()
@@ -267,6 +297,10 @@ def test_translation_invariant_kernels_sample_one_offset_row():
     KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5,
                              target=Grid1D(-10.0, 10.0, 33))
     assert kernel.shapes == [(129,), (65, 33)]
+    tilted = _RecordingTilted()
+    KernelMatrix.from_kernel(tilted, grid, 0.0, 0.5)
+    assert tilted.shapes == [("core", (129,)), ("tilt", (65,)),
+                             ("tilt", (65,))]
     flags = {tag: make_kernel(tag).translation_invariant for tag in TAGS}
     assert flags == {"heat": True, "example1": True, "quantum-k1": False,
                      "pinned-example2": False, "quantum-k2": False}
@@ -281,14 +315,15 @@ class _PlainKernel:
         return PinnedGaussianKernel().evaluate(y, s, x, t)
 
 
-@pytest.mark.parametrize("case", ["quantum-k1", "pinned-example2",
-                                  "quantum-k2", "plain", "heat-to-other-grid"])
+@pytest.mark.parametrize("case", ["pinned-example2", "quantum-k2", "plain",
+                                  "heat-to-other-grid", "quantum-k1-to-other-grid"])
 def test_other_kernels_and_targets_keep_the_dense_build(case, dense_reference):
     grid, target = Grid1D(-10.0, 10.0, 129), None
     if case == "plain":
         kernel = _PlainKernel()
-    elif case == "heat-to-other-grid":
-        kernel, target = HeatKernel(), Grid1D(-8.0, 12.0, 129)
+    elif case.endswith("-to-other-grid"):
+        kernel = make_kernel(case.removesuffix("-to-other-grid"))
+        target = Grid1D(-8.0, 12.0, 129)
     else:
         kernel = make_kernel(case)
     for s, t in ROW_PAIRS:
@@ -315,6 +350,40 @@ def test_offset_row_build_keeps_the_positivity_guard(bad):
     grid = Grid1D(-10.0, 10.0, 65)
     with pytest.raises(PositivityError):
         KernelMatrix.from_kernel(_SpoiltHeat(bad, 20.0), grid, 0.0, 0.5)
+
+
+class _SpoiltTilted(TiltedTimeSquaredKernel):
+    """quantum-k1 with one bad log value: at the core offset x_0 - x_{n-1},
+    or at node 3 of the tilt at time s or at time t."""
+
+    def __init__(self, piece, bad, s):
+        self.piece, self.bad, self.s = piece, bad, s
+
+    def log_core(self, offsets, s, t):
+        out = super().log_core(offsets, s, t)
+        if self.piece == "core":
+            out.flat[0] = self.bad
+        return out
+
+    def log_tilt(self, x, t):
+        out = super().log_tilt(x, t)
+        if self.piece == ("tilt-s" if t == self.s else "tilt-t"):
+            out.flat[3] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("piece, bad", [
+    ("core", np.nan), ("core", np.inf), ("core", -np.inf),
+    ("tilt-s", np.nan), ("tilt-s", np.inf), ("tilt-s", -np.inf),
+    ("tilt-t", np.nan), ("tilt-t", np.inf), ("tilt-t", -np.inf),
+    # finite log values whose exp overflows, added at s or subtracted at t
+    ("core", 800.0), ("tilt-s", 800.0), ("tilt-t", -800.0),
+])
+def test_tilted_row_build_refuses_non_finite_entries(piece, bad):
+    grid = Grid1D(-10.0, 10.0, 65)
+    with np.errstate(all="ignore"), pytest.raises(PositivityError):
+        KernelMatrix.from_kernel(_SpoiltTilted(piece, bad, 0.2), grid,
+                                 0.2, 0.7)
 
 
 def test_offset_row_build_floors_rounding_negatives():
