@@ -8,8 +8,16 @@ stepping and node-centered histograms for empirical densities.
 Random numbers come from one PCG64 stream per fixed chunk of CHUNK
 paths, spawned from the seed with the chunk index as its key.  Each
 chunk draws its initial uniforms, then one vector of normals per step.
-An ensemble is bit-identical for a given (seed, n_paths), and the paths
-of a full chunk do not depend on n_paths.
+An ensemble is bit-identical for a given (seed, n_paths), whatever the
+core count, and the paths of a full chunk do not depend on n_paths.
+
+The caller steps all paths in lock-step: one drift call per step over
+every path, so a drift must be pointwise in x.  Worker threads (one
+fewer than the cores the process may run on, at least one) draw each
+chunk's normals NOISE_ROWS steps ahead into two (NOISE_ROWS, n_paths)
+buffers, while the caller steps through the other block.  Draws no
+worker has started when the caller needs them run on the caller, and
+while it waits for a started one it draws ahead for the other chunks.
 
 The residual engines discretize the transport identities the
 interpolating density and drifts must satisfy: the two Fokker-Planck
@@ -19,7 +27,10 @@ acceleration field both drifts share.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,6 +42,7 @@ from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
 
 BOUNDARY_POLICIES = ("reflect", "absorb-and-discard")
 CHUNK = 8192
+NOISE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -113,6 +125,19 @@ def _step_schedule(horizon: float, dt: float, record_times: np.ndarray):
     return n_steps, idx
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_normals(rng: np.random.Generator, rows: np.ndarray):
+    for row in rows:
+        rng.standard_normal(out=row)
+
+
 def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
                horizon: float, record_taus: np.ndarray,
                domain: Grid1D) -> np.ndarray:
@@ -123,27 +148,81 @@ def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
     reflect = config.boundary_policy == "reflect"
     rec_at = {int(step): r for r, step in enumerate(rec_idx)}
 
-    out = np.empty((config.n_paths, rec_idx.size))
-    for start in range(0, config.n_paths, CHUNK):
-        stop = min(start + CHUNK, config.n_paths)
-        ss = np.random.SeedSequence(config.seed, spawn_key=(start // CHUNK,))
+    n = config.n_paths
+    x = np.empty(n)
+    streams = []
+    for chunk, start in enumerate(range(0, n, CHUNK)):
+        part = slice(start, min(start + CHUNK, n))
+        ss = np.random.SeedSequence(config.seed, spawn_key=(chunk,))
         rng = np.random.Generator(np.random.PCG64(ss))
-        x = np.interp(rng.random(stop - start), cdf, nodes)
-        noise = np.empty(stop - start)
-        if 0 in rec_at:
-            out[start:stop, rec_at[0]] = x
-        for k in range(n_steps):
-            tau = k * config.dt
-            rng.standard_normal(out=noise)
-            x = x + drift_at(x, tau) * config.dt + sig * noise
-            if not reflect:
-                x = np.where((x < lo) | (x > hi), np.nan, x)
-            elif not (x.min() >= lo and x.max() <= hi):  # NaN takes the folds
-                x = np.where(x > hi, 2.0 * hi - x, x)
-                x = np.where(x < lo, 2.0 * lo - x, x)
-                x = np.clip(x, lo, hi)
-            if (k + 1) in rec_at:
-                out[start:stop, rec_at[k + 1]] = x
+        x[part] = np.interp(rng.random(part.stop - part.start), cdf, nodes)
+        streams.append((rng, part))
+    out = np.empty((n, rec_idx.size))
+    if 0 in rec_at:
+        out[:, rec_at[0]] = x
+    noise = np.empty((2, NOISE_ROWS, n))
+
+    def draw_ahead(chunk, first):
+        # the chunk's normals for steps first .. first+NOISE_ROWS-1
+        if first >= n_steps:
+            return None
+        rng, part = streams[chunk]
+        draw = partial(_draw_normals, rng,
+                       noise[first // NOISE_ROWS % 2, :n_steps - first, part])
+        return pool.submit(draw), draw
+
+    def settled(job):
+        # whether a job's rows are drawn; rows no worker started are drawn here
+        if job is None:
+            return True
+        future, draw = job
+        if future.cancel():
+            draw()
+            return True
+        if future.done():
+            future.result()
+            return True
+        return False
+
+    pool = ThreadPoolExecutor(max(1, _cores() - 1))
+    try:
+        jobs = [draw_ahead(c, 0) for c in range(len(streams))]
+        for first in range(0, n_steps, NOISE_ROWS):
+            # A chunk's next block is submitted only once its current one is
+            # drawn, so each generator draws one block at a time, in order.
+            # Workers start jobs first in, first out, so the caller takes
+            # jobs back from the end; while a worker finishes a chunk, the
+            # caller draws the next block of the others.
+            ahead = [None] * len(jobs)
+            late = []
+            for c in reversed(range(len(jobs))):
+                if settled(jobs[c]):
+                    ahead[c] = draw_ahead(c, first + NOISE_ROWS)
+                else:
+                    late.append(c)
+            for c in late:
+                for other in reversed(range(len(jobs))):
+                    if jobs[c][0].done():
+                        break
+                    if settled(ahead[other]):
+                        ahead[other] = None
+                jobs[c][0].result()
+                ahead[c] = draw_ahead(c, first + NOISE_ROWS)
+            jobs = ahead
+            block = noise[first // NOISE_ROWS % 2]
+            for k in range(first, min(first + NOISE_ROWS, n_steps)):
+                tau = k * config.dt
+                x = x + drift_at(x, tau) * config.dt + sig * block[k - first]
+                if not reflect:
+                    x = np.where((x < lo) | (x > hi), np.nan, x)
+                elif not (x.min() >= lo and x.max() <= hi):  # NaN takes the folds
+                    x = np.where(x > hi, 2.0 * hi - x, x)
+                    x = np.where(x < lo, 2.0 * lo - x, x)
+                    x = np.clip(x, lo, hi)
+                if (k + 1) in rec_at:
+                    out[:, rec_at[k + 1]] = x
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out
 
 

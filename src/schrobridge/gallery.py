@@ -151,8 +151,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     _, factors2, _ = packet_bridge(k2, grid=grid, times=np.array([0.0, HORIZON]),
                                    ipf_tol=ipf_tol)
     w = grid.weights
-    recov0 = factors1.u0.values * KernelMatrix.from_kernel(
-        k1, grid, 0.0, HORIZON).apply_target(factors1.vT.values)
+    # the propagated v at t = 0 is K(0, H) applied to vT
+    recov0 = factors1.u0.values * solution.v[0]
     report.add("boundary-recovery-l1",
                float(w @ np.abs(recov0 - boundary.rho0.values)), upper=1e-8)
 

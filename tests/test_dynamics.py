@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -133,8 +136,8 @@ def test_interleaved_runs_share_no_rng_state(monkeypatch):
     inner = []
 
     def drift(x, t):
-        # run the whole backward ensemble mid-way through the second chunk
-        if not inner and x.size == 64 and t >= 0.5:
+        # run the whole backward ensemble mid-way through the outer run
+        if not inner and t >= 0.5:
             inner.append(simulate_backward(PACKET.drift_backward, rhoT, cfg,
                                            1.0))
         return PACKET.drift_forward(x, t)
@@ -236,9 +239,12 @@ def test_reflecting_walls_keep_paths_inside():
     assert ens.n_paths == 2000
 
 
-def _three_pass_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
-    """Reflected Euler loop folding every step, plus counts of the steps
-    on which a chunk crossed the upper and the lower wall."""
+def _per_chunk_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
+    """The sequential per-chunk Euler loop: each chunk runs all its steps,
+    one drift call and one vector of normals per step, before the next
+    chunk starts.  Under reflect it folds on every step.  Also returns
+    counts of the steps on which a chunk crossed the upper and the lower
+    wall."""
     n_steps, rec_idx = dynamics._step_schedule(horizon, cfg.dt, record_taus)
     cdf, nodes = dynamics._inverse_cdf_table(start)
     sig = np.sqrt(2.0 * cfg.nu * cfg.dt)
@@ -254,9 +260,12 @@ def _three_pass_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
             x = (x + drift_at(x, k * cfg.dt) * cfg.dt
                  + sig * rng.standard_normal(end - begin))
             crossings += [np.any(x > hi), np.any(x < lo)]
-            x = np.where(x > hi, 2.0 * hi - x, x)
-            x = np.where(x < lo, 2.0 * lo - x, x)
-            x = np.clip(x, lo, hi)
+            if cfg.boundary_policy == "reflect":
+                x = np.where(x > hi, 2.0 * hi - x, x)
+                x = np.where(x < lo, 2.0 * lo - x, x)
+                x = np.clip(x, lo, hi)
+            else:
+                x = np.where((x < lo) | (x > hi), np.nan, x)
             path.append(x)
         out[begin:end] = np.stack(path, axis=1)[:, rec_idx]
     return out, crossings
@@ -290,21 +299,181 @@ def test_reflection_equals_the_three_pass_reference(monkeypatch, box,
 
     fwd = simulate_forward(fwd_drift, rho0, cfg, 1.0, record_times=times,
                            domain=domain)
-    want, crossed = _three_pass_reference(fwd_drift, rho0, cfg, 1.0, times,
-                                          lo, hi)
+    want, crossed = _per_chunk_reference(fwd_drift, rho0, cfg, 1.0, times,
+                                         lo, hi)
     assert _same_bits(fwd.positions, want)
     # both walls are hit, and some chunk steps stay inside the box
     assert 0 < crossed.min() and crossed.max() < 3 * 100
 
     bwd = simulate_backward(bwd_drift, rhoT, cfg, 1.0, record_times=times,
                             domain=domain)
-    want, crossed = _three_pass_reference(
+    want, crossed = _per_chunk_reference(
         lambda y, tau: -bwd_drift(y, 1.0 - tau), rhoT, cfg, 1.0,
         1.0 - times[::-1], lo, hi)
     assert _same_bits(bwd.positions, want[:, ::-1])
     assert 0 < crossed.min() and crossed.max() < 3 * 100
     if make_drift is _packet_with_a_hole:
         assert np.isnan(fwd.positions).any() and np.isnan(bwd.positions).any()
+
+
+# ------------------------------------------------------------ noise schedule
+
+
+def _lock_step_case(simulate, policy, n_paths, n_steps):
+    """One run and its per-chunk reference, recorded on every step."""
+    lo, hi = -3.0, 3.0
+    domain = Grid1D(lo, hi, 65)
+    cfg = _cfg(n_paths=n_paths, dt=2.5e-3, seed=4, boundary_policy=policy)
+    horizon = n_steps * cfg.dt
+    times = np.arange(n_steps + 1) * cfg.dt
+    if simulate is simulate_forward:
+        drift, t0, taus = PACKET.drift_forward, 0.0, times
+        drift_at = drift
+    else:
+        drift, t0, taus = PACKET.drift_backward, horizon, horizon - times[::-1]
+        drift_at = lambda y, tau: -drift(y, horizon - tau)
+    start = normalize(sample_field(domain, PACKET.rho, t0))
+    got = simulate(drift, start, cfg, horizon, record_times=times,
+                   domain=domain)
+    want, _ = _per_chunk_reference(drift_at, start, cfg, horizon, taus, lo, hi)
+    if simulate is simulate_backward:
+        want = want[:, ::-1]
+    return got, want[~np.isnan(want).any(axis=1)]
+
+
+@pytest.mark.parametrize("simulate", [simulate_forward, simulate_backward])
+@pytest.mark.parametrize("policy", ["reflect", "absorb-and-discard"])
+@pytest.mark.parametrize("n_paths", [1, 64, 2 * 64 + 17])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+def test_lock_step_runs_equal_the_per_chunk_loop(monkeypatch, simulate, policy,
+                                                 n_paths, blocks, extra):
+    # the step guard asks for at least 100 steps, so blocks of 128 rows
+    # put the edges at NOISE_ROWS - 1, NOISE_ROWS, NOISE_ROWS + 1 and
+    # 3 NOISE_ROWS + 5 steps in reach
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    monkeypatch.setattr(dynamics, "NOISE_ROWS", 128)
+    got, want = _lock_step_case(simulate, policy, n_paths, blocks * 128 + extra)
+    assert got.n_requested == n_paths
+    assert _same_bits(got.positions, want)
+    if policy == "absorb-and-discard" and n_paths > 1:
+        assert got.n_paths < n_paths
+
+
+class _StartedJob(Future):
+    """A job a worker has started.  It finishes on the caller's
+    ``finish_on``-th look at it (never, if None), or when the caller
+    waits for it."""
+
+    finish_on: int | None = None
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn, self.looks = fn, 0
+        self.set_running_or_notify_cancel()
+
+    def _finish(self):
+        if not super().done():
+            self.set_result(self.fn())
+
+    def done(self):
+        self.looks += 1
+        if self.looks == self.finish_on:
+            self._finish()
+        return super().done()
+
+    def result(self, timeout=None):
+        self._finish()
+        return super().result(timeout)
+
+
+class _ScriptedPool:
+    """Workers on a script: of every three jobs submitted, one runs at
+    once, one is left for the caller to take back and one is started
+    but not finished."""
+
+    offset = 0
+
+    def __init__(self, max_workers):
+        self.submitted = self.offset
+
+    def submit(self, fn):
+        self.submitted += 1
+        if self.submitted % 3 == 0:
+            return _StartedJob(fn)
+        job = Future()
+        if self.submitted % 3 == 1:
+            job.set_running_or_notify_cancel()
+            job.set_result(fn())
+        return job
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("finish_on", [3, None])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_draws_run_ahead_taken_back_or_waited_for_keep_each_stream_in_order(
+        monkeypatch, offset, finish_on):
+    # three chunks per block, so each chunk meets every kind of job
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _ScriptedPool)
+    monkeypatch.setattr(_ScriptedPool, "offset", offset)
+    monkeypatch.setattr(_StartedJob, "finish_on", finish_on)
+    for simulate in (simulate_forward, simulate_backward):
+        got, want = _lock_step_case(simulate, "reflect", 2 * 64 + 17, 100)
+        assert _same_bits(got.positions, want)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_ensembles_do_not_depend_on_the_core_count(monkeypatch, cores):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    made = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", Pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often
+    try:
+        for simulate in (simulate_forward, simulate_backward):
+            got, want = _lock_step_case(simulate, "reflect", 4 * 64 + 17, 200)
+            assert _same_bits(got.positions, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert made == [max(1, cores - 1)] * 2
+
+
+def test_drift_sees_every_path_once_per_step(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    calls = []
+
+    def drift(x, t):
+        calls.append((x.size, t))
+        return PACKET.drift_forward(x, t)
+
+    cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2)
+    simulate_forward(drift, _rho0(Grid1D()), cfg, 1.0)
+    assert [size for size, _ in calls] == [2 * 64 + 17] * 100
+    assert [t for _, t in calls] == [k * cfg.dt for k in range(100)]
+
+
+def test_a_failing_drift_propagates_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK", 64)
+    monkeypatch.setattr(dynamics, "_cores", lambda: 3)
+
+    def drift(x, t):
+        if t >= 0.5:
+            raise RuntimeError("drift failed")
+        return PACKET.drift_forward(x, t)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="drift failed"):
+        simulate_forward(drift, _rho0(Grid1D()), _cfg(n_paths=4 * 64), 1.0)
+    assert threading.active_count() == before
 
 
 def test_absorbing_walls_discard_leaked_paths():
