@@ -28,6 +28,17 @@ MASS_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
 
 
+def _node(grid: Grid1D, values: np.ndarray, i: int) -> str:
+    return f"node {i} (x = {grid.nodes[i]:.6g}, value {values[i]:.3e})"
+
+
+def _worst_node(grid: Grid1D, values: np.ndarray) -> str:
+    """The first non-finite node of ``values``, else its smallest one."""
+    bad = ~np.isfinite(values)
+    return _node(grid, values,
+                 int(np.argmax(bad)) if bad.any() else int(np.argmin(values)))
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Prescribed start/end densities on a common grid."""
@@ -42,8 +53,12 @@ class BoundaryData:
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         for name, f in (("rho0", self.rho0), ("rhoT", self.rhoT)):
-            if np.min(f.values) <= 0.0:
-                raise PositivityError(f"{name} must be strictly positive")
+            bad = np.flatnonzero(f.values <= 0.0)
+            if bad.size:
+                raise PositivityError(
+                    f"{name} must be strictly positive: {bad.size} of "
+                    f"{f.values.size} nodes are <= 0, the first is "
+                    + _node(f.grid, f.values, int(bad[0])))
             mass = integrate(f)
             if abs(mass - 1.0) > MASS_TOL:
                 raise NormalizationError(
@@ -101,12 +116,16 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
         kv = matrix.apply_target(v)
         if np.min(kv) <= 0.0 or not np.all(np.isfinite(kv)):
             raise IncompatibilityError(
-                "kernel maps the end factor to a non-positive intermediate")
+                "kernel maps the end factor to a non-positive intermediate "
+                f"at sweep {sweep}, worst at "
+                + _worst_node(matrix.source, kv))
         u = rho0 / np.maximum(kv, FACTOR_CLIP)
         ktu = matrix.apply_source(u)
         if np.min(ktu) <= 0.0 or not np.all(np.isfinite(ktu)):
             raise IncompatibilityError(
-                "kernel maps the start factor to a non-positive intermediate")
+                "kernel maps the start factor to a non-positive intermediate "
+                f"at sweep {sweep}, worst at "
+                + _worst_node(matrix.target, ktu))
         v_new = rhoT / np.maximum(ktu, FACTOR_CLIP)
 
         change = float(wT @ np.abs(v_new - v))
@@ -126,7 +145,8 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
                 gauge=gauge)
     raise ConvergenceError(
         f"IPF did not reach tol={tol} within {max_iter} sweeps "
-        f"(last change {change:.3e})", last_change=change, last_residual=residual)
+        f"(last change {change:.3e}, marginal residual {residual:.3e})",
+        last_change=change, last_residual=residual)
 
 
 def _log_gradient_drift(values: np.ndarray, spacing: float, nu: float,

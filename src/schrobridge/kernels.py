@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 from .errors import (ExtrapolationWarning, NumericDomainError, PositivityError,
                      TimeOrderingError)
@@ -456,6 +455,17 @@ def _tridiag_apply(diag: np.ndarray, off: float, w: np.ndarray) -> np.ndarray:
     out[:-1] += off * w[1:]
     out[1:] += off * w[:-1]
     return out
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on the first Feynman-Kac step.
+
+    Only ``numeric-fk`` solves need it, so the closed-form commands start
+    without loading ``scipy.linalg``.  ``_Step`` looks this name up at call
+    time, so a wrapper bound over it sees every banded solve.
+    """
+    from scipy.linalg import solve_banded
+    return solve_banded(l_and_u, ab, b)
 
 
 def _banded(diag: np.ndarray, off: float) -> np.ndarray:

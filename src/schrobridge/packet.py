@@ -10,7 +10,6 @@ and the quadratic force derived from it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 
 class FreeGaussianPacket:
@@ -41,6 +40,9 @@ class FreeGaussianPacket:
         return np.exp(-x * x / (2.0 * s2)) / np.sqrt(2.0 * np.pi * s2)
 
     def rho_cdf(self, x, t):
+        # imported here: only the gallery's KS checks need scipy.special
+        from scipy.special import erf
+
         x, s2 = np.asarray(x, dtype=float), 1.0 + np.asarray(t, dtype=float) ** 2
         return 0.5 * (1.0 + erf(x / np.sqrt(2.0 * s2)))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from schrobridge import (BoundaryData, BridgeFactors, ConvergenceError,
                          forward_transition, gauge_align, normalize,
                          propagate_factors, sample_field,
                          solve_boundary_system)
-from schrobridge.bridge import marginal_l1_residual
+from schrobridge.bridge import _worst_node, marginal_l1_residual
 from schrobridge.packet import PACKET
 
 
@@ -30,10 +32,15 @@ def test_boundary_data_rejects_bad_inputs():
     with pytest.raises(NormalizationError):
         BoundaryData(rho0=rho0, rhoT=rho0.with_values(2.0 * rho0.values),
                      horizon=1.0)
-    with pytest.raises(PositivityError):
-        neg = rho0.values.copy()
-        neg[3] = -neg[3]
+    neg = rho0.values.copy()
+    neg[3] = -neg[3]
+    neg[40] = 0.0
+    message = re.escape("must be strictly positive: 2 of 65 nodes are <= 0, "
+                        f"the first is node 3 (x = -9.0625, value {neg[3]:.3e})")
+    with pytest.raises(PositivityError, match=f"^rho0 {message}$"):
         BoundaryData(rho0=rho0.with_values(neg), rhoT=rho0, horizon=1.0)
+    with pytest.raises(PositivityError, match=f"^rhoT {message}$"):
+        BoundaryData(rho0=rho0, rhoT=rho0.with_values(neg), horizon=1.0)
     with pytest.raises(ValueError):
         other = normalize(sample_field(Grid1D(-10.0, 10.0, 33), PACKET.rho, 0.0))
         BoundaryData(rho0=rho0, rhoT=other, horizon=1.0)
@@ -101,6 +108,9 @@ def test_convergence_error_carries_diagnostics():
         solve_boundary_system(mat, boundary, tol=1e-15, max_iter=2)
     assert info.value.last_change > 0.0
     assert np.isfinite(info.value.last_residual)
+    assert str(info.value).endswith(
+        f"(last change {info.value.last_change:.3e}, "
+        f"marginal residual {info.value.last_residual:.3e})")
 
 
 def test_incompatible_kernel_is_reported():
@@ -109,8 +119,32 @@ def test_incompatible_kernel_is_reported():
     entries = np.ones((65, 65))
     entries[30, :] = 0.0  # one start node that cannot reach anything
     mat = KernelMatrix(grid, grid, 0.0, 1.0, entries)
-    with pytest.raises(IncompatibilityError):
+    with pytest.raises(IncompatibilityError,
+                       match=r"end factor to a non-positive intermediate at "
+                             r"sweep 1, worst at node 30 \(x = -0.625, "
+                             r"value 0.000e\+00\)$"):
         solve_boundary_system(mat, boundary)
+
+
+def test_unreachable_end_node_is_named_with_its_sweep():
+    grid = Grid1D(-10.0, 10.0, 65)
+    boundary = _packet_boundary(grid)
+    entries = np.ones((65, 65))
+    entries[:, 40] = 0.0  # one end node that nothing reaches
+    mat = KernelMatrix(grid, grid, 0.0, 1.0, entries)
+    with pytest.raises(IncompatibilityError,
+                       match=r"start factor to a non-positive intermediate at "
+                             r"sweep 1, worst at node 40 \(x = 2.5, "
+                             r"value 0.000e\+00\)$"):
+        solve_boundary_system(mat, boundary)
+
+
+def test_worst_node_prefers_the_first_non_finite_entry():
+    grid = Grid1D(-1.0, 1.0, 5)
+    assert (_worst_node(grid, np.array([1.0, -2.0, np.nan, np.inf, 0.5]))
+            == "node 2 (x = 0, value nan)")
+    assert (_worst_node(grid, np.array([1.0, -2.0, 3.0, -2.0, 0.5]))
+            == "node 1 (x = -0.5, value -2.000e+00)")
 
 
 # ----------------------------------------------------------- propagation

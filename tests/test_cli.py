@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -186,6 +187,32 @@ class TestExitCodes:
                          "--grid-points", "129"])
         assert code == cli.EXIT_NUMERIC
         assert "error" in capsys.readouterr().err
+
+    def test_unconverged_ipf_names_its_marginal_residual(self, outdir,
+                                                        capsys):
+        # plain IPF contracts by ~0.96 per sweep on this short horizon; the
+        # change test gives up while the marginals already match to ~5e-11
+        code = cli.main(["bridge-solve", "--rho0", "gaussian:0,1",
+                         "--rhoT", "gaussian:0,1.02", "--horizon", "0.01"])
+        assert code == cli.EXIT_NUMERIC
+        found = re.search(r"IPF did not reach tol=1e-12 within 500 sweeps "
+                          r"\(last change (\S+), marginal residual (\S+)\)",
+                          capsys.readouterr().err)
+        assert found is not None
+        change, residual = map(float, found.groups())
+        assert change > 1e-12 and residual < 1e-10
+
+    @pytest.mark.parametrize("flag", ["--rho0", "--rhoT"])
+    def test_underflowing_boundary_density_names_its_first_zero_node(
+            self, outdir, capsys, flag):
+        # exp(-x^2 / 0.1) underflows to 0 for |x| > ~8.4 on [-10, 10]
+        other = "--rhoT" if flag == "--rho0" else "--rho0"
+        code = cli.main(["bridge-solve", flag, "gaussian:0,0.05",
+                         other, "gaussian:0,1"])
+        assert code == cli.EXIT_NUMERIC
+        assert (f"{flag[2:]} must be strictly positive: 72 of 513 nodes are "
+                "<= 0, the first is node 0 (x = -10, value 0.000e+00)"
+                in capsys.readouterr().err)
 
     def test_argparse_rejects_unknown_subcommands(self, outdir, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,18 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+scipy is loaded only by the code paths that call it."""
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schrobridge"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "schrobridge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,3 +55,71 @@ def test_scanner_flags_an_unused_import_and_keeps_re_exports():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+# -------------------------------------------------- scipy loads on first use
+
+
+def scipy_modules_after(code: str, cwd: Path) -> list[str]:
+    """Modules named scipy or scipy.* that a fresh interpreter has loaded
+    after running ``code`` with this checkout's src/ on its path."""
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy')))\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def cli_scipy_modules(argv: list[str], cwd: Path) -> list[str]:
+    """scipy modules loaded by one successful ``cli.main(argv)`` call."""
+    return scipy_modules_after(
+        "from schrobridge import cli\n"
+        f"assert cli.main({argv!r}) == cli.EXIT_OK\n", cwd)
+
+
+def _config(tmp_path: Path, payload: dict) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+HEAT_BOUNDARY = {"rho0": {"form": "gaussian", "mean": 0.0, "var": 1.0},
+                 "rhoT": {"form": "gaussian", "mean": 0.0, "var": 3.0}}
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    assert scipy_modules_after("import schrobridge, schrobridge.cli",
+                               tmp_path) == []
+
+
+def test_bridge_solve_loads_no_scipy(tmp_path):
+    argv = ["bridge-solve", "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,3",
+            "--grid-points", "129", "--time-slices", "11",
+            "--out", str(tmp_path / "out")]
+    assert cli_scipy_modules(argv, tmp_path) == []
+
+
+def test_heat_simulation_loads_no_scipy(tmp_path):
+    config = _config(tmp_path, {
+        "pipeline": "simulate", "kernel": {"tag": "heat", "nu": 1.0},
+        "boundary": HEAT_BOUNDARY, "grid": {"n_points": 129},
+        "time_slices": 11,
+        "sde": {"n_paths": 500, "dt": 1e-2, "seed": 3}})
+    argv = ["simulate", "--config", config, "--out", str(tmp_path / "out")]
+    assert cli_scipy_modules(argv, tmp_path) == []
+
+
+def test_numeric_fk_run_loads_scipy_linalg_but_not_scipy_special(tmp_path):
+    config = _config(tmp_path, {
+        "pipeline": "bridge-solve",
+        "kernel": {"tag": "numeric-fk", "potential": {"kind": "packet"}},
+        "boundary": HEAT_BOUNDARY, "grid": {"n_points": 129},
+        "time_slices": 11})
+    argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
+    loaded = cli_scipy_modules(argv, tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not any(m == "scipy.special" or m.startswith("scipy.special.")
+                   for m in loaded)

@@ -89,3 +89,11 @@ def test_madelung_fields_rebuild_psi():
     s = PACKET.madelung_s(XS, 0.5)
     np.testing.assert_allclose(np.exp(r + 1j * s), PACKET.psi(XS, 0.5),
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("t", TS)
+def test_cdf_is_the_gaussian_erf_form(t):
+    special = pytest.importorskip("scipy.special")
+    s2 = 1.0 + t * t
+    assert np.array_equal(PACKET.rho_cdf(XS, t),
+                          0.5 * (1.0 + special.erf(XS / np.sqrt(2.0 * s2))))

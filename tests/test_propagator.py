@@ -7,9 +7,9 @@ import pytest
 from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
                          NumericDomainError, NumericFeynmanKacKernel,
                          PositivityError, Potential, PropagationError,
-                         TiltedTimeSquaredKernel, normalize,
+                         TiltedTimeSquaredKernel, kernels, normalize,
                          propagate_factors, sample_field, solve_feynman_kac)
-from schrobridge.kernels import _default_substeps
+from schrobridge.kernels import _banded, _default_substeps
 
 GRID = Grid1D(-10.0, 10.0, 257)
 TIMES = np.linspace(0.0, 1.0, 21)
@@ -64,6 +64,49 @@ def test_sweeps_track_the_packet_factors(packet_sweep):
         ref = PACKET.factor_v(x, t)
         err = np.max(np.abs(v[k][inner] - ref[inner])) / np.max(ref)
         assert err <= 1e-3, k
+
+
+def test_solve_banded_is_scipys_for_vectors_and_columns():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(7)
+    ab = _banded(2.0 + rng.random(40), -0.4)
+    for b in (rng.standard_normal(40), rng.standard_normal((40, 5))):
+        got = kernels.solve_banded((1, 1), ab, b)
+        assert np.array_equal(got, scipy_linalg.solve_banded((1, 1), ab, b))
+
+
+@pytest.fixture()
+def banded_calls(monkeypatch):
+    """Columns of the right-hand side of every ``kernels.solve_banded`` call.
+
+    The wrapper is bound over the module global, as a tracing hook binds
+    it, so every Crank-Nicolson step must look the name up when it runs.
+    """
+    calls: list[int] = []
+    solve = kernels.solve_banded
+
+    def counting(l_and_u, ab, b):
+        calls.append(b.shape[1] if b.ndim == 2 else 1)
+        return solve(l_and_u, ab, b)
+
+    monkeypatch.setattr(kernels, "solve_banded", counting)
+    return calls
+
+
+def test_sweeps_and_dense_solves_call_the_module_solve_banded(banded_calls):
+    grid = Grid1D(-10.0, 10.0, 65)
+    times = np.linspace(0.0, 1.0, 5)
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
+    propagator = kernel.propagator(grid, times)
+    n_steps = sum(len(interval) for interval in propagator.steps)
+    propagator.sweep(PACKET.factor_u(grid.nodes, 0.0),
+                     PACKET.factor_v(grid.nodes, 1.0))
+    # one vector per step forward, one per transposed step backward
+    assert banded_calls == [1] * (2 * n_steps)
+    banded_calls.clear()
+    solve_feynman_kac(kernel.potential, grid, 0.0, 1.0, slices=times)
+    # the dense solve carries every interior delta as one block
+    assert banded_calls == [grid.n_points - 2] * n_steps
 
 
 def test_substeps_are_whole_per_slice_with_one_damped_start():
