@@ -261,11 +261,16 @@ def _cmd_run(args) -> int:
     return _PIPELINE_CORES[cfg.pipeline](cfg, outdir)
 
 
+def _kernel_section(args) -> dict:
+    """Kernel config from the --kernel flag and the flags of its parameters."""
+    params = {"heat": {"nu": args.nu}, "markov-family": {
+        "anchor_y": args.anchor_y, "anchor_s": args.anchor_s}}
+    return {"tag": args.kernel, **params.get(args.kernel, {})}
+
+
 def _cmd_bridge_solve(args) -> int:
     cfg = ScenarioConfig(
-        pipeline="bridge-solve",
-        kernel={"tag": args.kernel, **({"nu": args.nu} if args.kernel == "heat"
-                                       else {})},
+        pipeline="bridge-solve", kernel=_kernel_section(args),
         boundary={"rho0": _parse_density_arg(args.rho0),
                   "rhoT": _parse_density_arg(args.rhoT)},
         horizon=args.horizon,
@@ -299,14 +304,8 @@ def _cmd_burgers(args) -> int:
 
 
 def _cmd_ck(args) -> int:
-    kernel_cfg: dict = {"tag": args.kernel}
-    if args.kernel == "heat":
-        kernel_cfg["nu"] = args.nu
-    if args.kernel == "markov-family":
-        kernel_cfg["anchor_y"] = args.anchor_y
-        kernel_cfg["anchor_s"] = args.anchor_s
     cfg = ScenarioConfig(
-        pipeline="kernel-check-ck", kernel=kernel_cfg,
+        pipeline="kernel-check-ck", kernel=_kernel_section(args),
         grid={"n_points": args.grid_points},
         ck={"s": args.s, "tau": args.tau, "t": args.t,
             "threshold": args.threshold})
@@ -325,6 +324,13 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _add_kernel_flags(p: argparse.ArgumentParser, **kernel_opts):
+    p.add_argument("--kernel", **kernel_opts)
+    p.add_argument("--nu", type=float, default=1.0, help="heat only")
+    for flag in ("--anchor-y", "--anchor-s"):
+        p.add_argument(flag, type=float, default=0.0, help="markov-family only")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schrobridge",
@@ -341,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     br = sub.add_parser("bridge-solve", help="solve the boundary factor system")
-    br.add_argument("--kernel", default="heat")
-    br.add_argument("--nu", type=float, default=1.0)
+    _add_kernel_flags(br, default="heat")
     br.add_argument("--rho0", required=True,
                     help="gaussian:mean,var or a two-column CSV path")
     br.add_argument("--rhoT", required=True)
@@ -376,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("kernel-check-ck",
                         help="Chapman-Kolmogorov consistency probe")
-    ck.add_argument("--kernel", required=True)
-    ck.add_argument("--nu", type=float, default=1.0)
-    ck.add_argument("--anchor-y", type=float, default=0.0)
-    ck.add_argument("--anchor-s", type=float, default=0.0)
+    _add_kernel_flags(ck, required=True)
     ck.add_argument("--s", type=float, default=0.0)
     ck.add_argument("--tau", type=float, default=0.5)
     ck.add_argument("--t", type=float, default=1.0)

@@ -372,9 +372,6 @@ class KernelMatrix:
         """Integrate f(y) k(y, s, x_j, t) dy over the source grid."""
         return (self.source.weights * np.asarray(f, dtype=float)) @ self.entries
 
-    def row_mass(self) -> np.ndarray:
-        return self.apply_target(np.ones(self.target.n_points))
-
 
 class Propagator:
     """Factor propagation of one kernel over one slice lattice.

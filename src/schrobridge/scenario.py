@@ -24,6 +24,7 @@ within 1e-3 before exact renormalization.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,32 +207,34 @@ def _column(values: np.ndarray) -> list[str]:
     return [f"{v:.17g}" for v in values.tolist()]
 
 
-def _write_lines(path: str | Path, header: str, blocks: list[str]):
-    """Header and each non-empty row block in one write; joining a slice's
-    rows as they are formatted keeps few row strings alive at a time."""
-    Path(path).write_text("\n".join([header, *filter(None, blocks), ""]))
+def _write_lines(path: str | Path, header: str, blocks: Iterable[str]):
+    """Header line, then each block of newline-terminated rows, written as
+    the blocks are formatted so only one block's rows are alive at a time."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(blocks)
 
 
 def write_density_csv(path: str | Path, density: ScalarField):
     """Two-column x,value CSV at full precision."""
-    _write_lines(path, "x,value", [f"{x},{v:.17g}" for x, v in zip(
-        _column(density.grid.nodes), density.values.tolist())])
+    _write_lines(path, "x,value", (f"{x},{v:.17g}\n" for x, v in zip(
+        _column(density.grid.nodes), density.values.tolist())))
 
 
 def write_field_csv(path: str | Path, stack: FieldStack):
     """Long-format t,x,value CSV for a space-time field."""
     xs = _column(stack.grid.nodes)
-    _write_lines(path, "t,x,value", [
-        "\n".join([f"{ts},{x},{v:.17g}" for x, v in zip(xs, row.tolist())])
-        for ts, row in zip(_column(stack.times), stack.values)])
+    _write_lines(path, "t,x,value", (
+        "".join([f"{ts},{x},{v:.17g}\n" for x, v in zip(xs, row.tolist())])
+        for ts, row in zip(_column(stack.times), stack.values)))
 
 
 def write_paths_csv(path: str | Path, ensemble: PathEnsemble):
     """Long-format path_id,t,x CSV, ordered by path then time."""
     times = _column(ensemble.times)
-    _write_lines(path, "path_id,t,x", [
-        "\n".join([f"{i},{t},{x:.17g}" for t, x in zip(times, row.tolist())])
-        for i, row in enumerate(ensemble.positions)])
+    _write_lines(path, "path_id,t,x", (
+        "".join([f"{i},{t},{x:.17g}\n" for t, x in zip(times, row.tolist())])
+        for i, row in enumerate(ensemble.positions)))
 
 
 def write_report(path: str | Path, report: RunReport):

@@ -28,18 +28,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+# FieldStack.at blends the two bracketing slices on the nodes before it
+# interpolates, so it may differ from the reference by a few ulps of the
+# values it interpolates (2.2 eps at worst on test_grids' cases)
+INTERP_ULPS = 16
+
+
+def _bracket(times, t):
+    """Bracketing slice indices of t and the weight of the later one."""
+    if t <= times[0]:
+        return 0, 0, 0.0
+    if t >= times[-1]:
+        return times.size - 1, times.size - 1, 0.0
+    hi = int(np.searchsorted(times, t))
+    lo = hi - 1
+    return lo, hi, (t - times[lo]) / (times[hi] - times[lo])
+
+
 def _interp_reference(stack, positions, t):
     """FieldStack.at as two np.interp calls blended linearly in time."""
     x = np.asarray(positions, dtype=float)
-    times = stack.times
-    if t <= times[0]:
-        lo, hi, w = 0, 0, 0.0
-    elif t >= times[-1]:
-        lo, hi, w = times.size - 1, times.size - 1, 0.0
-    else:
-        hi = int(np.searchsorted(times, t))
-        lo = hi - 1
-        w = (t - times[lo]) / (times[hi] - times[lo])
+    lo, hi, w = _bracket(stack.times, t)
     nodes = stack.grid.nodes
     a = np.interp(x, nodes, stack.values[lo])
     if hi == lo:
@@ -48,10 +57,36 @@ def _interp_reference(stack, positions, t):
     return (1.0 - w) * a + w * b
 
 
+def _assert_near_interp(stack, positions, t, got):
+    """got has the reference's shape and NaN positions, and each value is
+    within INTERP_ULPS eps of the largest |value| at the four lattice
+    nodes that bracket its position in (t, x)."""
+    want = _interp_reference(stack, positions, t)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    nodes, v = stack.grid.nodes, stack.values
+    x = np.clip(np.asarray(positions, dtype=float), nodes[0], nodes[-1])
+    c = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    lo, hi, _ = _bracket(stack.times, t)
+    scale = np.max(np.abs([v[lo][c], v[lo][c + 1], v[hi][c], v[hi][c + 1]]),
+                   axis=0)
+    err = np.abs(got - want)
+    bad = ~np.isnan(want) & (err > INTERP_ULPS * np.finfo(float).eps * scale)
+    assert not bad.any(), (
+        f"off by {err[bad].max():.3g} at x = {x[bad][0]!r}, t = {t}")
+
+
 @pytest.fixture(scope="session")
 def interp_reference():
-    """The np.interp formula that FieldStack.at must reproduce bit for bit."""
+    """The np.interp formula that FieldStack.at follows to a few ulps."""
     return _interp_reference
+
+
+@pytest.fixture(scope="session")
+def assert_near_interp():
+    """Asserts FieldStack.at's output is within INTERP_ULPS of the
+    np.interp formula, with the same shape and NaN positions."""
+    return _assert_near_interp
 
 
 def _dense_entries(kernel, grid, s, t, target=None):

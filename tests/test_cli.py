@@ -151,6 +151,23 @@ def test_bridge_solve_direct_flags(outdir):
     assert (outdir / "u0.csv").is_file()
 
 
+@pytest.mark.parametrize("anchor", [[], ["--anchor-y", "0.5", "--anchor-s", "0"]],
+                         ids=["default-anchor", "anchor-flags"])
+def test_bridge_solve_markov_family(outdir, anchor):
+    code = cli.main(["bridge-solve", "--kernel", "markov-family", *anchor,
+                     "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,2",
+                     "--grid-points", "129", "--time-slices", "11"])
+    assert code == cli.EXIT_OK
+
+
+def test_bridge_solve_hands_the_anchor_flags_to_the_kernel(outdir, capsys):
+    code = cli.main(["bridge-solve", "--kernel", "markov-family",
+                     "--anchor-s", "-1", "--rho0", "gaussian:0,1",
+                     "--rhoT", "gaussian:0,2", "--grid-points", "129"])
+    assert code == cli.EXIT_NUMERIC
+    assert "anchor time must be nonnegative" in capsys.readouterr().err
+
+
 def test_list_scenarios_prints_the_gallery_names(capsys, outdir):
     assert cli.main(["list-scenarios"]) == cli.EXIT_OK
     names = capsys.readouterr().out.split()

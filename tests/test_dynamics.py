@@ -508,7 +508,10 @@ def test_lattice_drift_paths_equal_the_interp_reference(
     got = simulate(stack, start, cfg, 1.0)
     want = simulate(CallableDrift(lambda x, t: interp_reference(stack, x, t)),
                     start, cfg, 1.0)
-    np.testing.assert_array_equal(got.positions, want.positions)
+    # the lookup follows the reference to a few ulps per step
+    assert got.positions.shape == want.positions.shape
+    np.testing.assert_allclose(got.positions, want.positions, rtol=0.0,
+                               atol=1e-12)
     if policy == "absorb-and-discard":
         # absorbed paths carry NaN through the later lookups
         assert got.n_paths < got.n_requested

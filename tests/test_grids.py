@@ -130,7 +130,7 @@ def test_field_stack_at_clamps_outside_the_box():
 @pytest.mark.parametrize("n_points", [3, 4, 5, 17, 129, 513, 1025])
 @pytest.mark.parametrize("box", [(-10.0, 10.0), (-3.3, 7.1), (0.1, 0.7)])
 def test_field_stack_at_equals_the_interp_reference(n_points, box,
-                                                    interp_reference):
+                                                    assert_near_interp):
     g = Grid1D(box[0], box[1], n_points)
     rng = np.random.default_rng(n_points)
     times = np.array([0.0, 0.3, 0.35, 1.0])
@@ -145,20 +145,33 @@ def test_field_stack_at_equals_the_interp_reference(n_points, box,
         [box[0] - 1e9, box[1] + 1e9, -np.inf, np.inf, np.nan, np.nan]])
     stack = FieldStack(g, times, vals)
     for t in (-1.0, 0.0, 0.1, 0.3, 0.3 + 1e-12, 0.32, 0.35, 0.9, 1.0, 2.0):
-        got = stack.at(xs, t)
-        want = interp_reference(stack, xs, t)
-        assert np.array_equal(got, want, equal_nan=True)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert_near_interp(stack, xs, t, stack.at(xs, t))
 
 
-def test_field_stack_at_keeps_the_position_shape(interp_reference):
+@pytest.mark.parametrize("box", [(-10.0, 10.0), (0.1, 0.7), (1e3, 1e3 + 1.0)])
+def test_field_stack_at_one_ulp_from_every_node(box, assert_near_interp):
+    # A point one ulp below a node belongs to the cell below it; taken into
+    # the node's own cell, it would carry that cell's slope times the
+    # rounding of x - node, which is far more than a few ulps of the value
+    # when |x| is many spacings
+    g = Grid1D(box[0], box[1], 1025)
+    rng = np.random.default_rng(7)
+    times = np.array([0.0, 0.5, 1.0])
+    stack = FieldStack(g, times, rng.normal(size=(times.size, g.n_points)))
+    xs = np.concatenate([np.nextafter(g.nodes, -np.inf),
+                         np.nextafter(g.nodes, np.inf)])
+    for t in (0.0, 0.25, 1.0):
+        assert_near_interp(stack, xs, t, stack.at(xs, t))
+
+
+def test_field_stack_at_keeps_the_position_shape(assert_near_interp):
     g = Grid1D(-1.0, 1.0, 11)
     stack = FieldStack.sample(g, np.array([0.0, 1.0]), lambda x, t: x * x + t)
     xs = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
     got = stack.at(xs, 0.25)
     assert got.shape == (3, 4)
-    np.testing.assert_array_equal(got, interp_reference(stack, xs, 0.25))
-    assert float(stack.at(0.37, 0.25)) == interp_reference(stack, 0.37, 0.25)
+    assert_near_interp(stack, xs, 0.25, got)
+    assert_near_interp(stack, 0.37, 0.25, stack.at(0.37, 0.25))
 
 
 def test_lattice_index_tolerates_rounding_and_names_a_missing_time():
