@@ -11,11 +11,10 @@ from .bridge import (BoundaryData, BridgeFactors, BridgeSolution,
                      backward_transition, forward_transition, gauge_align,
                      propagate_factors, solve_boundary_system)
 from .burgers import (CompatibilityPotential, burgers_residual,
-                      compatibility_potential, force_from_potential,
-                      hopf_cole_forward, hopf_cole_inverse)
+                      compatibility_potential, hopf_cole_forward,
+                      hopf_cole_inverse)
 from .dynamics import (CallableDrift, PathEnsemble, SDEConfig, cdf_from_field,
-                       conditional_derivatives, empirical_density,
-                       fokker_planck_residual, ks_distance, material_derivative,
+                       empirical_density, fokker_planck_residual, ks_distance,
                        simulate_backward, simulate_forward)
 from .errors import (BoundaryLeakError, ConfigError, ConvergenceError,
                      ExtrapolationWarning, IncompatibilityError,
@@ -27,13 +26,12 @@ from .gallery import (example1_suite, example2_suite, packet_boundary,
                       scenario_names, verify_parabolic_system)
 from .grids import (FieldStack, Grid1D, ScalarField, gradient, integrate,
                     normalize, sample_field)
-from .kernels import (FeynmanKacPropagator, HeatKernel, Kernel, KernelMatrix,
-                      MarkovFamilyKernel, MomentRates, NumericFeynmanKacKernel,
-                      PinnedGaussianKernel, Potential, Propagator,
-                      TiltedPinnedKernel, TiltedTimeSquaredKernel,
-                      TimeSquaredHeatKernel,
+from .kernels import (FeynmanKacPropagator, GaussianKernel, Kernel,
+                      KernelMatrix, MomentRates, NumericFeynmanKacKernel,
+                      Potential, Propagator,
                       check_chapman_kolmogorov, extract_forward_drift,
                       generalized_heat_residual, make_kernel,
+                      pinned_coefficient, pinned_coefficient_dt,
                       short_time_moments, solve_feynman_kac)
 from .packet import PACKET, FreeGaussianPacket
 from .report import CheckResult, RunReport

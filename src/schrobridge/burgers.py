@@ -122,9 +122,3 @@ def compatibility_potential(b: FieldStack, nu: float = 1.0,
                               + gradient_values(b.values, h))
     return CompatibilityPotential(c=FieldStack(b.grid, b.times, c_vals),
                                   anchor_index=anchor)
-
-
-def force_from_potential(c: FieldStack, nu: float = 1.0) -> FieldStack:
-    """Force field F = 2 nu dc/dx on the same lattice."""
-    return FieldStack(c.grid, c.times,
-                      2.0 * nu * gradient_values(c.values, c.grid.spacing))

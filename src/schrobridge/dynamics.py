@@ -19,10 +19,9 @@ buffers, while the caller steps through the other block.  Draws no
 worker has started when the caller needs them run on the caller, and
 while it waits for a started one it draws ahead for the other chunks.
 
-The residual engines discretize the transport identities the
-interpolating density and drifts must satisfy: the two Fokker-Planck
-forms, the conditional (one-sided) derivative operators, and the common
-acceleration field both drifts share.
+The residual engine discretizes the transport identity the
+interpolating density and drifts must satisfy, in both Fokker-Planck
+forms.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bridge import BridgeSolution
 from .errors import BoundaryLeakError
 from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
                     laplacian_values, lattice_index, normalize)
@@ -346,27 +344,3 @@ def fokker_planck_residual(rho: FieldStack, drift: FieldStack | None, nu,
     window = np.abs(res[1:-1, 1:-1])
     keep = rho.values[1:-1, 1:-1] >= mask_floor
     return float(np.max(np.where(keep, window, 0.0)))
-
-
-def material_derivative(f: FieldStack, drift: FieldStack, nu: float,
-                        laplacian_sign: float) -> FieldStack:
-    """df/dt + b * df/dx + sign * nu * lap(f) on the stack lattice."""
-    h = f.grid.spacing
-    vals = (np.gradient(f.values, f.times, axis=0, edge_order=2)
-            + drift.values * gradient_values(f.values, h)
-            + laplacian_sign * nu * laplacian_values(f.values, h))
-    return FieldStack(f.grid, f.times, vals)
-
-
-def conditional_derivatives(solution: BridgeSolution,
-                            f: FieldStack) -> tuple[FieldStack, FieldStack]:
-    """Forward and backward conditional derivatives of f along the bridge.
-
-    D+ f = df/dt + b df/dx + nu lap(f);  D- f = df/dt + b* df/dx - nu lap(f).
-    """
-    if f.values.shape != solution.rho.shape:
-        raise ValueError("field stack does not match the solution lattice")
-    d_plus = material_derivative(f, solution.forward_drift_stack, solution.nu, +1.0)
-    d_minus = material_derivative(f, solution.backward_drift_stack, solution.nu,
-                                  -1.0)
-    return d_plus, d_minus

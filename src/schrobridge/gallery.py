@@ -22,10 +22,9 @@ from .dynamics import (SDEConfig, cdf_from_field, empirical_density,
                        simulate_forward)
 from .grids import (FieldStack, Grid1D, ScalarField, gradient_values, integrate,
                     laplacian_values, normalize, sample_field)
-from .kernels import (HeatKernel, MarkovFamilyKernel, PinnedGaussianKernel,
-                      Potential, TiltedPinnedKernel, TiltedTimeSquaredKernel,
-                      TimeSquaredHeatKernel, check_chapman_kolmogorov,
+from .kernels import (Potential, check_chapman_kolmogorov,
                       extract_forward_drift, generalized_heat_residual,
+                      make_kernel, pinned_coefficient, pinned_coefficient_dt,
                       short_time_moments)
 from .packet import PACKET
 from .report import RunReport
@@ -145,8 +144,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
                detail="recovered c minus closed form is constant in x")
 
     # bridge solve with both interpolating kernels
-    k1 = TiltedTimeSquaredKernel()
-    k2 = TiltedPinnedKernel()
+    k1 = make_kernel("quantum-k1")
+    k2 = make_kernel("quantum-k2")
     boundary, factors1, solution = packet_bridge(k1, grid=grid, ipf_tol=ipf_tol)
     _, factors2, _ = packet_bridge(k2, grid=grid, times=np.array([0.0, HORIZON]),
                                    ipf_tol=ipf_tol)
@@ -245,8 +244,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
 def example1_suite(grid_points: int = 513) -> RunReport:
     """Checks for the consistent kernel with the t^2 variance clock."""
     grid = Grid1D(n_points=grid_points)
-    p = TimeSquaredHeatKernel()
-    k1 = TiltedTimeSquaredKernel()
+    p = make_kernel("example1")
+    k1 = make_kernel("quantum-k1")
     report = RunReport(scenario="example1", config={
         "grid_points": grid_points, "x_min": grid.x_min, "x_max": grid.x_max})
 
@@ -304,7 +303,7 @@ def example1_suite(grid_points: int = 513) -> RunReport:
     report.add("second-moment-rate-at-half",
                abs(rates_h.second_moment_rate - 1.0), upper=0.02,
                detail="clock rate 2t at t=1/2")
-    heat_rates = short_time_moments(HeatKernel(nu=1.0), 0.0, 0.5)
+    heat_rates = short_time_moments(make_kernel("heat"), 0.0, 0.5)
     report.add("heat-rate-contrast",
                abs(heat_rates.second_moment_rate - 2.0) / 2.0, upper=0.02,
                detail="constant-clock kernel holds rate 2 nu while this "
@@ -321,13 +320,13 @@ def example1_suite(grid_points: int = 513) -> RunReport:
 def example2_suite(grid_points: int = 513) -> RunReport:
     """Checks for the pinned family and its Markov completion."""
     grid = Grid1D(n_points=grid_points)
-    pinned = PinnedGaussianKernel()
+    pinned = make_kernel("pinned-example2")
     report = RunReport(scenario="example2", config={
         "grid_points": grid_points, "x_min": grid.x_min, "x_max": grid.x_max})
 
-    ends = max(abs(pinned.coefficient(t, t) - 1.0) for t in (0.0, 0.5, 1.0))
+    ends = max(abs(pinned_coefficient(t, t) - 1.0) for t in (0.0, 0.5, 1.0))
     report.add("coefficient-at-equal-times", ends, upper=1e-12)
-    report.add("coefficient-collapse", abs(pinned.coefficient(1.0, 0.0)),
+    report.add("coefficient-collapse", abs(pinned_coefficient(1.0, 0.0)),
                upper=1e-12, detail="c(1, 0) = 0: every start is forgotten")
 
     worst = 0.0
@@ -343,7 +342,7 @@ def example2_suite(grid_points: int = 513) -> RunReport:
     report.add("ck-violation", ck, lower=0.01,
                detail="compose(0->0.5->1) disagrees with direct(0->1)")
 
-    k2 = TiltedPinnedKernel()
+    k2 = make_kernel("quantum-k2")
     mat01 = KernelMatrix.from_kernel(k2, grid, 0.0, 1.0)
     theta_back = mat01.apply_target(PACKET.factor_v(grid.nodes, 1.0))
     ref0 = PACKET.factor_v(grid.nodes, 0.0)
@@ -363,7 +362,7 @@ def example2_suite(grid_points: int = 513) -> RunReport:
                abs(extract_forward_drift(pinned, 1.0, 0.5) + 0.4), upper=1e-3,
                detail="b(x, t) = -(1 - t) x / (1 + t^2)")
 
-    family = MarkovFamilyKernel(anchor_y=1.0, anchor_s=0.1)
+    family = make_kernel("markov-family", anchor_y=1.0, anchor_s=0.1)
     fam_rates = short_time_moments(family, 1.0, 0.5)
     report.add("family-delta-limit",
                abs(fam_rates.second_moment_rate - 2.0), upper=0.04,
@@ -388,7 +387,7 @@ def example2_suite(grid_points: int = 513) -> RunReport:
     dpdt = np.gradient(stack.values, lat_times, axis=0, edge_order=2)
     grad = gradient_values(stack.values, lat_grid.spacing)
     lap = laplacian_values(stack.values, lat_grid.spacing)
-    drift_t = np.array([y_a * pinned.coefficient_dt(float(t), s_a)
+    drift_t = np.array([y_a * pinned_coefficient_dt(float(t), s_a)
                         for t in lat_times])
     res = dpdt + drift_t[:, None] * grad - lap
     report.add("family-kolmogorov-residual",

@@ -1,26 +1,30 @@
-"""Transition kernels: closed-form families and a numeric Feynman-Kac solver.
+"""Transition kernels: one Gaussian spec and a numeric Feynman-Kac solver.
 
 A kernel is any object with ``evaluate(y, s, x, t)`` giving the transition
-density from (y, s) to (x, t) for 0 <= s < t.  The closed-form families
-implement the worked free-packet example and its two deliberately
-imperfect companions; ``solve_feynman_kac`` builds grid kernels for an
-arbitrary potential as fundamental solutions of the adjoint parabolic
-pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
+density from (y, s) to (x, t) for 0 <= s < t.  The six closed-form
+kernels of the worked free-packet example are ``GaussianKernel`` specs,
+log k = log N(x; c(s, t) y + shift(s, t), var(s, t)) + a(y, s) - a(x, t),
+built by tag with ``make_kernel``.  ``solve_feynman_kac`` builds grid
+kernels for an arbitrary potential as fundamental solutions of the
+adjoint parabolic pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
 
 Bridge factors travel through a ``Propagator``, built once per grid and
 slice lattice from ``Kernel.propagator``: it holds the boundary matrix
 K(0, T) and sweeps a factor pair to every slice at once.
 
-Tilted kernels are evaluated as a single exp of summed log-factors so no
-0 * inf intermediates can appear in far tails; a ``TiltedKernel`` matrix
-sums its log core and log tilt on the expanded node lattice and takes
-that exp there.
+A spec's matrix has one build (``KernelMatrix.from_kernel``): two cores,
+one row of node offsets or the n^2 node pairs, and one tail.  Untilted
+specs use the density form exp(-d^2 / 2 var) / sqrt(2 pi var),
+d = x - c y - shift; tilted ones a single exp of summed log-factors, so
+no 0 * inf intermediates can appear in far tails.  For ``pinned-example2``
+the density form and exp of its log-density differ by rounding only
+(<= 4.96e-14 relative on the default boxes).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -54,8 +58,8 @@ class Potential:
     label: str = ""
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
+        if not (self.nu > 0.0 and np.isfinite(self.nu)):
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
 
     def __call__(self, x, t):
         return np.asarray(self.fn(np.asarray(x, dtype=float), float(t)), dtype=float)
@@ -74,27 +78,18 @@ class Potential:
         return cls(fn=PACKET.potential, nu=1.0, label="packet")
 
 
-def _check_order(s: float, t: float) -> tuple[float, float]:
+def _check_order(s: float, t: float, start: float = 0.0
+                 ) -> tuple[float, float]:
     s, t = float(s), float(t)
     if not np.isfinite(s) or not np.isfinite(t):
         raise TimeOrderingError("kernel times must be finite")
-    if s < 0.0 or t <= s:
-        raise TimeOrderingError(f"need 0 <= s < t, got s={s}, t={t}")
+    if s < start or t <= s:
+        raise TimeOrderingError(f"need {start:g} <= s < t, got s={s}, t={t}")
     return s, t
 
 
 class Kernel:
-    """Base transition-density interface.
-
-    ``translation_invariant`` declares that k(y, s, x, t) depends on y and
-    x only through x - y, which lets ``KernelMatrix.from_kernel`` sample
-    one row of lattice offsets instead of the whole matrix.  A
-    ``TiltedKernel`` is the tilted form of such a kernel, sampled from one
-    row of its log core.
-    """
-
-    tag = ""
-    translation_invariant = False
+    """Base transition-density interface."""
 
     def evaluate(self, y, s: float, x, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -104,175 +99,124 @@ class Kernel:
         return Propagator(self, grid, times)
 
 
-class HeatKernel(Kernel):
+@dataclass(frozen=True)
+class GaussianKernel(Kernel):
+    """k(y, s, x, t) = N(x; c(s, t) y + shift(s, t), var(s, t)) v(y, s) / v(x, t).
+
+    ``coef`` None means c = 1, so k depends on y and x only through
+    x - y; ``shift`` None means 0; ``log_tilt`` is log v, None for an
+    untilted kernel.  Times must satisfy start <= s < t.  ``density`` is
+    the one-time marginal of a family that has one (``markov-family``).
+    """
+
+    tag: str
+    var: Callable[[float, float], float]
+    coef: Callable[[float, float], float] | None = None
+    shift: Callable[[float, float], float] | None = None
+    log_tilt: Callable[[np.ndarray, float], np.ndarray] | None = None
+    start: float = 0.0
+    nu: float = 1.0
+    density: Callable[[np.ndarray, float], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if not (self.nu > 0.0 and np.isfinite(self.nu)):
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+
+    def evaluate(self, y, s, x, t):
+        e = self.core(y, s, x, t)
+        if self.log_tilt is not None:
+            e += self.log_tilt(y, s)
+            e -= self.log_tilt(x, t)
+            np.exp(e, out=e)
+        return e[()]
+
+    def core(self, y, s: float, x, t: float) -> np.ndarray:
+        """N(d; 0, var), or log N(d; 0, var) for a tilted kernel, at
+        d = x - c y - shift, computed in place in one new array; the
+        times are checked here."""
+        s, t = _check_order(s, t, self.start)
+        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+        var = self.var(s, t)
+        if not 0.0 < var < np.inf:
+            raise PositivityError(
+                f"{self.tag} kernel variance at s={s}, t={t} is {var}")
+        d = np.asarray(x - y if self.coef is None else x - self.coef(s, t) * y)
+        if self.shift is not None:
+            d -= self.shift(s, t)
+        np.square(d, out=d)
+        d /= -2.0 * var
+        if self.log_tilt is not None:
+            d += -0.5 * np.log(2.0 * np.pi * var)
+            return d
+        np.exp(d, out=d)
+        d /= np.sqrt(2.0 * np.pi * var)
+        return d
+
+
+def pinned_coefficient(t: float, s: float) -> float:
+    """Mean contraction c(t, s) of the pinned family: it carries the
+    packet density at time s onto the packet density at time t."""
+    return float(np.sqrt(((1.0 - t) ** 2 + 2.0 * s) / (1.0 + s * s)))
+
+
+def pinned_coefficient_dt(t: float, s: float) -> float:
+    """d/dt of the pinned coefficient (smooth for s > 0)."""
+    return float(-(1.0 - t)
+                 / np.sqrt((((1.0 - t) ** 2 + 2.0 * s)) * (1.0 + s * s)))
+
+
+def heat_kernel(nu: float = 1.0) -> GaussianKernel:
     """Constant-diffusivity heat kernel with zero drift."""
-
-    tag = "heat"
-    translation_invariant = True
-
-    def __init__(self, nu: float = 1.0):
-        if not nu > 0.0:
-            raise ValueError("nu must be positive")
-        self.nu = nu
-
-    def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        var = 2.0 * self.nu * (t - s)
-        return np.exp(-((x - y) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return GaussianKernel("heat", lambda s, t: 2.0 * nu * (t - s), nu=nu)
 
 
-class TimeSquaredHeatKernel(Kernel):
-    """Zero-drift Gaussian kernel whose variance clock runs as t^2.
-
-    Propagates the free-packet density exactly; the instantaneous
-    diffusion coefficient is t, so the short-time second-moment rate at
-    time t is 2t (plus the step size).
-    """
-
-    tag = "example1"
-    translation_invariant = True
-
-    nu = 1.0
-
-    def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        var = t * t - s * s
-        return np.exp(-((x - y) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+def example1_kernel() -> GaussianKernel:
+    """Zero-drift kernel whose variance clock runs as t^2: it propagates
+    the free-packet density exactly, with short-time second-moment rate
+    2t at time t."""
+    return GaussianKernel("example1", lambda s, t: t * t - s * s)
 
 
-class TiltedKernel(Kernel):
-    """k(y, s, x, t) = exp(log_core(x - y, s, t) + log_tilt(y, s) - log_tilt(x, t)).
-
-    The log core depends on y and x only through the offset x - y, so
-    ``KernelMatrix.from_kernel`` evaluates it on one row of lattice
-    offsets and the tilt on the nodes, and sums them on the expanded
-    lattice in the order ``evaluate`` does.
-    """
-
-    def log_core(self, offsets, s: float, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def log_tilt(self, x, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        return np.exp(self.log_core(x - y, s, t) + self.log_tilt(y, s)
-                      - self.log_tilt(x, t))
+def quantum_k1_kernel() -> GaussianKernel:
+    """``example1`` tilted by the packet's forward factor v; its bridge
+    factors reproduce the packet pair exactly."""
+    return replace(example1_kernel(), tag="quantum-k1",
+                   log_tilt=PACKET.log_factor_v)
 
 
-class TiltedTimeSquaredKernel(TiltedKernel):
-    """Time-squared kernel tilted by the packet's forward factor.
-
-    k(y, s, x, t) = p(y, s, x, t) * v(y, s) / v(x, t) with p the
-    ``example1`` density and v the packet factor; this is the kernel whose
-    bridge factors reproduce the packet pair exactly.
-    """
-
-    tag = "quantum-k1"
-
-    nu = 1.0
-
-    def log_core(self, offsets, s, t):
-        var = t * t - s * s
-        return -0.5 * np.log(2.0 * np.pi * var) - offsets ** 2 / (2.0 * var)
-
-    def log_tilt(self, x, t):
-        return PACKET.log_factor_v(x, t)
+def pinned_kernel() -> GaussianKernel:
+    """Unit-rate Gaussian kernel with mean c(t, s) y, pinned to the packet
+    marginals; *not* a consistent two-time transition law (its
+    Chapman-Kolmogorov residual is order 1e-2)."""
+    return GaussianKernel("pinned-example2", lambda s, t: 2.0 * (t - s),
+                          coef=lambda s, t: pinned_coefficient(t, s))
 
 
-class PinnedGaussianKernel(Kernel):
-    """Unit-variance-rate Gaussian kernel pinned to the packet marginals.
-
-    The mean contraction coefficient is chosen so that the packet density
-    at time s is carried onto the packet density at time t; the family is
-    *not* a consistent two-time transition law (its Chapman-Kolmogorov
-    residual is order 1e-2).
-    """
-
-    tag = "pinned-example2"
-
-    nu = 1.0
-
-    @staticmethod
-    def coefficient(t: float, s: float) -> float:
-        return float(np.sqrt(((1.0 - t) ** 2 + 2.0 * s) / (1.0 + s * s)))
-
-    @staticmethod
-    def coefficient_dt(t: float, s: float) -> float:
-        """d/dt of the contraction coefficient (smooth for s > 0)."""
-        return float(-(1.0 - t)
-                     / np.sqrt((((1.0 - t) ** 2 + 2.0 * s)) * (1.0 + s * s)))
-
-    def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        return np.exp(_log_pinned(y, s, x, t))
+def quantum_k2_kernel() -> GaussianKernel:
+    """The pinned kernel tilted by the packet's forward factor v."""
+    return replace(pinned_kernel(), tag="quantum-k2",
+                   log_tilt=PACKET.log_factor_v)
 
 
-def _log_pinned(y, s, x, t):
-    c = PinnedGaussianKernel.coefficient(t, s)
-    var = 4.0 * (t - s)
-    return -0.5 * np.log(np.pi * var) - (x - c * y) ** 2 / var
-
-
-class TiltedPinnedKernel(Kernel):
-    """Pinned kernel tilted by the packet's forward factor."""
-
-    tag = "quantum-k2"
-
-    nu = 1.0
-
-    def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        log_k = (_log_pinned(y, s, x, t)
-                 + PACKET.log_factor_v(y, s) - PACKET.log_factor_v(x, t))
-        return np.exp(log_k)
-
-
-class MarkovFamilyKernel(Kernel):
+def markov_family_kernel(anchor_y: float, anchor_s: float) -> GaussianKernel:
     """Consistent Markov transition family anchored at one pinning point.
 
-    For a fixed anchor (y, s) the two-time law
-    k(x1, t1, x2, t2) = N(x2; x1 + (c(t2) - c(t1)) * y, 2 * (t2 - t1))
-    has the pinned one-time marginals, collapses to a delta as t2 -> t1,
-    and satisfies Chapman-Kolmogorov exactly.
+    With c(t) = c(t, anchor_s), the two-time law
+    k(x1, t1, x2, t2) = N(x2; x1 + (c(t2) - c(t1)) * anchor_y, 2 * (t2 - t1))
+    has the pinned one-time marginals ``density``, collapses to a delta
+    as t2 -> t1, and satisfies Chapman-Kolmogorov exactly.
     """
-
-    tag = "markov-family"
-    translation_invariant = True
-
-    nu = 1.0
-
-    def __init__(self, anchor_y: float, anchor_s: float):
-        if anchor_s < 0.0:
-            raise TimeOrderingError("anchor time must be nonnegative")
-        self.anchor_y = float(anchor_y)
-        self.anchor_s = float(anchor_s)
-
-    def _coef(self, t: float) -> float:
-        return PinnedGaussianKernel.coefficient(t, self.anchor_s)
-
-    def evaluate(self, x1, t1, x2, t2):
-        t1, t2 = float(t1), float(t2)
-        if t1 < self.anchor_s:
-            raise TimeOrderingError(
-                f"family times must not precede the anchor time {self.anchor_s}")
-        if t2 <= t1:
-            raise TimeOrderingError(f"need t1 < t2, got t1={t1}, t2={t2}")
-        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-        shift = (self._coef(t2) - self._coef(t1)) * self.anchor_y
-        var = 4.0 * (t2 - t1)
-        return np.exp(-((x2 - x1 - shift) ** 2) / var) / np.sqrt(np.pi * var)
-
-    def density(self, x, t):
-        """One-time marginal of the family: the pinned kernel from the anchor."""
-        x = np.asarray(x, dtype=float)
-        return np.exp(_log_pinned(self.anchor_y, self.anchor_s, x, float(t)))
+    y_a, s_a = float(anchor_y), float(anchor_s)
+    for name, value in (("anchor_y", y_a), ("anchor_s", s_a)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if s_a < 0.0:
+        raise TimeOrderingError("anchor time must be nonnegative")
+    return GaussianKernel(
+        "markov-family", lambda s, t: 2.0 * (t - s), start=s_a,
+        shift=lambda s, t: (pinned_coefficient(t, s_a)
+                            - pinned_coefficient(s, s_a)) * y_a,
+        density=lambda x, t: pinned_kernel().evaluate(y_a, s_a, x, t))
 
 
 @dataclass(frozen=True)
@@ -298,13 +242,13 @@ class KernelMatrix:
             raise PositivityError("kernel matrix entries must be finite")
 
     @classmethod
-    def _expanded(cls, grid: Grid1D, s: float, t: float,
-                  entries: np.ndarray) -> "KernelMatrix":
-        """A square matrix whose finite entries come from a checked row;
-        skips the n^2 finiteness scan of ``__post_init__``."""
+    def _checked(cls, source: Grid1D, target: Grid1D, s: float, t: float,
+                 entries: np.ndarray) -> "KernelMatrix":
+        """A matrix whose entries are finite by construction; skips the
+        n^2 finiteness scan of ``__post_init__``."""
         mat = object.__new__(cls)
-        mat.__dict__.update(source=grid, target=grid, s=float(s), t=float(t),
-                            entries=entries)
+        mat.__dict__.update(source=source, target=target, s=float(s),
+                            t=float(t), entries=entries)
         return mat
 
     @classmethod
@@ -312,57 +256,56 @@ class KernelMatrix:
                     target: Grid1D | None = None) -> "KernelMatrix":
         """Sample ``kernel`` from ``grid`` at s to ``target`` (default grid).
 
-        On a square lattice a kernel that declares ``translation_invariant``
-        is evaluated once on the 2n - 1 node offsets x_0 - x_{n-1}, ..., 0,
-        ..., x_{n-1} - x_0 (as ``evaluate(0.0, s, offsets, t)``), and entry
-        (i, j) is the sample at offset x_j - x_i.  A ``TiltedKernel``
-        evaluates its log core on the same offsets and its log tilt on the
-        nodes at s and at t, sums them on the expanded lattice and takes
-        one exp there.  Every other kernel or target grid is evaluated on
-        all n x m node pairs.  Builds refuse non-finite or overflowing
-        values and values below NEGATIVITY_TOL (a row build checks its
-        2n - 1 samples and tilt vectors, not the n^2 entries) and raise exp
-        underflow to ENTRY_FLOOR.  On grids whose nodes are exact multiples
-        of the spacing (the default boxes) the row builds agree with the
-        n x m build bit for bit; elsewhere they differ by the rounding of
-        x_j - y_i.
+        A ``GaussianKernel`` has one build.  Its core (``core``: the
+        density, or the log-density of a tilted kernel) is computed on the
+        2n - 1 node offsets x_0 - x_{n-1}, ..., 0, ..., x_{n-1} - x_0 and
+        expanded, entry (i, j) taking the sample at offset x_j - x_i, when
+        c = 1 and the lattice is square; otherwise on the n x m pairs
+        d = x_j - c y_i - shift.  One tail follows for both: an untilted
+        core is floored (on the row, before it is expanded); a tilted one
+        gets a(y_i, s) added down the rows and a(x_j, t) subtracted along
+        the columns, then one in-place exp and one in-place floor.  Any
+        other kernel is evaluated on all n x m node pairs.  Builds refuse
+        non-finite or overflowing values and values below NEGATIVITY_TOL
+        (a Gaussian build checks its core, the tilt vectors and the
+        largest log entry they allow, not the final entries) and raise
+        exp underflow to ENTRY_FLOOR.  On grids whose nodes are exact
+        multiples of the spacing (the default boxes) the row builds agree
+        with ``evaluate`` on the node pairs bit for bit; elsewhere they
+        differ by the rounding of x_j - y_i.
         """
         target = target or grid
-        square = target == grid
-        if square and isinstance(kernel, TiltedKernel):
-            return cls._from_log_row(kernel, grid, s, t)
-        if not (square and getattr(kernel, "translation_invariant", False)):
+        if not isinstance(kernel, GaussianKernel):
             # the unfloored samples are freed before __post_init__ scans
             e = _floored(kernel.evaluate(grid.nodes[:, None], s,
                                          target.nodes[None, :], t))
             return cls(source=grid, target=target, s=float(s), t=float(t),
                        entries=e)
-        row = kernel.evaluate(0.0, s, _offsets(grid.nodes), t)
-        if not np.all(np.isfinite(row)):
+        y, x = grid.nodes, target.nodes
+        row = kernel.coef is None and target == grid
+        e = (kernel.core(0.0, s, _offsets(x), t) if row
+             else kernel.core(y[:, None], s, x[None, :], t))
+        # two reductions, so the n^2 core needs no n^2 mask
+        low, high = np.min(e), np.max(e)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise PositivityError("kernel evaluation produced non-finite values")
-        return cls._expanded(grid, s, t, _lattice(_floored(row), grid.n_points))
-
-    @classmethod
-    def _from_log_row(cls, kernel: TiltedKernel, grid: Grid1D, s: float,
-                      t: float) -> "KernelMatrix":
-        s, t = _check_order(s, t)
-        x = grid.nodes
-        row = kernel.log_core(_offsets(x), s, t)
-        tilt_s, tilt_t = kernel.log_tilt(x, s), kernel.log_tilt(x, t)
-        if not all(np.all(np.isfinite(a)) for a in (row, tilt_s, tilt_t)):
-            raise PositivityError(
-                "tilted kernel produced non-finite log values")
+        if kernel.log_tilt is None:
+            np.maximum(e, ENTRY_FLOOR, out=e)
+            return cls._checked(grid, target, s, t,
+                                _lattice(e, x.size) if row else e)
+        tilt_s, tilt_t = kernel.log_tilt(y, s), kernel.log_tilt(x, t)
         # rounding is monotone, so no entry exceeds this sum of extremes
-        top = (np.max(row) + np.max(tilt_s)) - np.min(tilt_t)
-        if not top <= LOG_MAX:
-            raise PositivityError(
-                f"tilted kernel entries overflow: log entry up to {top:.6g}")
-        e = _lattice(row, grid.n_points)
+        top = (high + np.max(tilt_s)) - np.min(tilt_t)
+        if not (np.all(np.isfinite(tilt_s)) and np.all(np.isfinite(tilt_t))
+                and top <= LOG_MAX):
+            raise PositivityError("tilted kernel entries overflow or are not "
+                                  f"finite: log entry up to {top:.6g}")
+        e = _lattice(e, x.size) if row else e
         e += tilt_s[:, None]
         e -= tilt_t[None, :]
         np.exp(e, out=e)
         np.maximum(e, ENTRY_FLOOR, out=e)
-        return cls._expanded(grid, s, t, e)
+        return cls._checked(grid, target, s, t, e)
 
     def apply_target(self, g: np.ndarray) -> np.ndarray:
         """Integrate k(y_i, s, x, t) g(x) dx over the target grid."""
@@ -380,10 +323,8 @@ class Propagator:
     matrix K(times[0], times[-1]) that IPF iterates on, built on first
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
     This base serves the closed-form kernels: it samples one KernelMatrix
-    per (times[0], t_k) and (t_k, times[-1]) pair, each from one row of
-    2n - 1 offsets for a translation-invariant kernel, from one row of
-    log-core offsets and two tilt vectors for a ``TiltedKernel``, and from
-    n^2 node pairs otherwise (see ``KernelMatrix.from_kernel``).
+    per (times[0], t_k) and (t_k, times[-1]) pair (see
+    ``KernelMatrix.from_kernel``).
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -914,22 +855,23 @@ def generalized_heat_residual(stack: FieldStack, potential: Potential,
     return float(np.max(np.abs(res[1:-1, 1:-1])))
 
 
-KERNEL_TAGS: dict[str, type] = {
-    HeatKernel.tag: HeatKernel,
-    TimeSquaredHeatKernel.tag: TimeSquaredHeatKernel,
-    TiltedTimeSquaredKernel.tag: TiltedTimeSquaredKernel,
-    PinnedGaussianKernel.tag: PinnedGaussianKernel,
-    TiltedPinnedKernel.tag: TiltedPinnedKernel,
-    MarkovFamilyKernel.tag: MarkovFamilyKernel,
+KERNEL_TAGS: dict[str, Callable[..., Kernel]] = {
+    "heat": heat_kernel,
+    "example1": example1_kernel,
+    "quantum-k1": quantum_k1_kernel,
+    "pinned-example2": pinned_kernel,
+    "quantum-k2": quantum_k2_kernel,
+    "markov-family": markov_family_kernel,
     NumericFeynmanKacKernel.tag: NumericFeynmanKacKernel,
 }
 
 
 def make_kernel(tag: str, **params) -> Kernel:
-    """Instantiate a kernel by its registry tag."""
+    """Build a kernel by its registry tag: ``nu`` for heat, ``anchor_y``
+    and ``anchor_s`` for markov-family, none for the other closed forms."""
     try:
-        cls = KERNEL_TAGS[tag]
+        factory = KERNEL_TAGS[tag]
     except KeyError:
         raise ValueError(
             f"unknown kernel tag {tag!r}; known: {sorted(KERNEL_TAGS)}") from None
-    return cls(**params)
+    return factory(**params)

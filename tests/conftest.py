@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from schrobridge import BoundaryData, Grid1D, TiltedTimeSquaredKernel, gallery
+from schrobridge import BoundaryData, Grid1D, gallery, make_kernel
 from schrobridge.kernels import ENTRY_FLOOR
 
 # pass/fail lines recorded by tests/test_acceptance.py, echoed at the end
@@ -142,14 +142,14 @@ def csv_reference():
 def wide_bridge():
     """Boundary data, solved factors, and the interpolation for the
     free-packet scenario on the wide lattice.  Expensive, so shared."""
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     return gallery.packet_bridge(kernel)
 
 
 @pytest.fixture(scope="session")
 def coarse_bridge():
     """A small, fast bridge solve for API-level tests."""
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     grid = Grid1D(-12.0, 12.0, 257)
     times = np.linspace(0.0, 1.0, 6)
     return gallery.packet_bridge(kernel, grid=grid, times=times)

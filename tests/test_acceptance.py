@@ -10,16 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schrobridge import (FieldStack, Grid1D, MarkovFamilyKernel,
-                         PinnedGaussianKernel, Potential, SDEConfig,
-                         TiltedPinnedKernel, TiltedTimeSquaredKernel,
-                         TimeSquaredHeatKernel, burgers_residual,
-                         check_chapman_kolmogorov, compatibility_potential,
-                         extract_forward_drift, fokker_planck_residual,
-                         gauge_align, hopf_cole_forward, hopf_cole_inverse,
-                         ks_distance, sample_field, short_time_moments,
-                         simulate_backward, simulate_forward,
-                         solve_feynman_kac)
+from schrobridge import (FieldStack, Grid1D, Potential, SDEConfig,
+                         burgers_residual, check_chapman_kolmogorov,
+                         compatibility_potential, extract_forward_drift,
+                         fokker_planck_residual, gauge_align,
+                         hopf_cole_forward, hopf_cole_inverse, ks_distance,
+                         make_kernel, pinned_coefficient_dt, sample_field,
+                         short_time_moments, simulate_backward,
+                         simulate_forward, solve_feynman_kac)
 from schrobridge.bridge import (BridgeSolution, backward_transition,
                                 forward_transition)
 from schrobridge.gallery import (packet_boundary, packet_bridge,
@@ -49,7 +47,7 @@ def test_criterion_01_bridge_factor_uniqueness(wide_bridge, acceptance_log):
     w = grid.weights
     theta_star0 = PACKET.factor_u(grid.nodes, 0.0)
     theta_end = PACKET.factor_v(grid.nodes, 1.0)
-    _, factors2, _ = packet_bridge(TiltedPinnedKernel(),
+    _, factors2, _ = packet_bridge(make_kernel("quantum-k2"),
                                    times=np.array([0.0, 0.5, 1.0]))
     err = max(
         _rel_sup(factors1.u0.values, theta_star0, w),
@@ -85,9 +83,9 @@ def test_criterion_03_chapman_kolmogorov_discrimination(acceptance_log):
     grid = Grid1D()
     consistent = max(
         check_chapman_kolmogorov(kernel, 0.0, 0.5, 1.0, grid)
-        for kernel in (TimeSquaredHeatKernel(), TiltedTimeSquaredKernel(),
-                       MarkovFamilyKernel(anchor_y=1.0, anchor_s=0.0)))
-    violating = check_chapman_kolmogorov(PinnedGaussianKernel(),
+        for kernel in (make_kernel("example1"), make_kernel("quantum-k1"),
+                       make_kernel("markov-family", anchor_y=1.0, anchor_s=0.0)))
+    violating = check_chapman_kolmogorov(make_kernel("pinned-example2"),
                                          0.0, 0.5, 1.0, grid)
     ok = consistent <= 1e-6 and violating > 0.01
     line = _gate(acceptance_log, 3, "chapman-kolmogorov-discrimination", ok,
@@ -97,7 +95,7 @@ def test_criterion_03_chapman_kolmogorov_discrimination(acceptance_log):
 
 
 def test_criterion_04_short_time_moments(acceptance_log):
-    kernel = TimeSquaredHeatKernel()
+    kernel = make_kernel("example1")
     m2_rel = leak = m1 = 0.0
     for t in (0.5, 1.0):
         m = short_time_moments(kernel, 0.7, t)
@@ -112,7 +110,7 @@ def test_criterion_04_short_time_moments(acceptance_log):
 
 
 def test_criterion_05_drift_extraction(acceptance_log):
-    kernel = PinnedGaussianKernel()
+    kernel = make_kernel("pinned-example2")
     err = max(
         abs(extract_forward_drift(kernel, x, t)
             - (-(1.0 - t) * x / (1.0 + t * t)))
@@ -132,8 +130,8 @@ def _two_bump(x, t):
 
 def _residual_families():
     """(name, residual(n_x, n_t)) for every transport/heat identity."""
-    p27 = TimeSquaredHeatKernel()
-    pin = PinnedGaussianKernel()
+    p27 = make_kernel("example1")
+    pin = make_kernel("pinned-example2")
 
     def packet_fp(n_x, n_t, drift_fn, direction):
         grid = Grid1D(-10.0, 10.0, n_x)
@@ -179,7 +177,7 @@ def _residual_families():
         rho = FieldStack.sample(grid, times,
                                 lambda x, t: pin.evaluate(1.5, 0.3, x, t))
         drift = FieldStack.sample(grid, times, lambda x, t: np.full_like(
-            x, 1.5 * pin.coefficient_dt(t, 0.3)))
+            x, 1.5 * pinned_coefficient_dt(t, 0.3)))
         return fokker_planck_residual(rho, drift, 1.0, "forward")
 
     yield ("forward-fokker-planck",
@@ -261,7 +259,7 @@ def test_criterion_08_monte_carlo_consistency(acceptance_log):
 
 def test_criterion_09_identity_suite(wide_bridge, acceptance_log):
     _, _, solution = wide_bridge
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     grid = solution.grid
 
     factorization = float(np.max(np.abs(solution.rho

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from schrobridge import (BoundaryData, BridgeFactors, ConvergenceError,
-                         Grid1D, HeatKernel, IncompatibilityError,
-                         KernelMatrix, NormalizationError, PositivityError,
-                         PropagationError, ScalarField, TiltedTimeSquaredKernel,
-                         TimeSquaredHeatKernel, backward_transition,
-                         forward_transition, gauge_align, normalize,
-                         propagate_factors, sample_field,
+                         Grid1D, IncompatibilityError, KernelMatrix,
+                         NormalizationError, PositivityError,
+                         PropagationError, ScalarField, backward_transition,
+                         forward_transition, gauge_align, make_kernel,
+                         normalize, propagate_factors, sample_field,
                          solve_boundary_system)
 from schrobridge.bridge import _worst_node, marginal_l1_residual
 from schrobridge.packet import PACKET
@@ -50,7 +49,7 @@ def test_boundary_data_rejects_bad_inputs():
 
 def test_solver_rejects_mismatched_grid():
     g = Grid1D(-10.0, 10.0, 65)
-    mat = KernelMatrix.from_kernel(HeatKernel(), Grid1D(-10.0, 10.0, 33),
+    mat = KernelMatrix.from_kernel(make_kernel("heat"), Grid1D(-10.0, 10.0, 33),
                                    0.0, 1.0)
     with pytest.raises(ValueError):
         solve_boundary_system(mat, _packet_boundary(g))
@@ -63,7 +62,7 @@ def test_ipf_matches_a_brute_force_reference():
     """The vectorized sweep must agree with a plain textbook loop."""
     grid = Grid1D(-10.0, 10.0, 65)
     boundary = _packet_boundary(grid)
-    kernel = TimeSquaredHeatKernel()
+    kernel = make_kernel("example1")
     mat = KernelMatrix.from_kernel(kernel, grid, 0.0, 1.0)
     factors = solve_boundary_system(mat, boundary, tol=1e-13)
 
@@ -81,7 +80,7 @@ def test_ipf_matches_a_brute_force_reference():
 def test_solved_factors_reproduce_both_marginals(coarse_bridge):
     boundary, factors, _ = coarse_bridge
     grid = boundary.rho0.grid
-    mat = KernelMatrix.from_kernel(TiltedTimeSquaredKernel(), grid, 0.0, 1.0)
+    mat = KernelMatrix.from_kernel(make_kernel("quantum-k1"), grid, 0.0, 1.0)
     res = marginal_l1_residual(mat, factors.u0.values, factors.vT.values,
                                boundary)
     assert res < 1e-10
@@ -90,7 +89,7 @@ def test_solved_factors_reproduce_both_marginals(coarse_bridge):
 def test_callback_reports_monotone_convergence():
     grid = Grid1D(-10.0, 10.0, 129)
     boundary = _packet_boundary(grid)
-    mat = KernelMatrix.from_kernel(TimeSquaredHeatKernel(), grid, 0.0, 1.0)
+    mat = KernelMatrix.from_kernel(make_kernel("example1"), grid, 0.0, 1.0)
     log: list[tuple[int, float, float]] = []
     solve_boundary_system(mat, boundary, tol=1e-12,
                           callback=lambda k, ch, res: log.append((k, ch, res)))
@@ -103,7 +102,7 @@ def test_callback_reports_monotone_convergence():
 def test_convergence_error_carries_diagnostics():
     grid = Grid1D(-10.0, 10.0, 65)
     boundary = _packet_boundary(grid)
-    mat = KernelMatrix.from_kernel(TimeSquaredHeatKernel(), grid, 0.0, 1.0)
+    mat = KernelMatrix.from_kernel(make_kernel("example1"), grid, 0.0, 1.0)
     with pytest.raises(ConvergenceError) as info:
         solve_boundary_system(mat, boundary, tol=1e-15, max_iter=2)
     assert info.value.last_change > 0.0
@@ -169,7 +168,7 @@ def test_propagation_mass_guard_trips_on_non_gauge_scaling(coarse_bridge):
         vT=factors.vT.with_values(1.1 * factors.vT.values),
         gauge=factors.gauge)
     with pytest.raises(PropagationError):
-        propagate_factors(broken, TiltedTimeSquaredKernel(),
+        propagate_factors(broken, make_kernel("quantum-k1"),
                           times=np.linspace(0.0, 1.0, 4))
 
 
@@ -196,10 +195,10 @@ def test_solution_lattice_lookup(coarse_bridge):
 def test_propagate_rejects_bad_time_axes(coarse_bridge):
     _, factors, _ = coarse_bridge
     with pytest.raises(ValueError):
-        propagate_factors(factors, TiltedTimeSquaredKernel(),
+        propagate_factors(factors, make_kernel("quantum-k1"),
                           times=np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError):
-        propagate_factors(factors, TiltedTimeSquaredKernel(),
+        propagate_factors(factors, make_kernel("quantum-k1"),
                           times=np.array([0.1, 0.5, 1.0]))
 
 
@@ -209,7 +208,7 @@ def test_propagate_rejects_bad_time_axes(coarse_bridge):
 def test_forward_transition_rows_are_normalized(coarse_bridge):
     _, _, solution = coarse_bridge
     grid = solution.grid
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     probes = grid.nodes[[64, 128, 192]][:, None]
     rows = forward_transition(solution, kernel, probes, 0.2,
                               grid.nodes[None, :], 0.8)
@@ -219,7 +218,7 @@ def test_forward_transition_rows_are_normalized(coarse_bridge):
 def test_reversal_identity_on_lattice_probes(coarse_bridge):
     _, _, solution = coarse_bridge
     grid = solution.grid
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     rng = np.random.default_rng(11)
     core = np.flatnonzero(np.abs(grid.nodes) <= 3.0)
     ys = grid.nodes[rng.choice(core, 40)]
@@ -235,7 +234,7 @@ def test_reversal_identity_on_lattice_probes(coarse_bridge):
 
 def test_transition_time_guards(coarse_bridge):
     _, _, solution = coarse_bridge
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     with pytest.raises(ValueError):
         forward_transition(solution, kernel, 0.0, 0.33, 1.0, 0.8)
 
@@ -250,14 +249,14 @@ def test_gauge_invariance_of_all_observables(coarse_bridge):
         u0=factors.u0.with_values(lam * factors.u0.values),
         vT=factors.vT.with_values(factors.vT.values / lam),
         gauge=factors.gauge)
-    other = propagate_factors(scaled, TiltedTimeSquaredKernel(),
+    other = propagate_factors(scaled, make_kernel("quantum-k1"),
                               times=solution.times)
     np.testing.assert_allclose(other.rho, solution.rho, rtol=0.0, atol=1e-13)
     mask = solution.density_mask()
     for a, b in ((other.b, solution.b), (other.b_star, solution.b_star)):
         assert np.max(np.abs(np.where(mask, a - b, 0.0))) < 1e-9
 
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     grid = solution.grid
     ys = grid.nodes[[100, 128, 150]]
     p1 = forward_transition(solution, kernel, ys, 0.2, ys, 0.8)

@@ -5,8 +5,7 @@ import pytest
 
 from schrobridge import (FieldStack, Grid1D, PositivityError, ScalarField,
                          burgers_residual, compatibility_potential,
-                         force_from_potential, hopf_cole_forward,
-                         hopf_cole_inverse, sample_field)
+                         hopf_cole_forward, hopf_cole_inverse, sample_field)
 from schrobridge.packet import PACKET
 
 
@@ -119,12 +118,3 @@ def test_compatibility_potential_matches_the_packet_potential():
     rec = compatibility_potential(b, nu=1.0)
     diff = rec.c.values[1] - PACKET.potential(grid.nodes, t0)
     assert np.max(np.abs(diff - np.mean(diff))) < 1e-6
-
-
-def test_force_from_potential_gradient():
-    grid = Grid1D(-3.0, 3.0, 121)
-    times = np.array([0.0, 1.0])
-    c = FieldStack.sample(grid, times, lambda x, t: x * x - 1.0)
-    force = force_from_potential(c, nu=1.0)
-    np.testing.assert_allclose(
-        force.values, np.tile(4.0 * grid.nodes, (2, 1)), atol=1e-10)

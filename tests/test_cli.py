@@ -125,6 +125,15 @@ def test_numeric_fk_strong_potential_fails_fast(tmp_path, outdir, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_numeric_fk_infinite_diffusivity_is_a_config_error(tmp_path, outdir,
+                                                          capsys):
+    payload = dict(FK_CONFIG, kernel={
+        "tag": "numeric-fk", "potential": {"kind": "zero", "nu": float("inf")}})
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG
+    assert "nu must be positive and finite" in capsys.readouterr().err
+
+
 def test_burgers_subcommand(outdir):
     assert cli.main(["burgers-residual"]) == cli.EXIT_OK
     assert (outdir / "burgers-report.txt").is_file()
@@ -166,6 +175,22 @@ def test_bridge_solve_hands_the_anchor_flags_to_the_kernel(outdir, capsys):
                      "--rhoT", "gaussian:0,2", "--grid-points", "129"])
     assert code == cli.EXIT_NUMERIC
     assert "anchor time must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kernel", "heat", "--nu", "inf"], "nu must be positive and finite"),
+    (["--kernel", "heat", "--nu", "nan"], "nu must be positive and finite"),
+    (["--kernel", "markov-family", "--anchor-y", "inf"],
+     "anchor_y must be finite"),
+    (["--kernel", "markov-family", "--anchor-s", "nan"],
+     "anchor_s must be finite"),
+])
+def test_non_finite_kernel_flags_are_config_errors(outdir, capsys, flags,
+                                                   message):
+    code = cli.main(["bridge-solve", *flags, "--rho0", "gaussian:0,1",
+                     "--rhoT", "gaussian:0,3", "--grid-points", "129"])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_list_scenarios_prints_the_gallery_names(capsys, outdir):

@@ -10,11 +10,10 @@ import pytest
 
 from schrobridge import dynamics
 from schrobridge import (BoundaryLeakError, CallableDrift, FieldStack, Grid1D,
-                         SDEConfig, ScalarField, TimeSquaredHeatKernel,
-                         cdf_from_field, conditional_derivatives,
+                         SDEConfig, ScalarField, cdf_from_field,
                          empirical_density, fokker_planck_residual,
-                         ks_distance, material_derivative, normalize,
-                         sample_field, simulate_backward, simulate_forward)
+                         ks_distance, make_kernel, normalize, sample_field,
+                         simulate_backward, simulate_forward)
 from schrobridge.packet import PACKET
 
 
@@ -579,7 +578,7 @@ def test_fokker_planck_residual_zero_drift_heat_flow():
 
 def test_fokker_planck_residual_accepts_time_dependent_diffusivity():
     # the squared-time kernel marginal solves d rho / dt = t lap rho
-    k = TimeSquaredHeatKernel()
+    k = make_kernel("example1")
     grid = Grid1D(-8.0, 8.0, 301)
     times = np.linspace(0.5, 1.0, 41)
     stack = FieldStack.sample(grid, times,
@@ -588,23 +587,3 @@ def test_fokker_planck_residual_accepts_time_dependent_diffusivity():
     res_bad = fokker_planck_residual(stack, None, 1.0)
     assert res_good < 2e-2
     assert res_bad > 50 * res_good
-
-
-def test_conditional_derivatives_of_position_give_the_drifts(coarse_bridge):
-    _, _, solution = coarse_bridge
-    f = FieldStack.sample(solution.grid, solution.times, lambda x, t: x + 0.0)
-    fwd, back = conditional_derivatives(solution, f)
-    np.testing.assert_allclose(fwd.values, solution.b, atol=1e-10)
-    np.testing.assert_allclose(back.values, solution.b_star, atol=1e-10)
-
-
-def test_material_derivative_signs():
-    grid = Grid1D(-4.0, 4.0, 81)
-    times = np.linspace(0.0, 1.0, 11)
-    f = FieldStack.sample(grid, times, lambda x, t: x * x)
-    zero_drift = FieldStack.sample(grid, times, lambda x, t: 0.0 * x)
-    plus = material_derivative(f, zero_drift, 1.0, laplacian_sign=+1.0)
-    minus = material_derivative(f, zero_drift, 1.0, laplacian_sign=-1.0)
-    # lap(x^2) = 2, so the two derivatives differ by 2 nu * 2
-    np.testing.assert_allclose(plus.values[:, 1:-1] - minus.values[:, 1:-1],
-                               4.0, atol=1e-9)

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from schrobridge import (ExtrapolationWarning, Grid1D, HeatKernel,
-                         KernelMatrix, MarkovFamilyKernel,
-                         NumericFeynmanKacKernel, PinnedGaussianKernel,
-                         PositivityError, Potential, TiltedPinnedKernel,
-                         TiltedTimeSquaredKernel, TimeOrderingError,
-                         TimeSquaredHeatKernel, check_chapman_kolmogorov,
-                         extract_forward_drift, generalized_heat_residual,
-                         make_kernel, short_time_moments, solve_feynman_kac)
+from schrobridge import (ExtrapolationWarning, GaussianKernel, Grid1D,
+                         KernelMatrix, NumericFeynmanKacKernel,
+                         PositivityError, Potential, TimeOrderingError,
+                         check_chapman_kolmogorov, extract_forward_drift,
+                         generalized_heat_residual, make_kernel,
+                         pinned_coefficient, pinned_coefficient_dt,
+                         short_time_moments, solve_feynman_kac)
 from schrobridge import kernels
 from schrobridge.kernels import ENTRY_FLOOR, FK_CACHE_PAIRS
 from schrobridge.packet import PACKET
@@ -36,14 +37,50 @@ def test_registry_rejects_unknown_tag():
 
 
 @pytest.mark.parametrize("tag", TAGS)
-@pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.7, 0.2), (-0.1, 0.5)])
+@pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.7, 0.2), (-0.1, 0.5),
+                                  (np.nan, 0.5), (0.0, np.nan), (0.0, np.inf)])
 def test_time_ordering_guard(tag, s, t):
     with pytest.raises(TimeOrderingError):
         make_kernel(tag).evaluate(0.0, s, 0.0, t)
+    with pytest.raises(TimeOrderingError):
+        KernelMatrix.from_kernel(make_kernel(tag), Grid1D(-1.0, 1.0, 9), s, t)
+
+
+@pytest.mark.parametrize("s, t", [(np.nan, 0.5), (0.2, np.nan), (0.2, np.inf),
+                                  (0.05, 0.5), (0.5, 0.5)])
+def test_markov_family_times_start_at_the_anchor_and_are_finite(s, t):
+    fam = make_kernel("markov-family", anchor_y=1.0, anchor_s=0.1)
+    with pytest.raises(TimeOrderingError):
+        fam.evaluate(0.0, s, 0.0, t)
+    with pytest.raises(TimeOrderingError):
+        KernelMatrix.from_kernel(fam, Grid1D(-1.0, 1.0, 9), s, t)
+
+
+@pytest.mark.parametrize("tag, params, name", [
+    ("heat", {"nu": np.inf}, "nu"), ("heat", {"nu": np.nan}, "nu"),
+    ("heat", {"nu": -1.0}, "nu"),
+    ("markov-family", {"anchor_y": np.inf, "anchor_s": 0.0}, "anchor_y"),
+    ("markov-family", {"anchor_y": np.nan, "anchor_s": 0.0}, "anchor_y"),
+    ("markov-family", {"anchor_y": 0.0, "anchor_s": np.nan}, "anchor_s"),
+    ("markov-family", {"anchor_y": 0.0, "anchor_s": np.inf}, "anchor_s"),
+])
+def test_non_finite_kernel_parameters_are_refused_by_name(tag, params, name):
+    with pytest.raises(ValueError, match=name):
+        make_kernel(tag, **params)
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("heat", {"anchor_y": 0.0}), ("example1", {"nu": 1.0}),
+    ("quantum-k2", {"nu": 1.0}), ("markov-family", {"anchor_y": 0.0}),
+    ("markov-family", {"anchor_y": 0.0, "anchor_s": 0.0, "nu": 1.0}),
+])
+def test_registry_accepts_only_each_tags_own_parameters(tag, params):
+    with pytest.raises(TypeError):
+        make_kernel(tag, **params)
 
 
 def test_heat_kernel_matches_closed_form():
-    k = HeatKernel(nu=0.7)
+    k = make_kernel("heat", nu=0.7)
     xs = np.linspace(-3.0, 3.0, 41)
     np.testing.assert_allclose(k.evaluate(0.25, 0.1, xs, 0.9),
                                _heat_kernel_exact(0.25, 0.1, xs, 0.9, nu=0.7),
@@ -51,7 +88,7 @@ def test_heat_kernel_matches_closed_form():
 
 
 def test_example1_kernel_uses_squared_time_clock():
-    k = TimeSquaredHeatKernel()
+    k = make_kernel("example1")
     xs = np.linspace(-3.0, 3.0, 41)
     # variance t^2 - s^2 instead of 2 nu (t - s)
     var = 0.8 ** 2 - 0.2 ** 2
@@ -62,7 +99,7 @@ def test_example1_kernel_uses_squared_time_clock():
 
 
 def test_tilted_kernel_propagates_the_factors():
-    k1 = TiltedTimeSquaredKernel()
+    k1 = make_kernel("quantum-k1")
     grid = Grid1D(-12.0, 12.0, 513)
     mat = KernelMatrix.from_kernel(k1, grid, 0.25, 0.75)
     pulled = mat.apply_target(PACKET.factor_v(grid.nodes, 0.75))
@@ -75,7 +112,7 @@ def test_tilted_kernel_propagates_the_factors():
 
 
 def test_pinned_coefficient_values():
-    c = PinnedGaussianKernel.coefficient
+    c = pinned_coefficient
     assert c(0.5, 0.0) == pytest.approx(0.5, abs=1e-15)
     assert c(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     for s in (0.0, 0.3, 0.8):
@@ -86,9 +123,9 @@ def test_pinned_coefficient_values():
 def test_pinned_coefficient_derivative_matches_finite_difference():
     h = 1e-6
     for t, s in ((0.4, 0.1), (0.9, 0.25), (0.6, 0.0)):
-        fd = (PinnedGaussianKernel.coefficient(t + h, s)
-              - PinnedGaussianKernel.coefficient(t - h, s)) / (2 * h)
-        assert PinnedGaussianKernel.coefficient_dt(t, s) == pytest.approx(
+        fd = (pinned_coefficient(t + h, s)
+              - pinned_coefficient(t - h, s)) / (2 * h)
+        assert pinned_coefficient_dt(t, s) == pytest.approx(
             fd, abs=1e-8)
 
 
@@ -101,10 +138,10 @@ def test_pinned_composition_against_the_analytic_oracle():
     c(1, 0.5) c(0.5, 0) y and variance 1.8, while the direct kernel has
     mean 0 and variance 2.  The quadrature composition must reproduce
     the analytic one, and the probe must land on the analytic gap."""
-    c_mid = PinnedGaussianKernel.coefficient(0.5, 0.0)
-    c_top = PinnedGaussianKernel.coefficient(1.0, 0.5)
+    c_mid = pinned_coefficient(0.5, 0.0)
+    c_top = pinned_coefficient(1.0, 0.5)
     grid = Grid1D(-10.0, 10.0, 513)
-    pin = PinnedGaussianKernel()
+    pin = make_kernel("pinned-example2")
     m1 = KernelMatrix.from_kernel(pin, grid, 0.0, 0.5)
     m2 = KernelMatrix.from_kernel(pin, grid, 0.5, 1.0)
     composed = (m1.entries * grid.weights[None, :]) @ m2.entries
@@ -125,7 +162,7 @@ def test_pinned_composition_against_the_analytic_oracle():
 
 def test_tilted_pinned_kernel_inherits_the_violation():
     # reweighting by the factors cannot repair the composition defect
-    assert check_chapman_kolmogorov(TiltedPinnedKernel(), 0.0, 0.5, 1.0) > 0.01
+    assert check_chapman_kolmogorov(make_kernel("quantum-k2"), 0.0, 0.5, 1.0) > 0.01
 
 
 @pytest.mark.parametrize("tag", ["heat", "example1", "quantum-k1"])
@@ -135,16 +172,16 @@ def test_consistent_kernels_pass_chapman_kolmogorov(tag):
 
 
 def test_markov_family_is_consistent_and_anchored():
-    fam = MarkovFamilyKernel(anchor_y=1.0, anchor_s=0.1)
+    fam = make_kernel("markov-family", anchor_y=1.0, anchor_s=0.1)
     assert check_chapman_kolmogorov(fam, 0.25, 0.5, 1.0) < 1e-6
     with pytest.raises(TimeOrderingError):
         fam.evaluate(0.0, 0.05, 0.0, 0.5)
     with pytest.raises(TimeOrderingError):
-        MarkovFamilyKernel(anchor_y=0.0, anchor_s=-0.2)
+        make_kernel("markov-family", anchor_y=0.0, anchor_s=-0.2)
 
 
 def test_markov_family_moves_its_own_marginal():
-    fam = MarkovFamilyKernel(anchor_y=1.0, anchor_s=0.1)
+    fam = make_kernel("markov-family", anchor_y=1.0, anchor_s=0.1)
     grid = Grid1D(-10.0, 10.0, 513)
     mat = KernelMatrix.from_kernel(fam, grid, 0.3, 0.8)
     pushed = mat.apply_source(fam.density(grid.nodes, 0.3))
@@ -154,7 +191,7 @@ def test_markov_family_moves_its_own_marginal():
 
 def test_kernel_matrix_duality():
     grid = Grid1D(-8.0, 8.0, 257)
-    mat = KernelMatrix.from_kernel(HeatKernel(), grid, 0.0, 0.5)
+    mat = KernelMatrix.from_kernel(make_kernel("heat"), grid, 0.0, 0.5)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(grid.n_points)
     g = rng.standard_normal(grid.n_points)
@@ -165,7 +202,7 @@ def test_kernel_matrix_duality():
 
 def test_kernel_matrix_row_mass_is_unit_for_heat():
     grid = Grid1D(-10.0, 10.0, 257)
-    mat = KernelMatrix.from_kernel(HeatKernel(), grid, 0.0, 0.5)
+    mat = KernelMatrix.from_kernel(make_kernel("heat"), grid, 0.0, 0.5)
     inner = np.abs(grid.nodes) <= 4.0
     row_mass = mat.apply_target(np.ones(grid.n_points))
     np.testing.assert_allclose(row_mass[inner], 1.0, atol=1e-12)
@@ -200,7 +237,7 @@ def test_kernel_matrix_shape_validation():
         KernelMatrix(grid, grid, 0.0, 1.0, np.full((9, 9), np.nan))
 
 
-# ------------------------------------------------------- offset-row build
+# ------------------------------------------------------- Gaussian builds
 
 # nodes on these boxes are exact multiples of the spacing, so every
 # difference x_j - y_i is exactly (j - i) h
@@ -208,48 +245,140 @@ DYADIC_GRIDS = (Grid1D(-10.0, 10.0, 513), Grid1D(-10.0, 10.0, 65),
                 Grid1D(-14.0, 14.0, 1025))
 ROUNDED_GRIDS = (Grid1D(-10.0, 10.0, 500), Grid1D(-7.3, 9.1, 401),
                  Grid1D(-6.0, 6.0, 401))
-# kernels built from one row of offsets: the translation-invariant ones
-# and quantum-k1, whose log core is
-ROW_KERNELS = {
-    "heat": HeatKernel(), "heat-nu0.37": HeatKernel(nu=0.37),
-    "example1": TimeSquaredHeatKernel(),
-    # a nonzero anchor gives a mean shift, so the matrix is not symmetric
-    "markov-family": MarkovFamilyKernel(0.7, 0.1),
-    "quantum-k1": TiltedTimeSquaredKernel(),
-}
-# a narrow pair whose far corners underflow, and a wide one
-ROW_PAIRS = ((0.1, 0.11), (0.2, 1.0))
-
-
-def _row_pairs(name):
-    """ROW_PAIRS plus the narrow pair (0, 0.05) from s = 0, which precedes
-    the markov family's anchor time."""
-    if name == "markov-family":
-        return ROW_PAIRS
-    return ROW_PAIRS + ((0.0, 0.05),)
+# (0, 0.01) is the first slice at the bridge-solve defaults; (0.1, 0.11) is
+# a narrow pair whose far corners underflow; the others are wide
+REFERENCE_PAIRS = ((0.0, 0.01), (0.1, 0.11), (0.2, 1.0), (0.0, 1.0),
+                   (0.5, 0.75), (0.3, 0.8))
+MARKOV = {"anchor_y": 0.7, "anchor_s": 0.1}
 
 
 def _grid_id(grid):
     return f"[{grid.x_min:g},{grid.x_max:g}]x{grid.n_points}"
 
 
+def _kernel(name):
+    if name == "heat-nu0.37":
+        return make_kernel("heat", nu=0.37)
+    if name == "markov-family":
+        # a nonzero anchor gives a mean shift, so the matrix is not symmetric
+        return make_kernel(name, **MARKOV)
+    return make_kernel(name)
+
+
+def _pairs(name, pairs=REFERENCE_PAIRS):
+    """The pairs, less those that precede the markov family's anchor."""
+    if name == "markov-family":
+        return tuple((s, t) for s, t in pairs if s >= MARKOV["anchor_s"])
+    return pairs
+
+
+# Each closed form written out as a reference in its own operation order
+# (density or log-density form); the spec reproduces them bit for bit,
+# except pinned-example2, whose reference is exp of its log-density while
+# the untilted spec uses the density form (REFERENCE_PINNED_REL).
+
+def _ref_c(t, s):
+    return float(np.sqrt(((1.0 - t) ** 2 + 2.0 * s) / (1.0 + s * s)))
+
+
+def _ref_clock_density(x, y, var):
+    return np.exp(-((x - y) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+
+def _ref_log_clock(x, y, var):
+    return -0.5 * np.log(2.0 * np.pi * var) - (x - y) ** 2 / (2.0 * var)
+
+
+def _ref_log_pinned(y, s, x, t):
+    var = 4.0 * (t - s)
+    return -0.5 * np.log(np.pi * var) - (x - _ref_c(t, s) * y) ** 2 / var
+
+
+def _ref_markov(x1, t1, x2, t2):
+    y_a, s_a = MARKOV["anchor_y"], MARKOV["anchor_s"]
+    shift = (_ref_c(t2, s_a) - _ref_c(t1, s_a)) * y_a
+    var = 4.0 * (t2 - t1)
+    return np.exp(-((x2 - x1 - shift) ** 2) / var) / np.sqrt(np.pi * var)
+
+
+def _tilted(log_k, y, s, x, t):
+    return np.exp(log_k + PACKET.log_factor_v(y, s) - PACKET.log_factor_v(x, t))
+
+
+REFERENCE = {
+    "heat": _heat_kernel_exact,
+    "heat-nu0.37": lambda y, s, x, t: _heat_kernel_exact(y, s, x, t, nu=0.37),
+    "example1": lambda y, s, x, t: _ref_clock_density(x, y, t * t - s * s),
+    "quantum-k1": lambda y, s, x, t: _tilted(
+        _ref_log_clock(x, y, t * t - s * s), y, s, x, t),
+    "markov-family": _ref_markov,
+    "quantum-k2": lambda y, s, x, t: _tilted(
+        _ref_log_pinned(y, s, x, t), y, s, x, t),
+    "pinned-example2": lambda y, s, x, t: np.exp(_ref_log_pinned(y, s, x, t)),
+}
+# the largest relative move of a pinned-example2 entry above ENTRY_FLOOR on
+# DYADIC_GRIDS x REFERENCE_PAIRS was 4.96e-14 (|log k| up to ~690 in the
+# far corners, each rounding of the exponent moving the entry by ~690 eps)
+REFERENCE_PINNED_REL = 6e-14
+
+
+def _reference(name, grid, s, t):
+    y, x = grid.nodes[:, None], grid.nodes[None, :]
+    return REFERENCE[name](y, s, x, t)
+
+
 @pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
-@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+@pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"pinned-example2"}))
+def test_gaussian_spec_reproduces_the_closed_forms_bit_for_bit(name, grid):
+    kernel = _kernel(name)
+    for s, t in _pairs(name):
+        want = _reference(name, grid, s, t)
+        got = kernel.evaluate(grid.nodes[:, None], s, grid.nodes[None, :], t)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            KernelMatrix.from_kernel(kernel, grid, s, t).entries,
+            np.maximum(want, ENTRY_FLOOR))
+
+
+@pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
+def test_pinned_density_form_stays_within_rounding_of_its_log_form(grid):
+    kernel = make_kernel("pinned-example2")
+    for s, t in REFERENCE_PAIRS:
+        want = np.maximum(_reference("pinned-example2", grid, s, t),
+                          ENTRY_FLOOR)
+        for got in (kernel.evaluate(grid.nodes[:, None], s,
+                                    grid.nodes[None, :], t),
+                    KernelMatrix.from_kernel(kernel, grid, s, t).entries):
+            got = np.maximum(got, ENTRY_FLOOR)
+            above = want > ENTRY_FLOOR
+            assert np.array_equal(got > ENTRY_FLOOR, above)
+            rel = np.abs(got - want)[above] / want[above]
+            assert np.max(rel) <= REFERENCE_PINNED_REL
+
+
+# the kernels whose square builds sample one row of 2n - 1 offsets
+ROW_KERNELS = ("heat", "heat-nu0.37", "example1", "markov-family",
+               "quantum-k1")
+ROW_PAIRS = ((0.1, 0.11), (0.2, 1.0), (0.0, 0.05))
+
+
+@pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("name", ROW_KERNELS)
 def test_offset_row_build_is_bit_equal_on_dyadic_grids(name, grid,
                                                        dense_reference):
-    kernel = ROW_KERNELS[name]
-    for s, t in _row_pairs(name):
+    kernel = _kernel(name)
+    for s, t in _pairs(name, ROW_PAIRS):
         got = KernelMatrix.from_kernel(kernel, grid, s, t).entries
         np.testing.assert_array_equal(got, dense_reference(kernel, grid, s, t))
 
 
 @pytest.mark.parametrize("grid", ROUNDED_GRIDS, ids=_grid_id)
-@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+@pytest.mark.parametrize("name", ROW_KERNELS)
 def test_offset_row_build_matches_dense_to_rounding(name, grid,
                                                     dense_reference):
-    kernel = ROW_KERNELS[name]
+    kernel = _kernel(name)
     g = 1.0 + 0.5 * np.sin(grid.nodes)
-    for s, t in _row_pairs(name):
+    for s, t in _pairs(name, ROW_PAIRS):
         mat = KernelMatrix.from_kernel(kernel, grid, s, t)
         ref = KernelMatrix(grid, grid, s, t, dense_reference(kernel, grid, s, t))
         above = ref.entries > ENTRY_FLOOR
@@ -260,60 +389,59 @@ def test_offset_row_build_matches_dense_to_rounding(name, grid,
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
-class _RecordingHeat(HeatKernel):
-    """Heat kernel that records the shape of every evaluation."""
+def _recording(kernel, shapes):
+    """The spec with its tilt wrapped to record the shape of each call."""
+    if kernel.log_tilt is None:
+        return kernel
 
-    def __init__(self):
-        super().__init__()
-        self.shapes = []
-
-    def evaluate(self, y, s, x, t):
-        self.shapes.append(np.broadcast(y, x).shape)
-        return super().evaluate(y, s, x, t)
-
-
-class _RecordingTilted(TiltedTimeSquaredKernel):
-    """quantum-k1 that records the shape of every evaluated piece."""
-
-    def __init__(self):
-        self.shapes = []
-
-    def evaluate(self, y, s, x, t):
-        self.shapes.append(("evaluate", np.broadcast(y, x).shape))
-        return super().evaluate(y, s, x, t)
-
-    def log_core(self, offsets, s, t):
-        self.shapes.append(("core", np.shape(offsets)))
-        return super().log_core(offsets, s, t)
-
-    def log_tilt(self, x, t):
-        self.shapes.append(("tilt", np.shape(x)))
-        return super().log_tilt(x, t)
+    def log_tilt(x, t):
+        shapes.append(("tilt", np.shape(x)))
+        return kernel.log_tilt(x, t)
+    return replace(kernel, log_tilt=log_tilt)
 
 
-def test_translation_invariant_kernels_sample_one_offset_row():
-    grid = Grid1D(-10.0, 10.0, 65)
-    kernel = _RecordingHeat()
-    KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5)
-    KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5,
-                             target=Grid1D(-10.0, 10.0, 33))
-    assert kernel.shapes == [(129,), (65, 33)]
-    tilted = _RecordingTilted()
-    KernelMatrix.from_kernel(tilted, grid, 0.0, 0.5)
-    assert tilted.shapes == [("core", (129,)), ("tilt", (65,)),
-                             ("tilt", (65,))]
-    flags = {tag: make_kernel(tag).translation_invariant for tag in TAGS}
-    assert flags == {"heat": True, "example1": True, "quantum-k1": False,
-                     "pinned-example2": False, "quantum-k2": False}
-    assert MarkovFamilyKernel(0.7, 0.1).translation_invariant
-    assert not NumericFeynmanKacKernel(Potential.zero()).translation_invariant
+@pytest.fixture
+def core_shapes(monkeypatch):
+    """Records the broadcast shape of every Gaussian core computed."""
+    shapes = []
+    core = GaussianKernel.core
+
+    def recording(self, y, s, x, t):
+        shapes.append(("core", np.broadcast(y, x).shape))
+        return core(self, y, s, x, t)
+    monkeypatch.setattr(GaussianKernel, "core", recording)
+    return shapes
+
+
+def test_these_tags_build_from_one_offset_row(core_shapes):
+    grid, other = Grid1D(-10.0, 10.0, 65), Grid1D(-10.0, 10.0, 33)
+    built = {}
+    for name in ("heat", "example1", "quantum-k1", "markov-family",
+                 "pinned-example2", "quantum-k2"):
+        core_shapes.clear()
+        kernel = _recording(_kernel(name), core_shapes)
+        KernelMatrix.from_kernel(kernel, grid, 0.2, 0.5)
+        built[name] = list(core_shapes)
+    tilts = [("tilt", (65,)), ("tilt", (65,))]
+    assert built == {
+        "heat": [("core", (129,))], "example1": [("core", (129,))],
+        "markov-family": [("core", (129,))],
+        "quantum-k1": [("core", (129,))] + tilts,
+        "pinned-example2": [("core", (65, 65))],
+        "quantum-k2": [("core", (65, 65))] + tilts}
+    core_shapes.clear()
+    KernelMatrix.from_kernel(make_kernel("heat"), grid, 0.0, 0.5, target=other)
+    assert core_shapes == [("core", (65, 33))]
+    core_shapes.clear()
+    KernelMatrix.from_kernel(_PlainKernel(), grid, 0.0, 0.5)
+    assert core_shapes == [("core", (65, 65))]
 
 
 class _PlainKernel:
     """Duck-typed kernel with nothing but ``evaluate`` (here the pinned one)."""
 
     def evaluate(self, y, s, x, t):
-        return PinnedGaussianKernel().evaluate(y, s, x, t)
+        return make_kernel("pinned-example2").evaluate(y, s, x, t)
 
 
 @pytest.mark.parametrize("case", ["pinned-example2", "quantum-k2", "plain",
@@ -333,71 +461,53 @@ def test_other_kernels_and_targets_keep_the_dense_build(case, dense_reference):
             got.entries, dense_reference(kernel, grid, s, t, target))
 
 
-class _SpoiltHeat(HeatKernel):
-    """Heat kernel with one bad value at the offset x_0 - x_{n-1}."""
-
-    def __init__(self, bad, span):
-        super().__init__()
-        self.bad, self.span = bad, span
-
-    def evaluate(self, y, s, x, t):
-        e = super().evaluate(y, s, x, t)
-        return np.where(np.asarray(x) - np.asarray(y) == -self.span,
-                        self.bad, e)
+@pytest.mark.parametrize("name", ["heat", "quantum-k1", "pinned-example2",
+                                  "quantum-k2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-6])
+def test_gaussian_builds_refuse_a_bad_variance(name, bad):
+    kernel = replace(make_kernel(name), var=lambda s, t: bad)
+    with np.errstate(all="ignore"), pytest.raises(PositivityError,
+                                                  match="variance"):
+        KernelMatrix.from_kernel(kernel, Grid1D(-10.0, 10.0, 65), 0.0, 0.5)
 
 
-@pytest.mark.parametrize("bad", [-1e-6, np.nan, np.inf, -np.inf])
-def test_offset_row_build_keeps_the_positivity_guard(bad):
-    grid = Grid1D(-10.0, 10.0, 65)
-    with pytest.raises(PositivityError):
-        KernelMatrix.from_kernel(_SpoiltHeat(bad, 20.0), grid, 0.0, 0.5)
-
-
-class _SpoiltTilted(TiltedTimeSquaredKernel):
-    """quantum-k1 with one bad log value: at the core offset x_0 - x_{n-1},
-    or at node 3 of the tilt at time s or at time t."""
-
-    def __init__(self, piece, bad, s):
-        self.piece, self.bad, self.s = piece, bad, s
-
-    def log_core(self, offsets, s, t):
-        out = super().log_core(offsets, s, t)
-        if self.piece == "core":
-            out.flat[0] = self.bad
+def _spoilt_tilt(kernel, piece, bad, s):
+    """The spec with one bad log value at node 3 of its tilt at time s
+    (piece "tilt-s") or at time t ("tilt-t")."""
+    def log_tilt(x, t):
+        out = kernel.log_tilt(x, t)
+        if piece == ("tilt-s" if t == s else "tilt-t"):
+            out.flat[3] = bad
         return out
-
-    def log_tilt(self, x, t):
-        out = super().log_tilt(x, t)
-        if self.piece == ("tilt-s" if t == self.s else "tilt-t"):
-            out.flat[3] = self.bad
-        return out
+    return replace(kernel, log_tilt=log_tilt)
 
 
+@pytest.mark.parametrize("name", ["quantum-k1", "quantum-k2"])
 @pytest.mark.parametrize("piece, bad", [
-    ("core", np.nan), ("core", np.inf), ("core", -np.inf),
     ("tilt-s", np.nan), ("tilt-s", np.inf), ("tilt-s", -np.inf),
     ("tilt-t", np.nan), ("tilt-t", np.inf), ("tilt-t", -np.inf),
     # finite log values whose exp overflows, added at s or subtracted at t
-    ("core", 800.0), ("tilt-s", 800.0), ("tilt-t", -800.0),
+    ("tilt-s", 800.0), ("tilt-t", -800.0),
 ])
-def test_tilted_row_build_refuses_non_finite_entries(piece, bad):
+def test_tilted_builds_refuse_non_finite_entries(name, piece, bad):
     grid = Grid1D(-10.0, 10.0, 65)
+    kernel = _spoilt_tilt(make_kernel(name), piece, bad, 0.2)
     with np.errstate(all="ignore"), pytest.raises(PositivityError):
-        KernelMatrix.from_kernel(_SpoiltTilted(piece, bad, 0.2), grid,
-                                 0.2, 0.7)
+        KernelMatrix.from_kernel(kernel, grid, 0.2, 0.7)
 
 
-def test_offset_row_build_floors_rounding_negatives():
+@pytest.mark.parametrize("name", ["heat", "quantum-k1", "pinned-example2",
+                                  "quantum-k2"])
+def test_gaussian_builds_floor_underflowing_corners(name):
     grid = Grid1D(-10.0, 10.0, 65)
-    kernel = _SpoiltHeat(-1e-13, 20.0)
-    e = KernelMatrix.from_kernel(kernel, grid, 0.0, 0.5).entries
+    e = KernelMatrix.from_kernel(make_kernel(name), grid, 0.1, 0.11).entries
     assert e[-1, 0] == ENTRY_FLOOR
     assert np.all(e > 0.0)
 
 
 def test_offset_row_build_returns_an_owned_contiguous_matrix():
     grid = Grid1D(-10.0, 10.0, 65)
-    e = KernelMatrix.from_kernel(MarkovFamilyKernel(0.7, 0.1), grid,
+    e = KernelMatrix.from_kernel(_kernel("markov-family"), grid,
                                  0.2, 0.6).entries
     assert e.flags.c_contiguous and e.flags.owndata and e.base is None
     before = e[1, 1]
@@ -508,14 +618,14 @@ def test_numeric_kernel_keeps_the_most_recent_probe_matrices(monkeypatch):
 
 def test_chapman_kolmogorov_argument_guards():
     with pytest.raises(TimeOrderingError):
-        check_chapman_kolmogorov(HeatKernel(), 0.5, 0.2, 1.0)
+        check_chapman_kolmogorov(make_kernel("heat"), 0.5, 0.2, 1.0)
     with pytest.raises(ValueError):
-        check_chapman_kolmogorov(HeatKernel(), 0.0, 0.5, 1.0,
+        check_chapman_kolmogorov(make_kernel("heat"), 0.0, 0.5, 1.0,
                                  Grid1D(-2.0, 2.0, 65), margin=4.0)
 
 
 def test_short_time_moments_heat_kernel():
-    m = short_time_moments(HeatKernel(nu=0.7), 0.3, 0.2)
+    m = short_time_moments(make_kernel("heat", nu=0.7), 0.3, 0.2)
     assert m.second_moment_rate == pytest.approx(1.4, abs=1e-9)
     assert abs(m.first_moment_rate) < 1e-9
     assert abs(m.leak_rate) < 1e-9
@@ -523,7 +633,7 @@ def test_short_time_moments_heat_kernel():
 
 
 def test_short_time_moments_tracks_the_example1_clock():
-    k = TimeSquaredHeatKernel()
+    k = make_kernel("example1")
     assert short_time_moments(k, 0.0, 0.5).second_moment_rate == pytest.approx(
         1.0, abs=1e-9)
     assert short_time_moments(k, 0.0, 1.0).second_moment_rate == pytest.approx(
@@ -531,10 +641,10 @@ def test_short_time_moments_tracks_the_example1_clock():
 
 
 def test_drift_extraction_values():
-    pinned = PinnedGaussianKernel()
+    pinned = make_kernel("pinned-example2")
     assert extract_forward_drift(pinned, 2.0, 0.0) == pytest.approx(
         -2.0, abs=1e-3)
-    assert abs(extract_forward_drift(HeatKernel(), 1.5, 0.2)) < 1e-8
+    assert abs(extract_forward_drift(make_kernel("heat"), 1.5, 0.2)) < 1e-8
 
 
 class _WobblyKernel:
@@ -570,3 +680,9 @@ def test_potential_constructors():
     assert np.all(Potential.constant(2.5)(xs, 0.3) == 2.5)
     np.testing.assert_allclose(Potential.packet()(xs, 0.4),
                                PACKET.potential(xs, 0.4), atol=1e-15)
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, np.inf, np.nan])
+def test_potential_refuses_a_bad_diffusivity(nu):
+    with pytest.raises(ValueError, match="nu must be positive and finite"):
+        Potential.zero(nu)

@@ -7,8 +7,8 @@ import pytest
 from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
                          NumericDomainError, NumericFeynmanKacKernel,
                          PositivityError, Potential, PropagationError,
-                         TiltedTimeSquaredKernel, kernels, normalize,
-                         propagate_factors, sample_field, solve_feynman_kac)
+                         kernels, make_kernel, normalize, propagate_factors,
+                         sample_field, solve_feynman_kac)
 from schrobridge.kernels import _banded, _default_substeps
 
 GRID = Grid1D(-10.0, 10.0, 257)
@@ -186,7 +186,7 @@ def test_swept_negativity_names_the_factor_slice_and_node():
 
 def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge):
     _, factors, _ = coarse_bridge
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     grid = factors.u0.grid
     times = np.linspace(0.0, 1.0, 6)
     solution = propagate_factors(factors, kernel, times=times)
@@ -206,7 +206,7 @@ def test_an_object_with_evaluate_still_propagates(coarse_bridge):
         nu = 1.0
 
         def evaluate(self, y, s, x, t):
-            return TiltedTimeSquaredKernel().evaluate(y, s, x, t)
+            return make_kernel("quantum-k1").evaluate(y, s, x, t)
 
     _, factors, solution = coarse_bridge
     plain = propagate_factors(factors, PlainKernel(), times=solution.times)
@@ -215,7 +215,7 @@ def test_an_object_with_evaluate_still_propagates(coarse_bridge):
 
 def test_propagate_accepts_a_built_propagator(coarse_bridge):
     _, factors, solution = coarse_bridge
-    kernel = TiltedTimeSquaredKernel()
+    kernel = make_kernel("quantum-k1")
     propagator = kernel.propagator(factors.u0.grid, solution.times)
     again = propagate_factors(factors, propagator)
     np.testing.assert_array_equal(again.rho, solution.rho)
