@@ -105,8 +105,7 @@ class GaussianKernel(Kernel):
 
     ``coef`` None means c = 1, so k depends on y and x only through
     x - y; ``shift`` None means 0; ``log_tilt`` is log v, None for an
-    untilted kernel.  Times must satisfy start <= s < t.  ``density`` is
-    the one-time marginal of a family that has one (``markov-family``).
+    untilted kernel.  Times must satisfy start <= s < t.
     """
 
     tag: str
@@ -116,7 +115,6 @@ class GaussianKernel(Kernel):
     log_tilt: Callable[[np.ndarray, float], np.ndarray] | None = None
     start: float = 0.0
     nu: float = 1.0
-    density: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (self.nu > 0.0 and np.isfinite(self.nu)):
@@ -203,8 +201,9 @@ def markov_family_kernel(anchor_y: float, anchor_s: float) -> GaussianKernel:
 
     With c(t) = c(t, anchor_s), the two-time law
     k(x1, t1, x2, t2) = N(x2; x1 + (c(t2) - c(t1)) * anchor_y, 2 * (t2 - t1))
-    has the pinned one-time marginals ``density``, collapses to a delta
-    as t2 -> t1, and satisfies Chapman-Kolmogorov exactly.
+    has the pinned one-time marginals (``pinned-example2`` from
+    (anchor_y, anchor_s)), collapses to a delta as t2 -> t1, and satisfies
+    Chapman-Kolmogorov exactly.
     """
     y_a, s_a = float(anchor_y), float(anchor_s)
     for name, value in (("anchor_y", y_a), ("anchor_s", s_a)):
@@ -215,8 +214,7 @@ def markov_family_kernel(anchor_y: float, anchor_s: float) -> GaussianKernel:
     return GaussianKernel(
         "markov-family", lambda s, t: 2.0 * (t - s), start=s_a,
         shift=lambda s, t: (pinned_coefficient(t, s_a)
-                            - pinned_coefficient(s, s_a)) * y_a,
-        density=lambda x, t: pinned_kernel().evaluate(y_a, s_a, x, t))
+                            - pinned_coefficient(s, s_a)) * y_a)
 
 
 @dataclass(frozen=True)
@@ -265,22 +263,23 @@ class KernelMatrix:
         core is floored (on the row, before it is expanded); a tilted one
         gets a(y_i, s) added down the rows and a(x_j, t) subtracted along
         the columns, then one in-place exp and one in-place floor.  Any
-        other kernel is evaluated on all n x m node pairs.  Builds refuse
-        non-finite or overflowing values and values below NEGATIVITY_TOL
-        (a Gaussian build checks its core, the tilt vectors and the
-        largest log entry they allow, not the final entries) and raise
-        exp underflow to ENTRY_FLOOR.  On grids whose nodes are exact
+        other kernel is evaluated on all n x m node pairs and refused if a
+        value falls below NEGATIVITY_TOL.  Builds refuse non-finite or
+        overflowing values (a Gaussian build checks its core, the tilt
+        vectors and the largest log entry they allow, not the final
+        entries; its density core cannot be negative) and raise exp
+        underflow to ENTRY_FLOOR.  On grids whose nodes are exact
         multiples of the spacing (the default boxes) the row builds agree
         with ``evaluate`` on the node pairs bit for bit; elsewhere they
         differ by the rounding of x_j - y_i.
         """
         target = target or grid
         if not isinstance(kernel, GaussianKernel):
-            # the unfloored samples are freed before __post_init__ scans
-            e = _floored(kernel.evaluate(grid.nodes[:, None], s,
-                                         target.nodes[None, :], t))
+            e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
+            if np.min(e) < NEGATIVITY_TOL:
+                raise PositivityError("kernel evaluation produced negative values")
             return cls(source=grid, target=target, s=float(s), t=float(t),
-                       entries=e)
+                       entries=np.maximum(e, ENTRY_FLOOR))
         y, x = grid.nodes, target.nodes
         row = kernel.coef is None and target == grid
         e = (kernel.core(0.0, s, _offsets(x), t) if row
@@ -372,13 +371,6 @@ def _lattice(row: np.ndarray, n: int) -> np.ndarray:
     offset x_j - x_i."""
     # window n - 1 - i holds the offsets x_j - x_i, j = 0 .. n - 1
     return np.ascontiguousarray(sliding_window_view(row, n)[::-1])
-
-
-def _floored(e: np.ndarray) -> np.ndarray:
-    if np.min(e) < NEGATIVITY_TOL:
-        raise PositivityError("kernel evaluation produced negative values")
-    # exp underflow in remote corners floors at a tiny positive value
-    return np.maximum(e, ENTRY_FLOOR)
 
 
 def _slice_times(times) -> np.ndarray:

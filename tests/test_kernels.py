@@ -184,9 +184,10 @@ def test_markov_family_moves_its_own_marginal():
     fam = make_kernel("markov-family", anchor_y=1.0, anchor_s=0.1)
     grid = Grid1D(-10.0, 10.0, 513)
     mat = KernelMatrix.from_kernel(fam, grid, 0.3, 0.8)
-    pushed = mat.apply_source(fam.density(grid.nodes, 0.3))
-    np.testing.assert_allclose(pushed, fam.density(grid.nodes, 0.8),
-                               atol=1e-8)
+    marginal = make_kernel("pinned-example2")
+    pushed = mat.apply_source(marginal.evaluate(1.0, 0.1, grid.nodes, 0.3))
+    np.testing.assert_allclose(
+        pushed, marginal.evaluate(1.0, 0.1, grid.nodes, 0.8), atol=1e-8)
 
 
 def test_kernel_matrix_duality():
@@ -469,6 +470,47 @@ def test_gaussian_builds_refuse_a_bad_variance(name, bad):
     with np.errstate(all="ignore"), pytest.raises(PositivityError,
                                                   match="variance"):
         KernelMatrix.from_kernel(kernel, Grid1D(-10.0, 10.0, 65), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("name, t", [("quantum-k1", 1e-160),
+                                     ("quantum-k2", 5e-321)])
+def test_a_subnormal_variance_gives_a_refused_log_core(name, t):
+    # var = 1e-320 passes the variance check, but every off-diagonal log
+    # core value d^2 / (-2 var) is -inf
+    assert 0.0 < make_kernel(name).var(0.0, t) < 1e-300
+    with np.errstate(all="ignore"), pytest.raises(PositivityError,
+                                                  match="non-finite"):
+        KernelMatrix.from_kernel(make_kernel(name), Grid1D(-10.0, 10.0, 65),
+                                 0.0, t)
+
+
+@pytest.fixture
+def spoil_core(monkeypatch):
+    """Makes every Gaussian core hold one bad value at its first sample:
+    the offset x_0 - x_{n-1} of a row, entry (0, 0) of an n^2 core."""
+    core = GaussianKernel.core
+
+    def spoil(bad):
+        def spoilt(self, y, s, x, t):
+            out = core(self, y, s, x, t)
+            out.flat[0] = bad
+            return out
+        monkeypatch.setattr(GaussianKernel, "core", spoilt)
+    return spoil
+
+
+# heat and quantum-k1 build from an offset row, the pinned pair from n^2
+# pairs; a finite log value whose exp overflows is refused only when tilted
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in ("heat", "quantum-k1", "pinned-example2",
+                             "quantum-k2")
+    for bad in (np.nan, np.inf, -np.inf)] + [("quantum-k1", 800.0),
+                                             ("quantum-k2", 800.0)])
+def test_gaussian_builds_keep_the_positivity_guard(name, bad, spoil_core):
+    spoil_core(bad)
+    with np.errstate(all="ignore"), pytest.raises(PositivityError):
+        KernelMatrix.from_kernel(make_kernel(name), Grid1D(-10.0, 10.0, 65),
+                                 0.2, 0.7)
 
 
 def _spoilt_tilt(kernel, piece, bad, s):
