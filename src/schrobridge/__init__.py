@@ -13,7 +13,7 @@ from .bridge import (BoundaryData, BridgeFactors, BridgeSolution,
 from .burgers import (CompatibilityPotential, burgers_residual,
                       compatibility_potential, hopf_cole_forward,
                       hopf_cole_inverse)
-from .dynamics import (CallableDrift, PathEnsemble, SDEConfig, cdf_from_field,
+from .dynamics import (PathEnsemble, SDEConfig, cdf_from_field,
                        empirical_density, fokker_planck_residual, ks_distance,
                        simulate_backward, simulate_forward)
 from .errors import (BoundaryLeakError, ConfigError, ConvergenceError,
@@ -24,8 +24,8 @@ from .errors import (BoundaryLeakError, ConfigError, ConvergenceError,
 from .gallery import (example1_suite, example2_suite, packet_boundary,
                       packet_bridge, quantum_free_suite, run_scenario,
                       scenario_names, verify_parabolic_system)
-from .grids import (FieldStack, Grid1D, ScalarField, gradient, integrate,
-                    normalize, sample_field)
+from .grids import (FieldStack, Grid1D, ScalarField, integrate, normalize,
+                    sample_field)
 from .kernels import (FeynmanKacPropagator, GaussianKernel, Kernel,
                       KernelMatrix, MomentRates, NumericFeynmanKacKernel,
                       Potential, Propagator,

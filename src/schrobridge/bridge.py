@@ -81,10 +81,10 @@ class BridgeFactors:
 def marginal_l1_residual(matrix: KernelMatrix, u: np.ndarray, v: np.ndarray,
                          boundary: BoundaryData) -> float:
     """L1 defect of both marginals for a candidate factor pair."""
-    w = matrix.source.weights
+    w = matrix.grid.weights
     left = u * matrix.apply_target(v) - boundary.rho0.values
     right = v * matrix.apply_source(u) - boundary.rhoT.values
-    return float(w @ np.abs(left) + matrix.target.weights @ np.abs(right))
+    return float(w @ np.abs(left) + w @ np.abs(right))
 
 
 def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
@@ -101,12 +101,12 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     ``callback(iteration, l1_change, marginal_residual)``, when given, is
     invoked once per sweep; the residual sequence is non-increasing.
     """
-    if matrix.source.n_points != boundary.grid.n_points:
-        raise ValueError("kernel matrix and boundary data use different grids")
+    if matrix.grid != boundary.grid:
+        raise ValueError(f"kernel matrix grid {matrix.grid} differs from "
+                         f"the boundary grid {boundary.grid}")
     rho0 = boundary.rho0.values
     rhoT = boundary.rhoT.values
-    w0 = matrix.source.weights
-    wT = matrix.target.weights
+    w = matrix.grid.weights
 
     v = rhoT.copy()
     u_prev: np.ndarray | None = None
@@ -118,29 +118,29 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
             raise IncompatibilityError(
                 "kernel maps the end factor to a non-positive intermediate "
                 f"at sweep {sweep}, worst at "
-                + _worst_node(matrix.source, kv))
+                + _worst_node(matrix.grid, kv))
         u = rho0 / np.maximum(kv, FACTOR_CLIP)
         ktu = matrix.apply_source(u)
         if np.min(ktu) <= 0.0 or not np.all(np.isfinite(ktu)):
             raise IncompatibilityError(
                 "kernel maps the start factor to a non-positive intermediate "
                 f"at sweep {sweep}, worst at "
-                + _worst_node(matrix.target, ktu))
+                + _worst_node(matrix.grid, ktu))
         v_new = rhoT / np.maximum(ktu, FACTOR_CLIP)
 
-        change = float(wT @ np.abs(v_new - v))
+        change = float(w @ np.abs(v_new - v))
         if u_prev is not None:
-            change += float(w0 @ np.abs(u - u_prev))
+            change += float(w @ np.abs(u - u_prev))
         residual = marginal_l1_residual(matrix, u, v_new, boundary)
         if callback is not None:
             callback(sweep, change, residual)
         v = v_new
         u_prev = u
         if change < tol:
-            gauge = float(w0 @ u)
+            gauge = float(w @ u)
             return BridgeFactors(
-                u0=ScalarField(matrix.source, u / gauge, time_label=0.0),
-                vT=ScalarField(matrix.target, v * gauge,
+                u0=ScalarField(matrix.grid, u / gauge, time_label=0.0),
+                vT=ScalarField(matrix.grid, v * gauge,
                                time_label=boundary.horizon),
                 gauge=gauge)
     raise ConvergenceError(
@@ -217,47 +217,26 @@ class BridgeSolution:
         return self.rho >= floor
 
 
-def propagate_factors(factors: BridgeFactors, kernel: Kernel | Propagator,
-                      times: np.ndarray | None = None, nu: float | None = None,
-                      mass_tol: float = 1e-4) -> BridgeSolution:
-    """Carry the factor pair across a time lattice via the reference kernel.
+def propagate_factors(factors: BridgeFactors,
+                      propagator: Propagator) -> BridgeSolution:
+    """Carry the factor pair across the propagator's slice lattice.
 
-    u(., t) integrates u0 against the kernel from time 0; v(., s)
-    integrates vT against the kernel toward the horizon.  ``kernel`` is a
-    Kernel, whose ``propagator(grid, times)`` is built here, or a
-    Propagator already built for the factors' grid and its own lattice
-    (``times`` may then be left out).  Closed-form kernels sample one
-    KernelMatrix per (0, t_k) and (t_k, T) pair; ``numeric-fk`` sweeps
-    both factors through its slice-aligned Crank-Nicolson lattice.  The
-    lattice must start at 0 and end at the horizon (101 uniform slices
-    when not given).  Mass drift of rho = u*v beyond ``mass_tol`` raises,
-    naming the worst slice.
+    ``propagator`` is ``kernel.propagator(grid, times)`` on the factors'
+    grid, its lattice running from 0 to the horizon: u(., t) integrates u0
+    against the kernel from 0, v(., t) integrates vT toward the horizon.
+    The drifts use the kernel's ``nu``; a mass drift of rho = u*v beyond
+    1e-4 raises, naming the worst slice.
     """
     grid = factors.u0.grid
     horizon = factors.vT.time_label
-    if isinstance(kernel, Propagator):
-        propagator = kernel
-        if propagator.grid != grid:
-            raise ValueError("the propagator and the factors use different grids")
-        if times is not None and not np.array_equal(times, propagator.times):
-            raise ValueError("times differ from the propagator's lattice")
-    else:
-        if times is None:
-            times = np.linspace(0.0, horizon, 101)
-        # any object with evaluate() is a kernel; Kernel subclasses may
-        # bring their own propagator
-        build = getattr(kernel, "propagator", None)
-        propagator = (build(grid, times) if build is not None
-                      else Propagator(kernel, grid, times))
+    if propagator.grid != grid:
+        raise ValueError("the propagator and the factors use different grids")
     times = propagator.times
     if abs(times[0]) > 1e-12 or abs(times[-1] - horizon) > 1e-12:
         raise ValueError(f"times must run from 0 to the horizon {horizon}")
-    if nu is None:
-        nu = getattr(propagator.kernel, "nu", 1.0)
-
     u, v = propagator.sweep(factors.u0.values, factors.vT.values)
-    return BridgeSolution.from_factor_stacks(grid, times, u, v, nu,
-                                             mass_tol=mass_tol)
+    return BridgeSolution.from_factor_stacks(grid, times, u, v,
+                                             propagator.kernel.nu)
 
 
 def _interp_row(grid: Grid1D, row: np.ndarray, points) -> np.ndarray:

@@ -98,6 +98,9 @@ def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
     IPF iterates on its K(0, T) and the factors are swept through it.
     """
     kernel = kernel_from_config(cfg.kernel, grid=grid)
+    if getattr(kernel, "start", 0.0) > 0.0:
+        raise ConfigError(f"anchor_s (--anchor-s) = {kernel.start:g} > 0, but "
+                          "the slice lattice starts at t = 0")
     rho0 = density_from_spec(cfg.boundary.get("rho0"), grid, cfg.base_dir, 0.0)
     rhoT = density_from_spec(cfg.boundary.get("rhoT"), grid, cfg.base_dir,
                              cfg.horizon)
@@ -227,6 +230,10 @@ def run_ck_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     tau = float(cfg.ck.get("tau", 0.5))
     t = float(cfg.ck.get("t", 1.0))
     threshold = float(cfg.ck.get("threshold", 1e-6))
+    start = getattr(kernel, "start", 0.0)
+    if start > 0.0 and s < start:
+        raise ConfigError(f"ck s (--s) = {s:g} is before the markov-family "
+                          f"anchor_s (--anchor-s) = {start:g}, its first time")
     residual = check_chapman_kolmogorov(kernel, s, tau, t, grid)
     report = RunReport(scenario="kernel-check-ck", config={
         "kernel": cfg.kernel.get("tag"), "s": s, "tau": tau, "t": t})

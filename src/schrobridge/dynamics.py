@@ -11,13 +11,15 @@ chunk draws its initial uniforms, then one vector of normals per step.
 An ensemble is bit-identical for a given (seed, n_paths), whatever the
 core count, and the paths of a full chunk do not depend on n_paths.
 
-The caller steps all paths in lock-step: one drift call per step over
-every path, so a drift must be pointwise in x.  Worker threads (one
-fewer than the cores the process may run on, at least one) draw each
-chunk's normals NOISE_ROWS steps ahead into two (NOISE_ROWS, n_paths)
-buffers, while the caller steps through the other block.  Draws no
-worker has started when the caller needs them run on the caller, and
-while it waits for a started one it draws ahead for the other chunks.
+The caller steps all paths in lock-step: one call per step of the drift
+(a lattice drift's ``at``, or a plain b(x, t)) on the float vector of all
+positions and a float time, so a drift must be pointwise in x.  Worker
+threads (one fewer than the cores the process may run on, at least one)
+draw each chunk's normals NOISE_ROWS steps ahead into two
+(NOISE_ROWS, n_paths) buffers, while the caller steps through the other
+block.  Draws no worker has started when the caller needs them run on
+the caller, and while it waits for a started one it draws ahead for the
+other chunks.
 
 The residual engine discretizes the transport identity the
 interpolating density and drifts must satisfy, in both Fokker-Planck
@@ -83,23 +85,12 @@ class PathEnsemble:
         return self.positions[:, lattice_index(self.times, t, "was not recorded")]
 
 
-class CallableDrift:
-    """Adapter giving a plain b(x, t) callable the lattice-drift interface."""
-
-    def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray]):
-        self.fn = fn
-
-    def at(self, positions: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(positions, dtype=float), float(t)),
-                          dtype=float)
-
-
-def _as_drift(drift):
-    if hasattr(drift, "at"):
-        return drift
-    if callable(drift):
-        return CallableDrift(drift)
-    raise TypeError("drift must expose .at(positions, t) or be callable")
+def _drift_fn(drift) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``drift.at`` of a lattice drift, else the drift b(x, t) itself."""
+    fn = getattr(drift, "at", drift)
+    if not callable(fn):
+        raise TypeError("drift must expose .at(positions, t) or be callable")
+    return fn
 
 
 def _inverse_cdf_table(density: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +240,12 @@ def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float
     domain; the absorbing policy discards exited paths and raises if
     fewer than 90 percent survive.
     """
-    drift = _as_drift(drift)
+    drift = _drift_fn(drift)
     if record_times is None:
         record_times = np.linspace(0.0, horizon, 11)
     times = np.asarray(record_times, dtype=float)
     domain = domain or rho0.grid
-    out = _run_euler(lambda x, tau: drift.at(x, tau), rho0, config, horizon,
-                     times, domain)
+    out = _run_euler(drift, rho0, config, horizon, times, domain)
     return _finish(out, times, config, horizon)
 
 
@@ -268,13 +258,13 @@ def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
     columns are ordered by increasing forward time, so slice(0.0) is the
     reconstructed start-time sample.
     """
-    drift_star = _as_drift(drift_star)
+    drift_star = _drift_fn(drift_star)
     if record_times is None:
         record_times = np.linspace(0.0, horizon, 11)
     times = np.sort(np.asarray(record_times, dtype=float))
     taus = horizon - times[::-1]
     domain = domain or rhoT.grid
-    out = _run_euler(lambda y, tau: -drift_star.at(y, horizon - tau), rhoT,
+    out = _run_euler(lambda y, tau: -drift_star(y, horizon - tau), rhoT,
                      config, horizon, taus, domain)
     return _finish(out[:, ::-1], times, config, horizon)
 

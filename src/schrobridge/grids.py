@@ -122,10 +122,6 @@ def laplacian_values(values: np.ndarray, spacing: float) -> np.ndarray:
     return lap
 
 
-def gradient(f: ScalarField) -> ScalarField:
-    return f.with_values(gradient_values(f.values, f.grid.spacing))
-
-
 def normalize(f: ScalarField) -> ScalarField:
     """Scale f to unit trapezoid mass; reject non-positive or non-finite mass."""
     mass = integrate(f)

@@ -1,16 +1,16 @@
 """Transition kernels: one Gaussian spec and a numeric Feynman-Kac solver.
 
-A kernel is any object with ``evaluate(y, s, x, t)`` giving the transition
-density from (y, s) to (x, t) for 0 <= s < t.  The six closed-form
+A kernel's ``evaluate(y, s, x, t)`` is the transition density from (y, s)
+to (x, t), 0 <= s < t; the probes need nothing more.  The six closed-form
 kernels of the worked free-packet example are ``GaussianKernel`` specs,
 log k = log N(x; c(s, t) y + shift(s, t), var(s, t)) + a(y, s) - a(x, t),
 built by tag with ``make_kernel``.  ``solve_feynman_kac`` builds grid
 kernels for an arbitrary potential as fundamental solutions of the
 adjoint parabolic pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
 
-Bridge factors travel through a ``Propagator``, built once per grid and
-slice lattice from ``Kernel.propagator``: it holds the boundary matrix
-K(0, T) and sweeps a factor pair to every slice at once.
+Bridge factors travel through ``kernel.propagator(grid, times)``, built
+once per grid and slice lattice: it holds the boundary matrix K(0, T)
+on that grid and sweeps a factor pair to every slice at once.
 
 A spec's matrix has one build (``KernelMatrix.from_kernel``): two cores,
 one row of node offsets or the n^2 node pairs, and one tail.  Untilted
@@ -44,9 +44,6 @@ DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3)
 # the potential term of the default substep count may reach this multiple
 # of the diffusion term; stronger potentials need an explicit n_substeps
 POTENTIAL_SUBSTEP_CAP = 4
-# time pairs whose probe matrices a NumericFeynmanKacKernel keeps, the
-# most recently used ones
-FK_CACHE_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -219,80 +216,66 @@ def markov_family_kernel(anchor_y: float, anchor_s: float) -> GaussianKernel:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Kernel sampled on a source x target node lattice at fixed (s, t).
+    """Kernel sampled on the node pairs of one grid at fixed (s, t).
 
-    entries[i, j] = k(source_node_i, s, target_node_j, t), so a row is
-    the propagated delta from one source node and integrates against the
-    target quadrature weights.
+    entries[i, j] = k(node_i, s, node_j, t), so a row is the propagated
+    delta from one node and integrates against the grid's quadrature
+    weights.
     """
 
-    source: Grid1D
-    target: Grid1D
+    grid: Grid1D
     s: float
     t: float
     entries: np.ndarray
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.source.n_points, self.target.n_points):
-            raise ValueError("entries shape does not match the grids")
+        if e.shape != (self.grid.n_points, self.grid.n_points):
+            raise ValueError("entries shape does not match the grid")
         if not np.all(np.isfinite(e)):
             raise PositivityError("kernel matrix entries must be finite")
 
     @classmethod
-    def _checked(cls, source: Grid1D, target: Grid1D, s: float, t: float,
+    def _checked(cls, grid: Grid1D, s: float, t: float,
                  entries: np.ndarray) -> "KernelMatrix":
         """A matrix whose entries are finite by construction; skips the
         n^2 finiteness scan of ``__post_init__``."""
         mat = object.__new__(cls)
-        mat.__dict__.update(source=source, target=target, s=float(s),
-                            t=float(t), entries=entries)
+        mat.__dict__.update(grid=grid, s=float(s), t=float(t), entries=entries)
         return mat
 
     @classmethod
-    def from_kernel(cls, kernel: Kernel, grid: Grid1D, s: float, t: float,
-                    target: Grid1D | None = None) -> "KernelMatrix":
-        """Sample ``kernel`` from ``grid`` at s to ``target`` (default grid).
+    def from_kernel(cls, kernel: GaussianKernel, grid: Grid1D, s: float,
+                    t: float) -> "KernelMatrix":
+        """Sample a Gaussian spec on the node pairs of ``grid``, s to t.
 
-        A ``GaussianKernel`` has one build.  Its core (``core``: the
-        density, or the log-density of a tilted kernel) is computed on the
-        2n - 1 node offsets x_0 - x_{n-1}, ..., 0, ..., x_{n-1} - x_0 and
-        expanded, entry (i, j) taking the sample at offset x_j - x_i, when
-        c = 1 and the lattice is square; otherwise on the n x m pairs
-        d = x_j - c y_i - shift.  One tail follows for both: an untilted
-        core is floored (on the row, before it is expanded); a tilted one
-        gets a(y_i, s) added down the rows and a(x_j, t) subtracted along
-        the columns, then one in-place exp and one in-place floor.  Any
-        other kernel is evaluated on all n x m node pairs and refused if a
-        value falls below NEGATIVITY_TOL.  Builds refuse non-finite or
-        overflowing values (a Gaussian build checks its core, the tilt
-        vectors and the largest log entry they allow, not the final
-        entries; its density core cannot be negative) and raise exp
-        underflow to ENTRY_FLOOR.  On grids whose nodes are exact
-        multiples of the spacing (the default boxes) the row builds agree
-        with ``evaluate`` on the node pairs bit for bit; elsewhere they
-        differ by the rounding of x_j - y_i.
+        The core (``core``: the density, or the log-density of a tilted
+        kernel) is computed on the 2n - 1 node offsets x_0 - x_{n-1}, ...,
+        0, ..., x_{n-1} - x_0 and expanded, entry (i, j) taking the sample
+        at offset x_j - x_i, when c = 1; otherwise on the n x n pairs
+        d = x_j - c y_i - shift.  An untilted core is then floored (on the
+        row, before it is expanded); a tilted one gets a(y_i, s) added down
+        the rows and a(x_j, t) subtracted along the columns, then one
+        in-place exp and one in-place floor.  Non-finite or overflowing
+        values are refused (from the core, the tilt vectors and the
+        largest log entry they allow; a density core cannot be negative)
+        and exp underflow is raised to ENTRY_FLOOR.  On grids whose nodes
+        are exact multiples of the spacing (the default boxes) the row
+        builds agree with ``evaluate`` on the node pairs bit for bit;
+        elsewhere they differ by the rounding of x_j - y_i.
         """
-        target = target or grid
-        if not isinstance(kernel, GaussianKernel):
-            e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
-            if np.min(e) < NEGATIVITY_TOL:
-                raise PositivityError("kernel evaluation produced negative values")
-            return cls(source=grid, target=target, s=float(s), t=float(t),
-                       entries=np.maximum(e, ENTRY_FLOOR))
-        y, x = grid.nodes, target.nodes
-        row = kernel.coef is None and target == grid
+        x = grid.nodes
+        row = kernel.coef is None
         e = (kernel.core(0.0, s, _offsets(x), t) if row
-             else kernel.core(y[:, None], s, x[None, :], t))
+             else kernel.core(x[:, None], s, x[None, :], t))
         # two reductions, so the n^2 core needs no n^2 mask
         low, high = np.min(e), np.max(e)
         if not (np.isfinite(low) and np.isfinite(high)):
             raise PositivityError("kernel evaluation produced non-finite values")
         if kernel.log_tilt is None:
             np.maximum(e, ENTRY_FLOOR, out=e)
-            return cls._checked(grid, target, s, t,
-                                _lattice(e, x.size) if row else e)
-        tilt_s, tilt_t = kernel.log_tilt(y, s), kernel.log_tilt(x, t)
+            return cls._checked(grid, s, t, _lattice(e, x.size) if row else e)
+        tilt_s, tilt_t = kernel.log_tilt(x, s), kernel.log_tilt(x, t)
         # rounding is monotone, so no entry exceeds this sum of extremes
         top = (high + np.max(tilt_s)) - np.min(tilt_t)
         if not (np.all(np.isfinite(tilt_s)) and np.all(np.isfinite(tilt_t))
@@ -304,15 +287,15 @@ class KernelMatrix:
         e -= tilt_t[None, :]
         np.exp(e, out=e)
         np.maximum(e, ENTRY_FLOOR, out=e)
-        return cls._checked(grid, target, s, t, e)
+        return cls._checked(grid, s, t, e)
 
     def apply_target(self, g: np.ndarray) -> np.ndarray:
-        """Integrate k(y_i, s, x, t) g(x) dx over the target grid."""
-        return self.entries @ (self.target.weights * np.asarray(g, dtype=float))
+        """Integrate k(y_i, s, x, t) g(x) dx over the grid."""
+        return self.entries @ (self.grid.weights * np.asarray(g, dtype=float))
 
     def apply_source(self, f: np.ndarray) -> np.ndarray:
-        """Integrate f(y) k(y, s, x_j, t) dy over the source grid."""
-        return (self.source.weights * np.asarray(f, dtype=float)) @ self.entries
+        """Integrate f(y) k(y, s, x_j, t) dy over the grid."""
+        return (self.grid.weights * np.asarray(f, dtype=float)) @ self.entries
 
 
 class Propagator:
@@ -321,8 +304,8 @@ class Propagator:
     Built once per (grid, slice lattice).  ``matrix`` is the boundary
     matrix K(times[0], times[-1]) that IPF iterates on, built on first
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
-    This base serves the closed-form kernels: it samples one KernelMatrix
-    per (times[0], t_k) and (t_k, times[-1]) pair (see
+    This base serves the ``GaussianKernel`` specs: it samples one
+    KernelMatrix per (times[0], t_k) and (t_k, times[-1]) pair (see
     ``KernelMatrix.from_kernel``).
     """
 
@@ -577,7 +560,7 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
             f"Feynman-Kac solution went negative ({worst:.3e}); "
             "refine the substeps")
     entries = np.maximum(entries, ENTRY_FLOOR)
-    return KernelMatrix(source=grid, target=grid, s=s, t=t, entries=entries)
+    return KernelMatrix(grid=grid, s=s, t=t, entries=entries)
 
 
 class NumericFeynmanKacKernel(Kernel):
@@ -587,11 +570,10 @@ class NumericFeynmanKacKernel(Kernel):
     K(times[0], times[-1]) for IPF and two Crank-Nicolson sweeps over the
     same slice-aligned lattice (``FeynmanKacPropagator``); there
     ``n_substeps`` counts substeps over the whole lattice, rounded up to
-    whole substeps per slice.  ``evaluate`` and ``matrix(s, t)`` remain
-    the path for probes (Chapman-Kolmogorov check, transitions, moments):
-    they solve once per requested time pair (``n_substeps`` over that
-    pair), keep the FK_CACHE_PAIRS most recently used matrices, and
-    interpolate bilinearly between nodes.
+    whole substeps per slice.  ``evaluate`` is the path for probes
+    (Chapman-Kolmogorov check, transitions, moments): each call solves
+    its time pair (``n_substeps`` over that pair) and interpolates
+    bilinearly between nodes.
     """
 
     tag = "numeric-fk"
@@ -602,27 +584,13 @@ class NumericFeynmanKacKernel(Kernel):
         self.grid = grid or Grid1D()
         self.n_substeps = n_substeps
         self.nu = potential.nu
-        self._cache: dict[tuple[float, float], KernelMatrix] = {}
 
     def propagator(self, grid: Grid1D, times) -> "FeynmanKacPropagator":
         return FeynmanKacPropagator(self, grid, times)
 
-    def matrix(self, s: float, t: float) -> KernelMatrix:
-        key = (float(s), float(t))
-        # re-inserting every used key keeps the dict in order of use, so
-        # its first key is the least recently used
-        mat = self._cache.pop(key, None)
-        if mat is None:
-            mat = solve_feynman_kac(self.potential, self.grid, s, t,
-                                    n_substeps=self.n_substeps)
-            if len(self._cache) >= FK_CACHE_PAIRS:
-                del self._cache[next(iter(self._cache))]
-        self._cache[key] = mat
-        return mat
-
     def evaluate(self, y, s, x, t):
-        s, t = _check_order(s, t)
-        mat = self.matrix(s, t)
+        mat = solve_feynman_kac(self.potential, self.grid, s, t,
+                                n_substeps=self.n_substeps)
         y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
         yb, xb = np.broadcast_arrays(y, x)
         nodes = self.grid.nodes

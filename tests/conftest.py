@@ -89,10 +89,9 @@ def assert_near_interp():
     return _assert_near_interp
 
 
-def _dense_entries(kernel, grid, s, t, target=None):
-    """Kernel sampled on every source x target node pair, then floored."""
-    target = target or grid
-    e = kernel.evaluate(grid.nodes[:, None], s, target.nodes[None, :], t)
+def _dense_entries(kernel, grid, s, t):
+    """Kernel sampled on every pair of grid nodes, then floored."""
+    e = kernel.evaluate(grid.nodes[:, None], s, grid.nodes[None, :], t)
     return np.maximum(e, ENTRY_FLOOR)
 
 

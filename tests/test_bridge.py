@@ -55,6 +55,16 @@ def test_solver_rejects_mismatched_grid():
         solve_boundary_system(mat, _packet_boundary(g))
 
 
+def test_solver_rejects_a_grid_of_the_same_size_on_another_box():
+    # same node count, different box: the nodes and weights differ
+    mat = KernelMatrix.from_kernel(make_kernel("quantum-k1"),
+                                   Grid1D(-12.0, 12.0, 257), 0.0, 1.0)
+    boundary = _packet_boundary(Grid1D(-10.0, 10.0, 257))
+    with pytest.raises(ValueError, match=r"x_min=-12\.0.*differs from the "
+                                         r"boundary grid .*x_min=-10\.0"):
+        solve_boundary_system(mat, boundary)
+
+
 # -------------------------------------------------------------- the solve
 
 
@@ -117,7 +127,7 @@ def test_incompatible_kernel_is_reported():
     boundary = _packet_boundary(grid)
     entries = np.ones((65, 65))
     entries[30, :] = 0.0  # one start node that cannot reach anything
-    mat = KernelMatrix(grid, grid, 0.0, 1.0, entries)
+    mat = KernelMatrix(grid=grid, s=0.0, t=1.0, entries=entries)
     with pytest.raises(IncompatibilityError,
                        match=r"end factor to a non-positive intermediate at "
                              r"sweep 1, worst at node 30 \(x = -0.625, "
@@ -130,7 +140,7 @@ def test_unreachable_end_node_is_named_with_its_sweep():
     boundary = _packet_boundary(grid)
     entries = np.ones((65, 65))
     entries[:, 40] = 0.0  # one end node that nothing reaches
-    mat = KernelMatrix(grid, grid, 0.0, 1.0, entries)
+    mat = KernelMatrix(grid=grid, s=0.0, t=1.0, entries=entries)
     with pytest.raises(IncompatibilityError,
                        match=r"start factor to a non-positive intermediate at "
                              r"sweep 1, worst at node 40 \(x = 2.5, "
@@ -168,8 +178,8 @@ def test_propagation_mass_guard_trips_on_non_gauge_scaling(coarse_bridge):
         vT=factors.vT.with_values(1.1 * factors.vT.values),
         gauge=factors.gauge)
     with pytest.raises(PropagationError):
-        propagate_factors(broken, make_kernel("quantum-k1"),
-                          times=np.linspace(0.0, 1.0, 4))
+        propagate_factors(broken, make_kernel("quantum-k1").propagator(
+            broken.u0.grid, np.linspace(0.0, 1.0, 4)))
 
 
 def test_solution_is_mirror_symmetric(coarse_bridge):
@@ -194,12 +204,13 @@ def test_solution_lattice_lookup(coarse_bridge):
 
 def test_propagate_rejects_bad_time_axes(coarse_bridge):
     _, factors, _ = coarse_bridge
+    kernel, grid = make_kernel("quantum-k1"), factors.u0.grid
     with pytest.raises(ValueError):
-        propagate_factors(factors, make_kernel("quantum-k1"),
-                          times=np.array([0.0, 0.5, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        propagate_factors(factors, make_kernel("quantum-k1"),
-                          times=np.array([0.1, 0.5, 1.0]))
+        propagate_factors(factors, kernel.propagator(
+            grid, np.array([0.0, 0.5, 0.5, 1.0])))
+    with pytest.raises(ValueError, match="from 0 to the horizon"):
+        propagate_factors(factors, kernel.propagator(
+            grid, np.array([0.1, 0.5, 1.0])))
 
 
 # ------------------------------------------------------------ transitions
@@ -249,8 +260,8 @@ def test_gauge_invariance_of_all_observables(coarse_bridge):
         u0=factors.u0.with_values(lam * factors.u0.values),
         vT=factors.vT.with_values(factors.vT.values / lam),
         gauge=factors.gauge)
-    other = propagate_factors(scaled, make_kernel("quantum-k1"),
-                              times=solution.times)
+    other = propagate_factors(scaled, make_kernel("quantum-k1").propagator(
+        solution.grid, solution.times))
     np.testing.assert_allclose(other.rho, solution.rho, rtol=0.0, atol=1e-13)
     mask = solution.density_mask()
     for a, b in ((other.b, solution.b), (other.b_star, solution.b_star)):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from schrobridge import cli
+from schrobridge import KernelMatrix, cli
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -145,6 +145,20 @@ def test_ck_subcommand_passes_for_a_consistent_kernel(outdir):
     assert code == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("s, code", [(0.0, cli.EXIT_CONFIG),
+                                     (0.4, cli.EXIT_CONFIG),
+                                     (0.5, cli.EXIT_OK)])
+def test_ck_subcommand_names_both_flags_for_s_before_the_anchor(outdir, capsys,
+                                                               s, code):
+    assert cli.main(["kernel-check-ck", "--kernel", "markov-family",
+                     "--anchor-s", "0.5", "--s", str(s), "--tau", "0.7",
+                     "--grid-points", "257"]) == code
+    if code == cli.EXIT_CONFIG:
+        err = capsys.readouterr().err
+        assert (f"ck s (--s) = {s:g} is before the markov-family anchor_s "
+                "(--anchor-s) = 0.5, its first time") in err
+
+
 def test_ck_subcommand_flags_the_inconsistent_kernel(outdir, capsys):
     code = cli.main(["kernel-check-ck", "--kernel", "pinned-example2",
                      "--grid-points", "257"])
@@ -167,6 +181,29 @@ def test_bridge_solve_markov_family(outdir, anchor):
                      "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,2",
                      "--grid-points", "129", "--time-slices", "11"])
     assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["bridge-solve", "simulate", "run"])
+def test_a_markov_anchor_after_t0_is_refused_before_any_build(
+        command, tmp_path, outdir, capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(KernelMatrix, "from_kernel",
+                        classmethod(lambda cls, *args: builds.append(args)))
+    if command == "bridge-solve":
+        argv = ["bridge-solve", "--kernel", "markov-family", "--anchor-s",
+                "0.5", "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,2",
+                "--grid-points", "129"]
+    else:
+        config = dict(BRIDGE_CONFIG, kernel={
+            "tag": "markov-family", "anchor_y": 0.0, "anchor_s": 0.5})
+        if command == "simulate":
+            config["pipeline"] = "simulate"
+        argv = [command, "--config", _write_config(tmp_path, config)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("anchor_s (--anchor-s) = 0.5 > 0, but the slice lattice starts "
+            "at t = 0") in err
+    assert builds == []
 
 
 def test_bridge_solve_hands_the_anchor_flags_to_the_kernel(outdir, capsys):

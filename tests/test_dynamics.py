@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from schrobridge import dynamics
-from schrobridge import (BoundaryLeakError, CallableDrift, FieldStack, Grid1D,
+from schrobridge import (BoundaryLeakError, FieldStack, Grid1D,
                          SDEConfig, ScalarField, cdf_from_field,
                          empirical_density, fokker_planck_residual,
                          ks_distance, make_kernel, normalize, sample_field,
@@ -505,8 +505,8 @@ def test_lattice_drift_paths_equal_the_interp_reference(
     start = normalize(sample_field(grid, PACKET.rho, boundary_time))
     cfg = _cfg(n_paths=600, dt=1e-2, seed=5, boundary_policy=policy)
     got = simulate(stack, start, cfg, 1.0)
-    want = simulate(CallableDrift(lambda x, t: interp_reference(stack, x, t)),
-                    start, cfg, 1.0)
+    want = simulate(lambda x, t: interp_reference(stack, x, t), start, cfg,
+                    1.0)
     # the lookup follows the reference to a few ulps per step
     assert got.positions.shape == want.positions.shape
     np.testing.assert_allclose(got.positions, want.positions, rtol=0.0,
@@ -514,6 +514,13 @@ def test_lattice_drift_paths_equal_the_interp_reference(
     if policy == "absorb-and-discard":
         # absorbed paths carry NaN through the later lookups
         assert got.n_paths < got.n_requested
+
+
+@pytest.mark.parametrize("simulate", [simulate_forward, simulate_backward])
+def test_a_drift_without_at_that_is_not_callable_is_refused(simulate):
+    start = normalize(sample_field(Grid1D(-4.0, 4.0, 65), PACKET.rho, 0.0))
+    with pytest.raises(TypeError, match="drift must expose"):
+        simulate(0.5, start, _cfg(n_paths=10, dt=1e-2), 1.0)
 
 
 def test_bad_policy_is_rejected():

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-scipy is loaded only by the code paths that call it."""
+"""Every module-level import in the package is used by its module, every
+top-level export is used by the package itself, and scipy is loaded only
+by the code paths that call it."""
 from __future__ import annotations
 
 import ast
@@ -55,6 +56,37 @@ def test_scanner_flags_an_unused_import_and_keeps_re_exports():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def exports() -> list[tuple[str, str]]:
+    """(module, name) of every name ``__init__.py`` imports from a module."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [(node.module, alias.asname or alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def package_references() -> set[tuple[str | None, str]]:
+    """Names read by the package's modules, as (None, name), and attribute
+    reads ``module.name`` of a package module, as (module, name)."""
+    found = set()
+    for module in MODULES:
+        for n in ast.walk(ast.parse(module.read_text())):
+            if isinstance(n, ast.Name):
+                found.add((None, n.id))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                found.add((n.value.id, n.attr))
+    return found
+
+
+@pytest.fixture(scope="module")
+def references():
+    return package_references()
+
+
+@pytest.mark.parametrize("module, name", exports())
+def test_every_export_is_used_by_the_package(module, name, references):
+    assert (None, name) in references or (module, name) in references
 
 
 # -------------------------------------------------- scipy loads on first use

@@ -12,8 +12,7 @@ from schrobridge import (ExtrapolationWarning, GaussianKernel, Grid1D,
                          generalized_heat_residual, make_kernel,
                          pinned_coefficient, pinned_coefficient_dt,
                          short_time_moments, solve_feynman_kac)
-from schrobridge import kernels
-from schrobridge.kernels import ENTRY_FLOOR, FK_CACHE_PAIRS
+from schrobridge.kernels import ENTRY_FLOOR
 from schrobridge.packet import PACKET
 
 TAGS = ("heat", "example1", "quantum-k1", "pinned-example2", "quantum-k2")
@@ -209,33 +208,12 @@ def test_kernel_matrix_row_mass_is_unit_for_heat():
     np.testing.assert_allclose(row_mass[inner], 1.0, atol=1e-12)
 
 
-class _BadKernel:
-    tag = "bad"
-    nu = 1.0
-
-    def __init__(self, level):
-        self.level = level
-
-    def evaluate(self, y, s, x, t):
-        y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        return np.full(np.broadcast(y, x).shape, self.level)
-
-
-def test_kernel_matrix_negativity_guard():
-    grid = Grid1D(0.0, 1.0, 9)
-    with pytest.raises(PositivityError):
-        KernelMatrix.from_kernel(_BadKernel(-1e-6), grid, 0.0, 1.0)
-    # rounding-scale negatives are forgiven and floored to a positive value
-    mat = KernelMatrix.from_kernel(_BadKernel(-1e-13), grid, 0.0, 1.0)
-    assert np.all(mat.entries > 0.0)
-
-
 def test_kernel_matrix_shape_validation():
     grid = Grid1D(0.0, 1.0, 9)
     with pytest.raises(ValueError):
-        KernelMatrix(grid, grid, 0.0, 1.0, np.ones((3, 3)))
+        KernelMatrix(grid=grid, s=0.0, t=1.0, entries=np.ones((3, 3)))
     with pytest.raises(PositivityError):
-        KernelMatrix(grid, grid, 0.0, 1.0, np.full((9, 9), np.nan))
+        KernelMatrix(grid=grid, s=0.0, t=1.0, entries=np.full((9, 9), np.nan))
 
 
 # ------------------------------------------------------- Gaussian builds
@@ -381,7 +359,8 @@ def test_offset_row_build_matches_dense_to_rounding(name, grid,
     g = 1.0 + 0.5 * np.sin(grid.nodes)
     for s, t in _pairs(name, ROW_PAIRS):
         mat = KernelMatrix.from_kernel(kernel, grid, s, t)
-        ref = KernelMatrix(grid, grid, s, t, dense_reference(kernel, grid, s, t))
+        ref = KernelMatrix(grid=grid, s=s, t=t,
+                           entries=dense_reference(kernel, grid, s, t))
         above = ref.entries > ENTRY_FLOOR
         rel = np.abs(mat.entries - ref.entries)[above] / ref.entries[above]
         assert np.max(rel) <= 1e-11
@@ -415,7 +394,7 @@ def core_shapes(monkeypatch):
 
 
 def test_these_tags_build_from_one_offset_row(core_shapes):
-    grid, other = Grid1D(-10.0, 10.0, 65), Grid1D(-10.0, 10.0, 33)
+    grid = Grid1D(-10.0, 10.0, 65)
     built = {}
     for name in ("heat", "example1", "quantum-k1", "markov-family",
                  "pinned-example2", "quantum-k2"):
@@ -430,36 +409,16 @@ def test_these_tags_build_from_one_offset_row(core_shapes):
         "quantum-k1": [("core", (129,))] + tilts,
         "pinned-example2": [("core", (65, 65))],
         "quantum-k2": [("core", (65, 65))] + tilts}
-    core_shapes.clear()
-    KernelMatrix.from_kernel(make_kernel("heat"), grid, 0.0, 0.5, target=other)
-    assert core_shapes == [("core", (65, 33))]
-    core_shapes.clear()
-    KernelMatrix.from_kernel(_PlainKernel(), grid, 0.0, 0.5)
-    assert core_shapes == [("core", (65, 65))]
 
 
-class _PlainKernel:
-    """Duck-typed kernel with nothing but ``evaluate`` (here the pinned one)."""
-
-    def evaluate(self, y, s, x, t):
-        return make_kernel("pinned-example2").evaluate(y, s, x, t)
-
-
-@pytest.mark.parametrize("case", ["pinned-example2", "quantum-k2", "plain",
-                                  "heat-to-other-grid", "quantum-k1-to-other-grid"])
-def test_other_kernels_and_targets_keep_the_dense_build(case, dense_reference):
-    grid, target = Grid1D(-10.0, 10.0, 129), None
-    if case == "plain":
-        kernel = _PlainKernel()
-    elif case.endswith("-to-other-grid"):
-        kernel = make_kernel(case.removesuffix("-to-other-grid"))
-        target = Grid1D(-8.0, 12.0, 129)
-    else:
-        kernel = make_kernel(case)
+@pytest.mark.parametrize("case", ["pinned-example2", "quantum-k2"])
+def test_kernels_with_a_mean_coefficient_keep_the_dense_build(case,
+                                                              dense_reference):
+    grid, kernel = Grid1D(-10.0, 10.0, 129), make_kernel(case)
     for s, t in ROW_PAIRS:
-        got = KernelMatrix.from_kernel(kernel, grid, s, t, target=target)
-        np.testing.assert_array_equal(
-            got.entries, dense_reference(kernel, grid, s, t, target))
+        got = KernelMatrix.from_kernel(kernel, grid, s, t)
+        np.testing.assert_array_equal(got.entries,
+                                      dense_reference(kernel, grid, s, t))
 
 
 @pytest.mark.parametrize("name", ["heat", "quantum-k1", "pinned-example2",
@@ -630,29 +589,6 @@ def test_numeric_kernel_wraps_the_solver():
     hi = max(mat.entries[mid, mid + 3], mat.entries[mid, mid + 4])
     val = float(k.evaluate(grid.nodes[mid], 0.0, x_half, 0.5))
     assert lo <= val <= hi
-
-
-def test_numeric_kernel_keeps_the_most_recent_probe_matrices(monkeypatch):
-    solved = []
-
-    def counting_solve(*args, **kwargs):
-        solved.append(args[2:4])
-        return solve_feynman_kac(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "solve_feynman_kac", counting_solve)
-    k = NumericFeynmanKacKernel(Potential.zero(), grid=Grid1D(-4.0, 4.0, 33))
-    pairs = [(0.0, 0.05 * (i + 1)) for i in range(3 * FK_CACHE_PAIRS)]
-    for s, t in pairs:
-        k.matrix(s, t)
-    assert len(k._cache) == FK_CACHE_PAIRS
-    assert len(solved) == len(pairs)
-    oldest, second = pairs[-FK_CACHE_PAIRS], pairs[-FK_CACHE_PAIRS + 1]
-    # a repeated key is a hit and becomes the most recent
-    assert k.matrix(*oldest) is k.matrix(*oldest)
-    assert len(solved) == len(pairs)
-    k.matrix(0.0, 10.0)
-    assert len(k._cache) == FK_CACHE_PAIRS
-    assert oldest in k._cache and second not in k._cache
 
 
 # ---------------------------------------------------------------- probes

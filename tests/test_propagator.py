@@ -189,7 +189,7 @@ def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge):
     kernel = make_kernel("quantum-k1")
     grid = factors.u0.grid
     times = np.linspace(0.0, 1.0, 6)
-    solution = propagate_factors(factors, kernel, times=times)
+    solution = propagate_factors(factors, kernel.propagator(grid, times))
 
     u = [factors.u0.values]
     u += [KernelMatrix.from_kernel(kernel, grid, 0.0, float(t))
@@ -201,26 +201,12 @@ def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge):
     np.testing.assert_array_equal(solution.v, np.array(v))
 
 
-def test_an_object_with_evaluate_still_propagates(coarse_bridge):
-    class PlainKernel:
-        nu = 1.0
-
-        def evaluate(self, y, s, x, t):
-            return make_kernel("quantum-k1").evaluate(y, s, x, t)
-
-    _, factors, solution = coarse_bridge
-    plain = propagate_factors(factors, PlainKernel(), times=solution.times)
-    np.testing.assert_array_equal(plain.rho, solution.rho)
-
-
 def test_propagate_accepts_a_built_propagator(coarse_bridge):
     _, factors, solution = coarse_bridge
     kernel = make_kernel("quantum-k1")
     propagator = kernel.propagator(factors.u0.grid, solution.times)
     again = propagate_factors(factors, propagator)
     np.testing.assert_array_equal(again.rho, solution.rho)
-    with pytest.raises(ValueError):
-        propagate_factors(factors, propagator, times=np.linspace(0.0, 1.0, 3))
     with pytest.raises(ValueError):
         propagate_factors(factors, kernel.propagator(GRID, solution.times))
 
