@@ -32,7 +32,7 @@ from .kernels import (FeynmanKacPropagator, GaussianKernel, Kernel,
                       check_chapman_kolmogorov, extract_forward_drift,
                       generalized_heat_residual, make_kernel,
                       pinned_coefficient, pinned_coefficient_dt,
-                      short_time_moments, solve_feynman_kac)
+                      short_time_moments)
 from .packet import PACKET, FreeGaussianPacket
 from .report import CheckResult, RunReport
 

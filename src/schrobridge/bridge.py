@@ -25,7 +25,9 @@ from .kernels import Kernel, KernelMatrix, Propagator
 
 FACTOR_CLIP = 1e-300
 MASS_TOL = 1e-8
+MASS_DRIFT_TOL = 1e-4
 DENSITY_FLOOR = 1e-12
+IPF_TOL = 1e-12
 
 
 def _node(grid: Grid1D, values: np.ndarray, i: int) -> str:
@@ -50,8 +52,8 @@ class BoundaryData:
     def __post_init__(self):
         if self.rho0.grid != self.rhoT.grid:
             raise ValueError("boundary densities must share a grid")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         for name, f in (("rho0", self.rho0), ("rhoT", self.rhoT)):
             bad = np.flatnonzero(f.values <= 0.0)
             if bad.size:
@@ -88,7 +90,7 @@ def marginal_l1_residual(matrix: KernelMatrix, u: np.ndarray, v: np.ndarray,
 
 
 def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
-                          tol: float = 1e-12, max_iter: int = 500,
+                          tol: float = IPF_TOL, max_iter: int = 500,
                           callback: Callable[[int, float, float], None] | None = None,
                           ) -> BridgeFactors:
     """Iterative proportional fitting for the boundary factor pair.
@@ -101,6 +103,8 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     ``callback(iteration, l1_change, marginal_residual)``, when given, is
     invoked once per sweep; the residual sequence is non-increasing.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"IPF tol must be positive and finite, got {tol}")
     if matrix.grid != boundary.grid:
         raise ValueError(f"kernel matrix grid {matrix.grid} differs from "
                          f"the boundary grid {boundary.grid}")
@@ -176,8 +180,7 @@ class BridgeSolution:
 
     @classmethod
     def from_factor_stacks(cls, grid: Grid1D, times: np.ndarray, u: np.ndarray,
-                           v: np.ndarray, nu: float,
-                           mass_tol: float = 1e-4) -> "BridgeSolution":
+                           v: np.ndarray, nu: float) -> "BridgeSolution":
         times = np.asarray(times, dtype=float)
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -187,10 +190,10 @@ class BridgeSolution:
         masses = rho @ grid.weights
         drifts = np.abs(masses - 1.0)
         worst = int(np.argmax(drifts))
-        if drifts[worst] > mass_tol:
+        if drifts[worst] > MASS_DRIFT_TOL:
             raise PropagationError(
                 f"interpolating density mass drifts by {drifts[worst]:.3e} "
-                f"(> {mass_tol}) at slice {worst} (t = {times[worst]:.6g})")
+                f"(> {MASS_DRIFT_TOL}) at slice {worst} (t = {times[worst]:.6g})")
         h = grid.spacing
         return cls(grid=grid, times=times, u=u, v=v, rho=rho,
                    b=_log_gradient_drift(v, h, nu, +1.0),
@@ -212,9 +215,9 @@ class BridgeSolution:
     def backward_drift_stack(self) -> FieldStack:
         return FieldStack(self.grid, self.times, self.b_star)
 
-    def density_mask(self, floor: float = DENSITY_FLOOR) -> np.ndarray:
-        """Boolean [n_times, n_points] mask where rho >= floor."""
-        return self.rho >= floor
+    def density_mask(self) -> np.ndarray:
+        """Boolean [n_times, n_points] mask where rho >= DENSITY_FLOOR."""
+        return self.rho >= DENSITY_FLOOR
 
 
 def propagate_factors(factors: BridgeFactors,
@@ -225,7 +228,7 @@ def propagate_factors(factors: BridgeFactors,
     grid, its lattice running from 0 to the horizon: u(., t) integrates u0
     against the kernel from 0, v(., t) integrates vT toward the horizon.
     The drifts use the kernel's ``nu``; a mass drift of rho = u*v beyond
-    1e-4 raises, naming the worst slice.
+    MASS_DRIFT_TOL raises, naming the worst slice.
     """
     grid = factors.u0.grid
     horizon = factors.vT.time_label

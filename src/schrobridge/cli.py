@@ -22,16 +22,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bridge import BoundaryData, propagate_factors, solve_boundary_system
+from .bridge import (MASS_DRIFT_TOL, BoundaryData, propagate_factors,
+                     solve_boundary_system)
 from .burgers import burgers_residual
 from .dynamics import SDEConfig, simulate_backward, simulate_forward
 from .errors import (ConfigError, MissingInputError, NumericDomainError,
                      SchrobridgeError)
-from .grids import FieldStack, Grid1D
+from .grids import FieldStack, Grid1D, normalize, sample_field
 from .kernels import check_chapman_kolmogorov
 from .packet import PACKET
 from .report import RunReport
@@ -137,54 +139,49 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     write_field_csv(outdir / "drift-backward.csv",
                     solution.backward_drift_stack)
     report.add("interpolation-mass-drift",
-               float(np.max(np.abs(solution.masses - 1.0))), upper=1e-4)
+               float(np.max(np.abs(solution.masses - 1.0))),
+               upper=MASS_DRIFT_TOL)
     return _emit(report, outdir, "bridge-report")
 
 
 def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     sde = cfg.sde
+    # checked before any solve; the nu of the paths comes with the drift
     config = SDEConfig(
-        nu=float(sde.get("nu", 1.0)), n_paths=int(sde.get("n_paths", 10_000)),
+        n_paths=int(sde.get("n_paths", 10_000)),
         dt=float(sde.get("dt", 1e-3)), seed=int(sde.get("seed", 0)),
         boundary_policy=sde.get("boundary_policy", "reflect"))
     direction = sde.get("direction", "forward")
     if direction not in ("forward", "backward"):
         raise ConfigError("sde.direction must be 'forward' or 'backward'")
+    forward = direction == "forward"
     grid = cfg.make_grid()
     record = np.linspace(0.0, cfg.horizon, 11)
-    report = RunReport(scenario="simulate", config={
-        "direction": direction, "n_paths": config.n_paths, "dt": config.dt,
-        "seed": config.seed, "policy": config.boundary_policy})
 
     if cfg.boundary is not None:
         # bridge-driven run: solve the factor system, then ride its drift
         boundary, _, _, solution = _solve_bridge(cfg, grid)
-        if direction == "forward":
-            ens = simulate_forward(solution.forward_drift_stack, boundary.rho0,
-                                   config, cfg.horizon, record_times=record)
-        else:
-            ens = simulate_backward(solution.backward_drift_stack,
-                                    boundary.rhoT, config, cfg.horizon,
-                                    record_times=record)
-        rho_ref = solution.rho_stack
+        start = boundary.rho0 if forward else boundary.rhoT
+        drift = (solution.forward_drift_stack if forward
+                 else solution.backward_drift_stack)
+        rho_ref, nu = solution.rho_stack, solution.nu
     elif cfg.scenario == "quantum-free":
         if abs(cfg.horizon - 1.0) > 1e-12:
             raise ConfigError("the quantum-free scenario uses horizon 1.0")
-        rho0 = density_from_spec({"form": "gaussian", "mean": 0.0, "var": 1.0},
-                                 grid, None, 0.0)
-        rhoT = density_from_spec({"form": "gaussian", "mean": 0.0, "var": 2.0},
-                                 grid, None, 1.0)
-        if direction == "forward":
-            ens = simulate_forward(PACKET.drift_forward, rho0, config,
-                                   cfg.horizon, record_times=record)
-        else:
-            ens = simulate_backward(PACKET.drift_backward, rhoT, config,
-                                    cfg.horizon, record_times=record)
-        rho_ref = FieldStack.sample(grid, record, PACKET.rho)
+        start = normalize(sample_field(grid, PACKET.rho,
+                                       0.0 if forward else cfg.horizon))
+        drift = PACKET.drift_forward if forward else PACKET.drift_backward
+        rho_ref, nu = FieldStack.sample(grid, record, PACKET.rho), 1.0
     else:
         raise ConfigError(
             f"scenario {cfg.scenario!r} has no constant-diffusivity process "
             "to simulate; use quantum-free or provide a boundary section")
+    config = replace(config, nu=nu)
+    report = RunReport(scenario="simulate", config={
+        "direction": direction, "n_paths": config.n_paths, "dt": config.dt,
+        "seed": config.seed, "policy": config.boundary_policy})
+    simulate = simulate_forward if forward else simulate_backward
+    ens = simulate(drift, start, config, cfg.horizon, record_times=record)
 
     write_paths_csv(outdir / "paths.csv", ens)
     report.add("surviving-paths", float(ens.n_paths),

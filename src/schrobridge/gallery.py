@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bridge import (BoundaryData, BridgeFactors, BridgeSolution, KernelMatrix,
-                     backward_transition, forward_transition, gauge_align,
-                     propagate_factors, solve_boundary_system)
+from .bridge import (IPF_TOL, BoundaryData, BridgeFactors, BridgeSolution,
+                     KernelMatrix, backward_transition, forward_transition,
+                     gauge_align, propagate_factors, solve_boundary_system)
 from .burgers import compatibility_potential, hopf_cole_forward, hopf_cole_inverse
 from .dynamics import (SDEConfig, cdf_from_field, empirical_density,
                        fokker_planck_residual, ks_distance, simulate_backward,
@@ -73,7 +73,7 @@ def packet_boundary(grid: Grid1D) -> BoundaryData:
 
 
 def packet_bridge(kernel, grid: Grid1D | None = None,
-                  times: np.ndarray | None = None, ipf_tol: float = 1e-12,
+                  times: np.ndarray | None = None,
                   ) -> tuple[BoundaryData, BridgeFactors, BridgeSolution]:
     """Solve and propagate the packet boundary problem for a given kernel."""
     grid = grid or WIDE_GRID
@@ -81,7 +81,7 @@ def packet_bridge(kernel, grid: Grid1D | None = None,
         times = BRIDGE_TIMES
     boundary = packet_boundary(grid)
     propagator = kernel.propagator(grid, times)
-    factors = solve_boundary_system(propagator.matrix, boundary, tol=ipf_tol)
+    factors = solve_boundary_system(propagator.matrix, boundary)
     solution = propagate_factors(factors, propagator)
     return boundary, factors, solution
 
@@ -96,14 +96,14 @@ def _factor_match(report: RunReport, name: str, candidate: np.ndarray,
 
 
 def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
-                       seed: int = 2024, ipf_tol: float = 1e-12) -> RunReport:
+                       seed: int = 2024) -> RunReport:
     """Full-pipeline checks for the spreading packet scenario."""
     grid = Grid1D(WIDE_GRID.x_min, WIDE_GRID.x_max, grid_points)
     times = BRIDGE_TIMES
     report = RunReport(scenario="quantum-free", config={
         "grid_points": grid_points, "x_min": grid.x_min, "x_max": grid.x_max,
         "time_slices": times.size, "n_paths": n_paths, "seed": seed,
-        "ipf_tol": ipf_tol})
+        "ipf_tol": IPF_TOL})
 
     # closed-form identities on the lattice
     rho_stack = FieldStack.sample(grid, times, PACKET.rho)
@@ -146,9 +146,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     # bridge solve with both interpolating kernels
     k1 = make_kernel("quantum-k1")
     k2 = make_kernel("quantum-k2")
-    boundary, factors1, solution = packet_bridge(k1, grid=grid, ipf_tol=ipf_tol)
-    _, factors2, _ = packet_bridge(k2, grid=grid, times=np.array([0.0, HORIZON]),
-                                   ipf_tol=ipf_tol)
+    boundary, factors1, solution = packet_bridge(k1, grid=grid)
+    _, factors2, _ = packet_bridge(k2, grid=grid, times=np.array([0.0, HORIZON]))
     w = grid.weights
     # the propagated v at t = 0 is K(0, H) applied to vT
     recov0 = factors1.u0.values * solution.v[0]

@@ -4,7 +4,7 @@ A kernel's ``evaluate(y, s, x, t)`` is the transition density from (y, s)
 to (x, t), 0 <= s < t; the probes need nothing more.  The six closed-form
 kernels of the worked free-packet example are ``GaussianKernel`` specs,
 log k = log N(x; c(s, t) y + shift(s, t), var(s, t)) + a(y, s) - a(x, t),
-built by tag with ``make_kernel``.  ``solve_feynman_kac`` builds grid
+built by tag with ``make_kernel``.  ``NumericFeynmanKacKernel`` builds grid
 kernels for an arbitrary potential as fundamental solutions of the
 adjoint parabolic pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
 
@@ -40,7 +40,11 @@ ENTRY_FLOOR = 1e-300
 # the largest argument whose exp is finite
 LOG_MAX = float(np.log(np.finfo(float).max))
 NEGATIVITY_TOL = -1e-12
-DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3)
+MOMENT_DTS = (1e-2, 5e-3, 2.5e-3)
+MOMENT_HALF_WIDTH = 4.0
+MOMENT_N_QUAD = 2049
+CK_MARGIN = 4.0
+CK_MAX_PROBES = 80
 # the potential term of the default substep count may reach this multiple
 # of the diffusion term; stronger potentials need an explicit n_substeps
 POTENTIAL_SUBSTEP_CAP = 4
@@ -357,7 +361,10 @@ def _lattice(row: np.ndarray, n: int) -> np.ndarray:
 
 
 def _slice_times(times) -> np.ndarray:
+    """Strictly increasing, finite slice times with 0 <= times[0]."""
     times = np.array(times, dtype=float)
+    if times.ndim == 1 and times.size >= 2:
+        _check_order(times[0], times[-1])
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing with >= 2 entries")
     return times
@@ -448,9 +455,10 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
     """The steps of every slice interval on the slice-aligned lattice.
 
     ``n_substeps`` over times[0]..times[-1] are rounded up to a whole
-    number in every slice interval.  The first two substeps of the lattice
-    are taken as four implicit-Euler half steps (Rannacher start), which
-    damps the checkerboard mode that delta data would otherwise excite.
+    number in every slice interval; a lattice whose largest diffusion
+    number nu*dt/h^2 exceeds 10 is refused.  The first two substeps of the
+    lattice are taken as four implicit-Euler half steps (Rannacher start),
+    which damps the checkerboard mode that delta data would otherwise excite.
     """
     nu, h2 = potential.nu, grid.spacing ** 2
     widths = np.diff(times)
@@ -499,55 +507,18 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
     return steps
 
 
-def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
-                      n_substeps: int | None = None,
-                      slices=None) -> KernelMatrix:
+def solve_feynman_kac(propagator: "FeynmanKacPropagator") -> KernelMatrix:
     """Numeric fundamental solution of the forward generalized heat equation.
 
-    Evolves the interior grid deltas (scaled 1/h) from s to t under
-    du/dt = nu*lap(u) - c*u with homogeneous values at the grid edges,
-    as one dense block, using Crank-Nicolson with a Rannacher start (the
-    first two substeps are taken as four implicit-Euler half steps, which
-    damps the checkerboard mode the delta data would otherwise excite) and
-    a tridiagonal solve per step.
-
-    The substep lattice is aligned to ``slices``: every slice interval
-    holds a whole number of substeps, and the Rannacher start happens only
-    at s.  ``FeynmanKacPropagator`` sweeps single vectors through the same
-    steps.
-
-    Parameters
-    ----------
-    potential : Potential
-        Potential c(x, t) and diffusivity nu.
-    grid : Grid1D
-        Spatial lattice; sources and targets coincide.
-    s, t : float
-        Initial and final times, 0 <= s < t.
-    n_substeps : int, optional
-        Number of time substeps over [s, t] (>= 4), rounded up to a whole
-        number in every slice interval.  Default targets a diffusion
-        number nu*dt/h^2 of about 2 and dt*max|c| <= 1 (max over the
-        interior nodes at the slice times) with at least 16 substeps; a
-        default whose potential term exceeds POTENTIAL_SUBSTEP_CAP times
-        the rest raises ValueError, and lattices whose largest diffusion
-        number exceeds 10 are rejected.
-    slices : array_like, optional
-        Increasing slice times from s to t that the lattice lands on;
-        default (s, t), a single interval.
-
-    Returns
-    -------
-    KernelMatrix
-        entries[i, j] approximates k(y_i, s, x_j, t).
+    Evolves the interior grid deltas (scaled 1/h) over the propagator's
+    lattice under du/dt = nu*lap(u) - c*u, with homogeneous values at the
+    grid edges, as one dense block through ``propagator.steps`` (the steps
+    its ``sweep`` runs): entries[i, j] ~ k(y_i, times[0], x_j, times[-1]).
     """
-    s, t = _check_order(s, t)
-    times = _slice_times((s, t) if slices is None else slices)
-    if times[0] != s or times[-1] != t:
-        raise ValueError(f"slices must run from s={s} to t={t}")
+    grid, times = propagator.grid, propagator.times
     n, h = grid.n_points, grid.spacing
     w = np.eye(n - 2) / h
-    for interval in _crank_nicolson_steps(potential, grid, times, n_substeps):
+    for interval in propagator.steps:
         for step in interval:
             w = step.apply(w)
 
@@ -560,7 +531,7 @@ def solve_feynman_kac(potential: Potential, grid: Grid1D, s: float, t: float,
             f"Feynman-Kac solution went negative ({worst:.3e}); "
             "refine the substeps")
     entries = np.maximum(entries, ENTRY_FLOOR)
-    return KernelMatrix(grid=grid, s=s, t=t, entries=entries)
+    return KernelMatrix(grid, float(times[0]), float(times[-1]), entries)
 
 
 class NumericFeynmanKacKernel(Kernel):
@@ -571,9 +542,9 @@ class NumericFeynmanKacKernel(Kernel):
     same slice-aligned lattice (``FeynmanKacPropagator``); there
     ``n_substeps`` counts substeps over the whole lattice, rounded up to
     whole substeps per slice.  ``evaluate`` is the path for probes
-    (Chapman-Kolmogorov check, transitions, moments): each call solves
-    its time pair (``n_substeps`` over that pair) and interpolates
-    bilinearly between nodes.
+    (Chapman-Kolmogorov check, transitions, moments): each call builds
+    ``propagator(grid, (s, t)).matrix`` (``n_substeps`` over that pair)
+    and interpolates bilinearly between nodes.
     """
 
     tag = "numeric-fk"
@@ -589,8 +560,7 @@ class NumericFeynmanKacKernel(Kernel):
         return FeynmanKacPropagator(self, grid, times)
 
     def evaluate(self, y, s, x, t):
-        mat = solve_feynman_kac(self.potential, self.grid, s, t,
-                                n_substeps=self.n_substeps)
+        mat = self.propagator(self.grid, (s, t)).matrix
         y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
         yb, xb = np.broadcast_arrays(y, x)
         nodes = self.grid.nodes
@@ -607,7 +577,7 @@ class NumericFeynmanKacKernel(Kernel):
 class FeynmanKacPropagator(Propagator):
     """Feynman-Kac propagation on one slice-aligned Crank-Nicolson lattice.
 
-    ``matrix`` is the single dense ``solve_feynman_kac`` over the lattice.
+    ``matrix`` is the single dense ``solve_feynman_kac`` over ``steps``.
     ``sweep`` evolves u0 forward through the same steps, one vector at a
     time, and applies their transposes to vT in reverse order (the exact
     discrete adjoint).  So u[-1] and v[0] equal ``matrix.apply_source(u0)``
@@ -619,10 +589,7 @@ class FeynmanKacPropagator(Propagator):
 
     @cached_property
     def matrix(self) -> KernelMatrix:
-        return solve_feynman_kac(self.kernel.potential, self.grid,
-                                 self.times[0], self.times[-1],
-                                 n_substeps=self.kernel.n_substeps,
-                                 slices=self.times)
+        return solve_feynman_kac(self)
 
     @cached_property
     def steps(self) -> list[list[_Step]]:
@@ -665,22 +632,22 @@ def _check_swept(name: str, stack: np.ndarray, times: np.ndarray,
 
 
 def check_chapman_kolmogorov(kernel: Kernel, s: float, tau: float, t: float,
-                             grid: Grid1D | None = None, margin: float = 4.0,
-                             max_probes: int = 80) -> float:
+                             grid: Grid1D | None = None) -> float:
     """Max |compose(s->tau->t) - direct(s->t)| over an interior probe lattice.
 
     The midpoint integral runs over the full grid; probe sources/targets
-    keep ``margin`` away from the edges so domain truncation of the
+    keep CK_MARGIN away from the edges so domain truncation of the
     midpoint integral (not a property of the kernel) cannot dominate.
     """
     if not (s < tau < t):
         raise TimeOrderingError(f"need s < tau < t, got {s}, {tau}, {t}")
     grid = grid or Grid1D()
     z = grid.nodes
-    inside = np.flatnonzero((z >= grid.x_min + margin) & (z <= grid.x_max - margin))
+    inside = np.flatnonzero((z >= grid.x_min + CK_MARGIN)
+                            & (z <= grid.x_max - CK_MARGIN))
     if inside.size == 0:
         raise ValueError("probe margin leaves no interior nodes")
-    stride = max(1, inside.size // max_probes)
+    stride = max(1, inside.size // CK_MAX_PROBES)
     probes = z[inside[::stride]]
 
     first = kernel.evaluate(probes[:, None], s, z[None, :], tau)
@@ -731,64 +698,62 @@ def _warn_if_not_converging(name: str, steps, values, limit: float):
 
 @dataclass(frozen=True)
 class MomentRates:
-    """Extrapolated short-time rates and the raw per-step table."""
+    """Extrapolated short-time rates and the raw table, one row per dt."""
 
     leak_rate: float
     first_moment_rate: float
     second_moment_rate: float
-    dts: tuple[float, ...]
     table: np.ndarray = field(repr=False)
 
 
 def short_time_moments(kernel: Kernel, y: float, t: float,
-                       dts: tuple[float, ...] = DEFAULT_DTS, eps: float = 1.0,
-                       half_width: float = 4.0, n_quad: int = 2049) -> MomentRates:
+                       eps: float = 1.0) -> MomentRates:
     """Short-time mass leak and increment-moment rates at (y, t).
 
-    For each step dt the kernel from (y, t) to t + dt is integrated on a
-    local lattice y +/- half_width: the mass outside the eps-ball, the
-    first and the second increment moments, each divided by dt.  The
-    three rates are extrapolated polynomially to dt -> 0; a warning is
-    emitted when a rate column does not approach its limit monotonically.
+    For each step dt of MOMENT_DTS the kernel from (y, t) to t + dt is
+    integrated on a local lattice y +/- MOMENT_HALF_WIDTH of MOMENT_N_QUAD
+    nodes: the mass outside the eps-ball, the first and the second
+    increment moments, each divided by dt.  The three rates are
+    extrapolated polynomially to dt -> 0; a warning is emitted when a rate
+    column does not approach its limit monotonically.
     """
     y, t = float(y), float(t)
-    local = Grid1D(y - half_width, y + half_width, n_quad)
+    local = Grid1D(y - MOMENT_HALF_WIDTH, y + MOMENT_HALF_WIDTH, MOMENT_N_QUAD)
     xs, wq = local.nodes, local.weights
     outside = np.abs(xs - y) > eps
-    table = np.empty((len(dts), 3))
-    for k, dt in enumerate(dts):
+    table = np.empty((len(MOMENT_DTS), 3))
+    for k, dt in enumerate(MOMENT_DTS):
         p = kernel.evaluate(y, t, xs, t + dt)
         table[k, 0] = float(np.sum(wq[outside] * p[outside])) / dt
         table[k, 1] = float(np.sum(wq * (xs - y) * p)) / dt
         table[k, 2] = float(np.sum(wq * (xs - y) ** 2 * p)) / dt
-    steps = np.asarray(dts, dtype=float)
+    steps = np.asarray(MOMENT_DTS, dtype=float)
     rates = [_extrapolate_rate(steps, table[:, j]) for j in range(3)]
     for j, name in enumerate(("leak rate", "first-moment rate",
                               "second-moment rate")):
         _warn_if_not_converging(name, steps, table[:, j], rates[j])
     return MomentRates(leak_rate=rates[0], first_moment_rate=rates[1],
-                       second_moment_rate=rates[2], dts=tuple(dts), table=table)
+                       second_moment_rate=rates[2], table=table)
 
 
-def extract_forward_drift(kernel: Kernel, x: float, t: float,
-                          dts: tuple[float, ...] = DEFAULT_DTS,
-                          half_width: float = 4.0, n_quad: int = 2049) -> float:
+def extract_forward_drift(kernel: Kernel, x: float, t: float) -> float:
     """Forward drift at (x, t) from the short-time conditional mean.
 
-    Computes (E[X_{t+dt} | X_t = x] - x) / dt on a shrinking step ladder
-    and extrapolates to dt -> 0.  The conditional mean uses the kernel's
-    own mass on the local lattice so mild non-normalization cancels.
+    Computes (E[X_{t+dt} | X_t = x] - x) / dt on the MOMENT_DTS ladder and
+    the local lattice of ``short_time_moments``, and extrapolates to
+    dt -> 0.  The conditional mean uses the kernel's own mass on the local
+    lattice so mild non-normalization cancels.
     """
     x, t = float(x), float(t)
-    local = Grid1D(x - half_width, x + half_width, n_quad)
+    local = Grid1D(x - MOMENT_HALF_WIDTH, x + MOMENT_HALF_WIDTH, MOMENT_N_QUAD)
     xs, wq = local.nodes, local.weights
-    vals = np.empty(len(dts))
-    for k, dt in enumerate(dts):
+    vals = np.empty(len(MOMENT_DTS))
+    for k, dt in enumerate(MOMENT_DTS):
         p = kernel.evaluate(x, t, xs, t + dt)
         mass = float(np.sum(wq * p))
         mean = float(np.sum(wq * xs * p)) / mass
         vals[k] = (mean - x) / dt
-    steps = np.asarray(dts, dtype=float)
+    steps = np.asarray(MOMENT_DTS, dtype=float)
     drift = _extrapolate_rate(steps, vals)
     _warn_if_not_converging("drift rate", steps, vals, drift)
     return drift

@@ -11,7 +11,8 @@ A scenario file is a single JSON object.  Top-level keys:
   grid         {"x_min", "x_max", "n_points"}
   time_slices  interpolation slice count (default 101)
   ipf_tol      IPF convergence tolerance (default 1e-12)
-  sde          {"nu", "n_paths", "dt", "seed", "boundary_policy", "direction"}
+  sde          {"n_paths", "dt", "seed", "boundary_policy", "direction"};
+               paths diffuse at the kernel's nu (1 for quantum-free)
   ck           {"s", "tau", "t", "threshold"}
   output_dir   default output directory for this run
 
@@ -43,7 +44,7 @@ CSV_MASS_TOL = 1e-3
 _TOP_KEYS = {"pipeline", "scenario", "kernel", "boundary", "horizon", "grid",
              "time_slices", "ipf_tol", "sde", "ck", "output_dir"}
 _GRID_KEYS = {"x_min", "x_max", "n_points"}
-_SDE_KEYS = {"nu", "n_paths", "dt", "seed", "boundary_policy", "direction"}
+_SDE_KEYS = {"n_paths", "dt", "seed", "boundary_policy", "direction"}
 _CK_KEYS = {"s", "tau", "t", "threshold"}
 
 
@@ -81,8 +82,8 @@ class ScenarioConfig:
             raise ConfigError("kernel section needs a 'tag' entry")
         if self.time_slices < 2:
             raise ConfigError("time_slices must be at least 2")
-        if not self.horizon > 0.0:
-            raise ConfigError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ConfigError("horizon must be positive and finite")
 
     def make_grid(self) -> Grid1D:
         g = self.grid
@@ -156,8 +157,9 @@ def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
     if spec.get("form") == "gaussian":
         mean = float(spec.get("mean", 0.0))
         var = float(spec.get("var", 1.0))
-        if var <= 0.0:
-            raise ConfigError("gaussian density needs positive variance")
+        if not (np.isfinite(mean) and 0.0 < var < np.inf):
+            raise ConfigError(f"gaussian density {spec!r} needs finite "
+                              "positive variance and a finite mean")
         vals = np.exp(-((grid.nodes - mean) ** 2) / (2.0 * var))
         vals /= np.sqrt(2.0 * np.pi * var)
         f = ScalarField(grid, vals, time_label=time_label)

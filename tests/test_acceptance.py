@@ -10,14 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schrobridge import (FieldStack, Grid1D, Potential, SDEConfig,
+from schrobridge import (FieldStack, Grid1D, NumericFeynmanKacKernel,
+                         Potential, SDEConfig,
                          burgers_residual, check_chapman_kolmogorov,
                          compatibility_potential, extract_forward_drift,
                          fokker_planck_residual, gauge_align,
                          hopf_cole_forward, hopf_cole_inverse, ks_distance,
                          make_kernel, pinned_coefficient_dt, sample_field,
                          short_time_moments, simulate_backward,
-                         simulate_forward, solve_feynman_kac)
+                         simulate_forward)
 from schrobridge.bridge import (BridgeSolution, backward_transition,
                                 forward_transition)
 from schrobridge.gallery import (packet_boundary, packet_bridge,
@@ -66,7 +67,7 @@ def test_criterion_01_bridge_factor_uniqueness(wide_bridge, acceptance_log):
 def test_criterion_02_drift_reconstruction(wide_bridge, acceptance_log):
     _, _, solution = wide_bridge
     grid = solution.grid
-    mask = solution.density_mask(1e-12)
+    mask = solution.density_mask()
     b_true = FieldStack.sample(grid, solution.times, PACKET.drift_forward)
     bs_true = FieldStack.sample(grid, solution.times, PACKET.drift_backward)
     err = max(
@@ -279,7 +280,7 @@ def test_criterion_09_identity_suite(wide_bridge, acceptance_log):
     lam = 7.3
     scaled = BridgeSolution.from_factor_stacks(
         grid, solution.times, lam * solution.u, solution.v / lam, solution.nu)
-    mask = solution.density_mask(1e-12)
+    mask = solution.density_mask()
     gauge = max(
         float(np.max(np.abs(scaled.rho - solution.rho))),
         float(np.max(np.where(mask, np.abs(scaled.b - solution.b), 0.0))),
@@ -313,7 +314,8 @@ def _heat_exact(y, s, x, t):
 def test_criterion_10_numeric_feynman_kac(acceptance_log):
     grid = Grid1D()
     inner = np.abs(grid.nodes) <= 6.0
-    mat = solve_feynman_kac(Potential.zero(), grid, 0.0, 0.5)
+    mat = NumericFeynmanKacKernel(Potential.zero(), grid=grid).propagator(
+        grid, (0.0, 0.5)).matrix
     exact = _heat_exact(grid.nodes[inner][:, None], 0.0,
                         grid.nodes[None, :], 0.5)
     match = float(np.max(np.abs(mat.entries[inner] - exact)) / np.max(exact))
@@ -321,15 +323,17 @@ def test_criterion_10_numeric_feynman_kac(acceptance_log):
     errs = []
     for n_points, substeps in ((65, 30), (129, 60), (257, 120)):
         level = Grid1D(-10.0, 10.0, n_points)
-        m = solve_feynman_kac(Potential.zero(), level, 0.0, 0.5,
-                              n_substeps=substeps)
+        m = NumericFeynmanKacKernel(Potential.zero(), grid=level,
+                                    n_substeps=substeps).propagator(
+            level, (0.0, 0.5)).matrix
         keep = np.abs(level.nodes) <= 6.0
         ex = _heat_exact(level.nodes[keep][:, None], 0.0,
                          level.nodes[None, :], 0.5)
         errs.append(float(np.max(np.abs(m.entries[keep] - ex)) / np.max(ex)))
     order = min(float(np.log2(errs[i] / errs[i + 1])) for i in range(2))
 
-    damped = solve_feynman_kac(Potential.packet(), grid, 0.0, 0.5)
+    damped = NumericFeynmanKacKernel(Potential.packet(), grid=grid).propagator(
+        grid, (0.0, 0.5)).matrix
     pushed = damped.apply_source(PACKET.factor_u(grid.nodes, 0.0))
     reference = PACKET.factor_u(grid.nodes, 0.5)
     propagation = float(np.max(np.abs(pushed - reference))

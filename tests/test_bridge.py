@@ -43,8 +43,9 @@ def test_boundary_data_rejects_bad_inputs():
     with pytest.raises(ValueError):
         other = normalize(sample_field(Grid1D(-10.0, 10.0, 33), PACKET.rho, 0.0))
         BoundaryData(rho0=rho0, rhoT=other, horizon=1.0)
-    with pytest.raises(ValueError):
-        BoundaryData(rho0=rho0, rhoT=rho0, horizon=0.0)
+    for horizon in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BoundaryData(rho0=rho0, rhoT=rho0, horizon=horizon)
 
 
 def test_solver_rejects_mismatched_grid():

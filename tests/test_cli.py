@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from schrobridge import KernelMatrix, cli
+from schrobridge import KernelMatrix, bridge, cli
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -228,6 +228,57 @@ def test_non_finite_kernel_flags_are_config_errors(outdir, capsys, flags,
                      "--rhoT", "gaussian:0,3", "--grid-points", "129"])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--horizon", "inf"], "horizon must be positive and finite"),
+    (["--tol", "nan"], "IPF tol must be positive and finite, got nan"),
+    (["--tol", "0"], "IPF tol must be positive and finite, got 0.0"),
+    (["--tol", "-1"], "IPF tol must be positive and finite, got -1.0"),
+    (["--rho0", "gaussian:0,inf"], "'mean': 0.0, 'var': inf}"),
+    (["--rho0", "gaussian:0,nan"], "'mean': 0.0, 'var': nan}"),
+    (["--rho0", "gaussian:nan,1"], "'mean': nan, 'var': 1.0}"),
+], ids=["horizon-inf", "tol-nan", "tol-0", "tol-negative", "var-inf",
+        "var-nan", "mean-nan"])
+def test_out_of_range_run_parameters_are_refused_before_any_sweep(
+        outdir, capsys, monkeypatch, flags, message):
+    sweeps = []
+    residual = bridge.marginal_l1_residual
+    monkeypatch.setattr(bridge, "marginal_l1_residual",
+                        lambda *args: sweeps.append(args) or residual(*args))
+    code = cli.main(["bridge-solve", "--rho0", "gaussian:0,1",
+                     "--rhoT", "gaussian:0,3", "--grid-points", "129",
+                     "--time-slices", "11", *flags])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert sweeps == []
+
+
+def test_run_tol_override_is_checked_by_the_solver(tmp_path, outdir, capsys):
+    # --tol is set after the config has been validated
+    code = cli.main(["run", "--config", _write_config(tmp_path, BRIDGE_CONFIG),
+                     "--tol", "nan"])
+    assert code == cli.EXIT_CONFIG
+    assert "IPF tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_bridge_paths_diffuse_at_the_kernel_nu(tmp_path, outdir):
+    # a heat nu = 0.5 bridge: paths at nu = 1 against its nu = 0.5 drift
+    # ended with variance 4.197 against 3
+    payload = dict(BRIDGE_CONFIG, pipeline="simulate",
+                   kernel={"tag": "heat", "nu": 0.5}, time_slices=51,
+                   sde={"n_paths": 4000, "seed": 3})
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_OK
+    report = json.loads((outdir / "simulate-report.json").read_text())
+    assert report["all_passed"] is True
+
+
+def test_sde_nu_is_not_a_config_key(tmp_path, outdir, capsys):
+    payload = dict(SIM_CONFIG, sde=dict(SIM_CONFIG["sde"], nu=0.5))
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG
+    assert "unknown sde keys: ['nu']" in capsys.readouterr().err
 
 
 def test_list_scenarios_prints_the_gallery_names(capsys, outdir):

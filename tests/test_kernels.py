@@ -11,7 +11,7 @@ from schrobridge import (ExtrapolationWarning, GaussianKernel, Grid1D,
                          check_chapman_kolmogorov, extract_forward_drift,
                          generalized_heat_residual, make_kernel,
                          pinned_coefficient, pinned_coefficient_dt,
-                         short_time_moments, solve_feynman_kac)
+                         short_time_moments)
 from schrobridge.kernels import ENTRY_FLOOR
 from schrobridge.packet import PACKET
 
@@ -519,9 +519,16 @@ def test_offset_row_build_returns_an_owned_contiguous_matrix():
 # ---------------------------------------------------------------- numeric
 
 
+def _fk_matrix(potential, grid, s, t, n_substeps=None):
+    """The dense Feynman-Kac matrix K(s, t) of one time pair on ``grid``."""
+    kernel = NumericFeynmanKacKernel(potential, grid=grid,
+                                     n_substeps=n_substeps)
+    return kernel.propagator(grid, (s, t)).matrix
+
+
 def test_feynman_kac_zero_potential_matches_heat_kernel():
     grid = Grid1D(-10.0, 10.0, 257)
-    mat = solve_feynman_kac(Potential.zero(), grid, 0.0, 0.5)
+    mat = _fk_matrix(Potential.zero(), grid, 0.0, 0.5)
     inner = np.abs(grid.nodes) <= 6.0
     exact = _heat_kernel_exact(grid.nodes[inner][:, None], 0.0,
                                grid.nodes[None, :], 0.5)
@@ -534,8 +541,7 @@ def test_feynman_kac_second_order_convergence():
     errs = []
     for n, sub in ((65, 30), (129, 60), (257, 120)):
         grid = Grid1D(-10.0, 10.0, n)
-        mat = solve_feynman_kac(Potential.zero(), grid, 0.0, 0.5,
-                                n_substeps=sub)
+        mat = _fk_matrix(Potential.zero(), grid, 0.0, 0.5, n_substeps=sub)
         inner = np.abs(grid.nodes) <= 6.0
         exact = _heat_kernel_exact(grid.nodes[inner][:, None], 0.0,
                                    grid.nodes[None, :], 0.5)
@@ -548,8 +554,8 @@ def test_feynman_kac_second_order_convergence():
 def test_feynman_kac_constant_potential_scales_the_heat_kernel():
     lam = 0.8
     grid = Grid1D(-10.0, 10.0, 257)
-    plain = solve_feynman_kac(Potential.zero(), grid, 0.0, 0.5)
-    damped = solve_feynman_kac(Potential.constant(lam), grid, 0.0, 0.5)
+    plain = _fk_matrix(Potential.zero(), grid, 0.0, 0.5)
+    damped = _fk_matrix(Potential.constant(lam), grid, 0.0, 0.5)
     inner = np.abs(grid.nodes) <= 6.0
     # the potential enters only through the path weight exp(-lam (t - s))
     diff = np.abs(damped.entries - np.exp(-lam * 0.5) * plain.entries)
@@ -558,7 +564,7 @@ def test_feynman_kac_constant_potential_scales_the_heat_kernel():
 
 def test_feynman_kac_packet_potential_propagates_the_backward_factor():
     grid = Grid1D(-10.0, 10.0, 257)
-    mat = solve_feynman_kac(Potential.packet(), grid, 0.0, 0.5)
+    mat = _fk_matrix(Potential.packet(), grid, 0.0, 0.5)
     pushed = mat.apply_source(PACKET.factor_u(grid.nodes, 0.0))
     ref = PACKET.factor_u(grid.nodes, 0.5)
     assert np.max(np.abs(pushed - ref)) / np.max(ref) < 1e-3
@@ -567,19 +573,19 @@ def test_feynman_kac_packet_potential_propagates_the_backward_factor():
 def test_feynman_kac_argument_guards():
     grid = Grid1D(-10.0, 10.0, 257)
     with pytest.raises(ValueError):
-        solve_feynman_kac(Potential.zero(), grid, 0.0, 0.5, n_substeps=3)
+        _fk_matrix(Potential.zero(), grid, 0.0, 0.5, n_substeps=3)
     with pytest.raises(ValueError):
         # diffusion number way beyond the stability budget
-        solve_feynman_kac(Potential.zero(), grid, 0.0, 1.0, n_substeps=4)
+        _fk_matrix(Potential.zero(), grid, 0.0, 1.0, n_substeps=4)
     with pytest.raises(TimeOrderingError):
-        solve_feynman_kac(Potential.zero(), grid, 0.5, 0.5)
+        _fk_matrix(Potential.zero(), grid, 0.5, 0.5)
 
 
 def test_numeric_kernel_wraps_the_solver():
     grid = Grid1D(-10.0, 10.0, 129)
     k = NumericFeynmanKacKernel(Potential.zero(), grid=grid)
     assert k.tag == "numeric-fk"
-    mat = solve_feynman_kac(Potential.zero(), grid, 0.0, 0.5)
+    mat = _fk_matrix(Potential.zero(), grid, 0.0, 0.5)
     mid = grid.n_points // 2
     got = float(k.evaluate(grid.nodes[mid], 0.0, grid.nodes[mid + 3], 0.5))
     assert got == pytest.approx(float(mat.entries[mid, mid + 3]), rel=1e-12)
@@ -599,7 +605,7 @@ def test_chapman_kolmogorov_argument_guards():
         check_chapman_kolmogorov(make_kernel("heat"), 0.5, 0.2, 1.0)
     with pytest.raises(ValueError):
         check_chapman_kolmogorov(make_kernel("heat"), 0.0, 0.5, 1.0,
-                                 Grid1D(-2.0, 2.0, 65), margin=4.0)
+                                 Grid1D(-2.0, 2.0, 65))
 
 
 def test_short_time_moments_heat_kernel():

@@ -8,7 +8,7 @@ from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
                          NumericDomainError, NumericFeynmanKacKernel,
                          PositivityError, Potential, PropagationError,
                          kernels, make_kernel, normalize, propagate_factors,
-                         sample_field, solve_feynman_kac)
+                         sample_field)
 from schrobridge.kernels import _banded, _default_substeps
 
 GRID = Grid1D(-10.0, 10.0, 257)
@@ -93,6 +93,24 @@ def banded_calls(monkeypatch):
     return calls
 
 
+def test_the_dense_solve_and_the_sweeps_build_one_step_list(monkeypatch):
+    calls = []
+    build = kernels._crank_nicolson_steps
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "_crank_nicolson_steps", counting)
+    grid = Grid1D(-10.0, 10.0, 65)
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
+    propagator = kernel.propagator(grid, np.linspace(0.0, 1.0, 5))
+    propagator.matrix
+    propagator.sweep(PACKET.factor_u(grid.nodes, 0.0),
+                     PACKET.factor_v(grid.nodes, 1.0))
+    assert len(calls) == 1
+
+
 def test_sweeps_and_dense_solves_call_the_module_solve_banded(banded_calls):
     grid = Grid1D(-10.0, 10.0, 65)
     times = np.linspace(0.0, 1.0, 5)
@@ -104,7 +122,7 @@ def test_sweeps_and_dense_solves_call_the_module_solve_banded(banded_calls):
     # one vector per step forward, one per transposed step backward
     assert banded_calls == [1] * (2 * n_steps)
     banded_calls.clear()
-    solve_feynman_kac(kernel.potential, grid, 0.0, 1.0, slices=times)
+    kernel.propagator(grid, times).matrix
     # the dense solve carries every interior delta as one block
     assert banded_calls == [grid.n_points - 2] * n_steps
 
@@ -142,7 +160,8 @@ def test_packet_propagator_on_129_points_builds_the_boundary_matrix():
 def test_packet_pair_solve_on_129_points():
     # the rule without its potential term gave 16 substeps and -4.1e-07
     grid = Grid1D(-10.0, 10.0, 129)
-    mat = solve_feynman_kac(Potential.packet(), grid, 0.0, 0.5)
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
+    mat = kernel.propagator(grid, (0.0, 0.5)).matrix
     pushed = mat.apply_source(PACKET.factor_u(grid.nodes, 0.0))
     assert _rel(pushed, PACKET.factor_u(grid.nodes, 0.5)) < 1e-2
 
@@ -157,7 +176,7 @@ def test_default_substeps_refuse_a_huge_potential():
     with pytest.raises(ValueError, match="pass n_substeps explicitly"):
         kernel.propagator(GRID, TIMES).matrix
     with pytest.raises(ValueError, match="pass n_substeps explicitly"):
-        solve_feynman_kac(Potential.constant(1e6), GRID, 0.0, 1.0)
+        kernel.propagator(GRID, (0.0, 1.0)).matrix
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
