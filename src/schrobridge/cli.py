@@ -30,7 +30,8 @@ import numpy as np
 from .bridge import (MASS_DRIFT_TOL, BoundaryData, propagate_factors,
                      solve_boundary_system)
 from .burgers import burgers_residual
-from .dynamics import SDEConfig, simulate_backward, simulate_forward
+from .dynamics import (SDEConfig, simulate_backward, simulate_forward,
+                       step_schedule)
 from .errors import (ConfigError, MissingInputError, NumericDomainError,
                      SchrobridgeError)
 from .grids import FieldStack, Grid1D, normalize, sample_field
@@ -81,15 +82,14 @@ def _parse_density_arg(text: str) -> dict:
 def run_gallery_pipeline(name: str, outdir: Path, grid_points: int | None = None,
                          n_paths: int | None = None,
                          seed: int | None = None) -> int:
-    kwargs = {}
-    if grid_points is not None:
-        kwargs["grid_points"] = grid_points
-    if name == "quantum-free":
-        if n_paths is not None:
-            kwargs["n_paths"] = n_paths
-        if seed is not None:
-            kwargs["seed"] = seed
-    report = gallery.run_scenario(name, **kwargs)
+    for flag, value in (("--n-paths (sde.n_paths)", n_paths),
+                        ("--seed (sde.seed)", seed)):
+        if value is not None and name != "quantum-free":
+            raise ConfigError(f"{flag} applies only to the quantum-free suite; "
+                              f"{name} draws no paths")
+    options = {"grid_points": grid_points, "n_paths": n_paths, "seed": seed}
+    report = gallery.run_scenario(
+        name, **{k: v for k, v in options.items() if v is not None})
     return _emit(report, outdir, f"{name}-report")
 
 
@@ -157,6 +157,7 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     forward = direction == "forward"
     grid = cfg.make_grid()
     record = np.linspace(0.0, cfg.horizon, 11)
+    step_schedule(cfg.horizon, config.dt, record)
 
     if cfg.boundary is not None:
         # bridge-driven run: solve the factor system, then ride its drift

@@ -62,6 +62,8 @@ class SDEConfig:
             raise ValueError("need at least one path")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.boundary_policy not in BOUNDARY_POLICIES:
             raise ValueError(
                 f"boundary_policy must be one of {BOUNDARY_POLICIES}")
@@ -73,8 +75,6 @@ class PathEnsemble:
 
     times: np.ndarray
     positions: np.ndarray
-    config: SDEConfig
-    horizon: float
     n_requested: int
 
     @property
@@ -101,7 +101,8 @@ def _inverse_cdf_table(density: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return cdf, f.grid.nodes
 
 
-def _step_schedule(horizon: float, dt: float, record_times: np.ndarray):
+def step_schedule(horizon: float, dt: float, record_times: np.ndarray):
+    """Step count and the step index of each record time on the dt lattice."""
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a whole number of steps of {dt}")
@@ -130,7 +131,7 @@ def _draw_normals(rng: np.random.Generator, rows: np.ndarray):
 def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
                horizon: float, record_taus: np.ndarray,
                domain: Grid1D) -> np.ndarray:
-    n_steps, rec_idx = _step_schedule(horizon, config.dt, record_taus)
+    n_steps, rec_idx = step_schedule(horizon, config.dt, record_taus)
     cdf, nodes = _inverse_cdf_table(init_density)
     sig = np.sqrt(2.0 * config.nu * config.dt)
     lo, hi = domain.x_min, domain.x_max
@@ -215,8 +216,7 @@ def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
     return out
 
 
-def _finish(out: np.ndarray, times: np.ndarray, config: SDEConfig,
-            horizon: float) -> PathEnsemble:
+def _finish(out: np.ndarray, times: np.ndarray, config: SDEConfig) -> PathEnsemble:
     n_requested = out.shape[0]
     if config.boundary_policy == "absorb-and-discard":
         alive = ~np.isnan(out).any(axis=1)
@@ -225,8 +225,7 @@ def _finish(out: np.ndarray, times: np.ndarray, config: SDEConfig,
                 f"only {alive.sum()} of {n_requested} paths stayed inside "
                 "the domain; enlarge the box or tighten the drift")
         out = out[alive]
-    return PathEnsemble(times=times, positions=out, config=config,
-                        horizon=horizon, n_requested=n_requested)
+    return PathEnsemble(times=times, positions=out, n_requested=n_requested)
 
 
 def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float,
@@ -246,7 +245,7 @@ def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float
     times = np.asarray(record_times, dtype=float)
     domain = domain or rho0.grid
     out = _run_euler(drift, rho0, config, horizon, times, domain)
-    return _finish(out, times, config, horizon)
+    return _finish(out, times, config)
 
 
 def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
@@ -266,7 +265,7 @@ def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
     domain = domain or rhoT.grid
     out = _run_euler(lambda y, tau: -drift_star(y, horizon - tau), rhoT,
                      config, horizon, taus, domain)
-    return _finish(out[:, ::-1], times, config, horizon)
+    return _finish(out[:, ::-1], times, config)
 
 
 def empirical_density(ensemble: PathEnsemble, t: float, grid: Grid1D) -> ScalarField:

@@ -15,9 +15,6 @@ import numpy as np
 class FreeGaussianPacket:
     """Evaluator for the free-packet closed forms (nu = 1)."""
 
-    nu: float = 1.0
-    horizon: float = 1.0
-
     # -- wave function and Madelung pieces ------------------------------
 
     def psi(self, x, t):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +47,17 @@ _TOP_KEYS = {"pipeline", "scenario", "kernel", "boundary", "horizon", "grid",
 _GRID_KEYS = {"x_min", "x_max", "n_points"}
 _SDE_KEYS = {"n_paths", "dt", "seed", "boundary_policy", "direction"}
 _CK_KEYS = {"s", "tau", "t", "threshold"}
+# the numeric keys and the type each must hold ("section.key" in a section)
+_NUMERIC_KEYS = {
+    "horizon": Real, "ipf_tol": Real, "time_slices": Integral,
+    "grid.x_min": Real, "grid.x_max": Real, "grid.n_points": Integral,
+    "sde.n_paths": Integral, "sde.dt": Real, "sde.seed": Integral,
+    "ck.s": Real, "ck.tau": Real, "ck.t": Real, "ck.threshold": Real}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} section must be an object, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -80,6 +89,13 @@ class ScenarioConfig:
         _reject_unknown(self.ck, _CK_KEYS, "ck")
         if not isinstance(self.kernel, dict) or "tag" not in self.kernel:
             raise ConfigError("kernel section needs a 'tag' entry")
+        for key, kind in _NUMERIC_KEYS.items():
+            section, _, name = key.rpartition(".")
+            value = (getattr(self, section) if section else vars(self)).get(
+                name, 0)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a number"
+                raise ConfigError(f"{key} must be {noun}, got {value!r}")
         if self.time_slices < 2:
             raise ConfigError("time_slices must be at least 2")
         if not 0.0 < self.horizon < np.inf:

@@ -1,6 +1,7 @@
 """Shared fixtures and the acceptance summary hook."""
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -138,11 +139,10 @@ def csv_reference():
 
 
 @pytest.fixture(scope="session")
-def wide_bridge():
-    """Boundary data, solved factors, and the interpolation for the
-    free-packet scenario on the wide lattice.  Expensive, so shared."""
-    kernel = make_kernel("quantum-k1")
-    return gallery.packet_bridge(kernel)
+def gallery_report():
+    """gallery_report(name): the named suite's report at its defaults,
+    built once per session and shared by the gallery and acceptance gates."""
+    return cache(gallery.run_scenario)
 
 
 @pytest.fixture(scope="session")

@@ -4,25 +4,26 @@ Each test measures one headline property of the package at its stated
 tolerance and appends a PASS/FAIL line to the session log (echoed after
 the run by the conftest hook), then asserts.  Tolerances here are the
 published contract for the package; they are not tuning knobs.
+
+Where a gallery suite already computes a quantity on the same inputs,
+the gate reads that check's measured value from the session's report
+(the ``gallery_report`` fixture) and holds it to the gate's own bound.
 """
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from schrobridge import (FieldStack, Grid1D, NumericFeynmanKacKernel,
                          Potential, SDEConfig,
                          burgers_residual, check_chapman_kolmogorov,
-                         compatibility_potential, extract_forward_drift,
-                         fokker_planck_residual, gauge_align,
-                         hopf_cole_forward, hopf_cole_inverse, ks_distance,
-                         make_kernel, pinned_coefficient_dt, sample_field,
-                         short_time_moments, simulate_backward,
+                         extract_forward_drift, fokker_planck_residual,
+                         gauge_align, hopf_cole_forward, hopf_cole_inverse,
+                         ks_distance, make_kernel, pinned_coefficient_dt,
+                         sample_field, short_time_moments, simulate_backward,
                          simulate_forward)
 from schrobridge.bridge import (BridgeSolution, backward_transition,
                                 forward_transition)
-from schrobridge.gallery import (packet_boundary, packet_bridge,
-                                 verify_parabolic_system)
+from schrobridge.gallery import WIDE_GRID, packet_boundary, packet_bridge
 from schrobridge.packet import PACKET
 
 
@@ -34,29 +35,34 @@ def _gate(log, number, name, ok, detail):
     return line
 
 
+def _measured(report, *names):
+    """Measured values of the named checks of a gallery report."""
+    values = {c.name: c.measured for c in report.checks}
+    return [values[name] for name in names]
+
+
 def _rel_sup(candidate, reference, weights):
     lam = gauge_align(candidate, reference, weights)
     return float(np.max(np.abs(lam * candidate - reference))
                  / np.max(np.abs(reference)))
 
 
-def test_criterion_01_bridge_factor_uniqueness(wide_bridge, acceptance_log):
+def test_criterion_01_bridge_factor_uniqueness(gallery_report,
+                                               acceptance_log):
     # the boundary system has one factor pair (up to gauge), and both
-    # interpolating kernels must find it
-    _, factors1, solution = wide_bridge
-    grid = solution.grid
-    w = grid.weights
-    theta_star0 = PACKET.factor_u(grid.nodes, 0.0)
-    theta_end = PACKET.factor_v(grid.nodes, 1.0)
+    # interpolating kernels must find it: the gallery matches k1's pair to
+    # the closed forms and k2's pair to k1's; k2's to the closed forms here
+    grid = WIDE_GRID
     _, factors2, _ = packet_bridge(make_kernel("quantum-k2"),
-                                   times=np.array([0.0, 0.5, 1.0]))
+                                   times=np.array([0.0, 1.0]))
     err = max(
-        _rel_sup(factors1.u0.values, theta_star0, w),
-        _rel_sup(factors1.vT.values, theta_end, w),
-        _rel_sup(factors2.u0.values, theta_star0, w),
-        _rel_sup(factors2.vT.values, theta_end, w),
-        _rel_sup(factors2.u0.values, factors1.u0.values, w),
-        _rel_sup(factors2.vT.values, factors1.vT.values, w),
+        *_measured(gallery_report("quantum-free"), "factor-match-k1-u0",
+                   "factor-match-k1-vT", "factor-agreement-k2-u0",
+                   "factor-agreement-k2-vT"),
+        _rel_sup(factors2.u0.values, PACKET.factor_u(grid.nodes, 0.0),
+                 grid.weights),
+        _rel_sup(factors2.vT.values, PACKET.factor_v(grid.nodes, 1.0),
+                 grid.weights),
     )
     ok = err < 1e-6
     line = _gate(acceptance_log, 1, "bridge-factor-uniqueness", ok,
@@ -64,31 +70,24 @@ def test_criterion_01_bridge_factor_uniqueness(wide_bridge, acceptance_log):
     assert ok, line
 
 
-def test_criterion_02_drift_reconstruction(wide_bridge, acceptance_log):
-    _, _, solution = wide_bridge
-    grid = solution.grid
-    mask = solution.density_mask()
-    b_true = FieldStack.sample(grid, solution.times, PACKET.drift_forward)
-    bs_true = FieldStack.sample(grid, solution.times, PACKET.drift_backward)
-    err = max(
-        float(np.max(np.where(mask, np.abs(solution.b - b_true.values), 0.0))),
-        float(np.max(np.where(mask, np.abs(solution.b_star - bs_true.values),
-                              0.0))))
+def test_criterion_02_drift_reconstruction(gallery_report, acceptance_log):
+    (err,) = _measured(gallery_report("quantum-free"), "bridge-drift-error")
     ok = err < 1e-4
     line = _gate(acceptance_log, 2, "drift-reconstruction", ok,
                  f"max masked drift error {err:.3e} (tol 1e-04)")
     assert ok, line
 
 
-def test_criterion_03_chapman_kolmogorov_discrimination(acceptance_log):
-    grid = Grid1D()
-    consistent = max(
-        check_chapman_kolmogorov(kernel, 0.0, 0.5, 1.0, grid)
-        for kernel in (make_kernel("example1"), make_kernel("quantum-k1"),
-                       make_kernel("markov-family", anchor_y=1.0, anchor_s=0.0)))
-    violating = check_chapman_kolmogorov(make_kernel("pinned-example2"),
-                                         0.0, 0.5, 1.0, grid)
-    ok = consistent <= 1e-6 and violating > 0.01
+def test_criterion_03_chapman_kolmogorov_discrimination(gallery_report,
+                                                        acceptance_log):
+    gallery_worst = max(_measured(gallery_report("example1"),
+                                  "ck-consistency-p", "ck-consistency-k1"))
+    (violating,) = _measured(gallery_report("example2"), "ck-violation")
+    markov = check_chapman_kolmogorov(
+        make_kernel("markov-family", anchor_y=1.0, anchor_s=0.0),
+        0.0, 0.5, 1.0, Grid1D())
+    consistent = max(gallery_worst, markov)
+    ok = gallery_worst < 1e-6 and markov <= 1e-6 and violating > 0.01
     line = _gate(acceptance_log, 3, "chapman-kolmogorov-discrimination", ok,
                  f"consistent worst {consistent:.3e} (tol 1e-06), "
                  f"pinned {violating:.3e} (must exceed 1e-02)")
@@ -110,12 +109,13 @@ def test_criterion_04_short_time_moments(acceptance_log):
     assert ok, line
 
 
-def test_criterion_05_drift_extraction(acceptance_log):
-    kernel = make_kernel("pinned-example2")
-    err = max(
-        abs(extract_forward_drift(kernel, x, t)
-            - (-(1.0 - t) * x / (1.0 + t * t)))
-        for x, t in ((2.0, 0.0), (1.0, 0.5), (1.0, 1.0)))
+def test_criterion_05_drift_extraction(gallery_report, acceptance_log):
+    # b(x, t) = -(1 - t) x / (1 + t^2): the gallery probes (2, 0) and
+    # (1, 1/2); at (1, 1) the drift vanishes
+    err = max(*_measured(gallery_report("example2"), "drift-limit-at-2-0",
+                         "drift-limit-at-1-half"),
+              abs(extract_forward_drift(make_kernel("pinned-example2"),
+                                        1.0, 1.0)))
     ok = err < 1e-3
     line = _gate(acceptance_log, 5, "drift-extraction", ok,
                  f"max pointwise error {err:.3e} (tol 1e-03)")
@@ -130,7 +130,8 @@ def _two_bump(x, t):
 
 
 def _residual_families():
-    """(name, residual(n_x, n_t)) for every transport/heat identity."""
+    """(name, residual(n_x, n_t)) for every transport/heat identity but the
+    parabolic pair, whose ratios the quantum-free gallery measures."""
     p27 = make_kernel("example1")
     pin = make_kernel("pinned-example2")
 
@@ -189,25 +190,20 @@ def _residual_families():
                                       "backward"))
     yield ("free-burgers", free_burgers)
     yield ("forced-burgers", forced_burgers)
-    yield ("parabolic-pair-u",
-           lambda n_x, n_t: verify_parabolic_system(
-               Grid1D(-6.0, 6.0, n_x), np.linspace(0.0, 1.0, 2 * n_t - 1))[0])
-    yield ("parabolic-pair-v",
-           lambda n_x, n_t: verify_parabolic_system(
-               Grid1D(-6.0, 6.0, n_x), np.linspace(0.0, 1.0, 2 * n_t - 1))[1])
     yield ("squared-clock-forward", squared_clock_forward)
     yield ("squared-clock-adjoint", squared_clock_adjoint)
     yield ("pinned-kolmogorov", pinned_kolmogorov)
 
 
-def test_criterion_06_pde_residual_refinement(acceptance_log):
+def test_criterion_06_pde_residual_refinement(gallery_report,
+                                              acceptance_log):
     # every governing equation's residual must shrink at second order
     # when both steps are halved
-    ratios = {}
-    for name, residual in _residual_families():
-        coarse = residual(201, 41)
-        fine = residual(401, 81)
-        ratios[name] = coarse / fine
+    ratios = {name: residual(201, 41) / residual(401, 81)
+              for name, residual in _residual_families()}
+    ratios["parabolic-pair-u"], ratios["parabolic-pair-v"] = _measured(
+        gallery_report("quantum-free"), "parabolic-refinement-u",
+        "parabolic-refinement-v")
     worst = min(ratios.values()), max(ratios.values())
     ok = all(3.5 <= r <= 4.5 for r in ratios.values())
     bad = {n: f"{r:.2f}" for n, r in ratios.items() if not 3.5 <= r <= 4.5}
@@ -218,14 +214,10 @@ def test_criterion_06_pde_residual_refinement(acceptance_log):
     assert ok, line
 
 
-def test_criterion_07_compatibility_condition(acceptance_log):
-    dev = 0.0
-    for t_mid in (0.25, 0.5, 0.75):
-        times = np.array([t_mid - 1e-4, t_mid, t_mid + 1e-4])
-        b = FieldStack.sample(Grid1D(), times, PACKET.drift_forward)
-        rec = compatibility_potential(b, nu=1.0)
-        diff = rec.c.values[1] - PACKET.potential(rec.c.grid.nodes, t_mid)
-        dev = max(dev, float(np.max(np.abs(diff - np.mean(diff)))))
+def test_criterion_07_compatibility_condition(gallery_report,
+                                              acceptance_log):
+    (dev,) = _measured(gallery_report("quantum-free"),
+                       "compatibility-spatial-constancy")
     ok = dev < 1e-6
     line = _gate(acceptance_log, 7, "compatibility-condition", ok,
                  f"max spatial deviation {dev:.3e} (tol 1e-06)")
@@ -258,9 +250,9 @@ def test_criterion_08_monte_carlo_consistency(acceptance_log):
     assert ok, line
 
 
-def test_criterion_09_identity_suite(wide_bridge, acceptance_log):
-    _, _, solution = wide_bridge
+def test_criterion_09_identity_suite(acceptance_log):
     kernel = make_kernel("quantum-k1")
+    _, _, solution = packet_bridge(kernel)
     grid = solution.grid
 
     factorization = float(np.max(np.abs(solution.rho
@@ -339,9 +331,9 @@ def test_criterion_10_numeric_feynman_kac(acceptance_log):
     propagation = float(np.max(np.abs(pushed - reference))
                         / np.max(reference))
 
-    ok = match <= 1e-3 and order >= 1.9 and propagation <= 1e-3
+    ok = match <= 1e-3 and order > 1.9 and propagation <= 1e-3
     line = _gate(acceptance_log, 10, "numeric-feynman-kac", ok,
                  f"heat match {match:.3e} (tol 1e-03), order {order:.3f} "
-                 f"(min 1.9), factor propagation {propagation:.3e} "
+                 f"(must exceed 1.9), factor propagation {propagation:.3e} "
                  f"(tol 1e-03)")
     assert ok, line

@@ -8,7 +8,7 @@ import pytest
 from schrobridge import (BoundaryData, BridgeFactors, ConvergenceError,
                          Grid1D, IncompatibilityError, KernelMatrix,
                          NormalizationError, PositivityError,
-                         PropagationError, ScalarField, backward_transition,
+                         PropagationError, backward_transition,
                          forward_transition, gauge_align, make_kernel,
                          normalize, propagate_factors, sample_field,
                          solve_boundary_system)
@@ -287,18 +287,3 @@ def test_gauge_align_recovers_known_scalar():
     assert lam == pytest.approx(3.7, rel=1e-12)
     with pytest.raises(ValueError):
         gauge_align(np.zeros(40), ref, w)
-
-
-# ------------------------------------------------------ factor recovery
-
-
-def test_wide_bridge_recovers_closed_form_factors(wide_bridge):
-    _, factors, solution = wide_bridge
-    grid = solution.grid
-    w = grid.weights
-    for field, fn, t in ((factors.u0, PACKET.factor_u, 0.0),
-                         (factors.vT, PACKET.factor_v, 1.0)):
-        ref = fn(grid.nodes, t)
-        lam = gauge_align(field.values, ref, w)
-        err = np.max(np.abs(lam * field.values - ref)) / np.max(ref)
-        assert err < 1e-6

@@ -109,12 +109,3 @@ def test_compatibility_potential_is_exact_for_a_static_drift():
     np.testing.assert_allclose(got - got[rec.anchor_index],
                                want - want[rec.anchor_index], atol=1e-10)
 
-
-def test_compatibility_potential_matches_the_packet_potential():
-    grid = Grid1D()
-    t0 = 0.5
-    times = np.array([t0 - 1e-4, t0, t0 + 1e-4])
-    b = FieldStack.sample(grid, times, PACKET.drift_forward)
-    rec = compatibility_potential(b, nu=1.0)
-    diff = rec.c.values[1] - PACKET.potential(grid.nodes, t0)
-    assert np.max(np.abs(diff - np.mean(diff))) < 1e-6

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from schrobridge import KernelMatrix, bridge, cli
+from schrobridge import KernelMatrix, bridge, cli, gallery
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -272,6 +272,38 @@ def test_bridge_paths_diffuse_at_the_kernel_nu(tmp_path, outdir):
     assert code == cli.EXIT_OK
     report = json.loads((outdir / "simulate-report.json").read_text())
     assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0.003"], "horizon 1.0 is not a whole number of steps of 0.003"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+])
+def test_simulate_refuses_its_step_and_seed_before_the_solve(
+        tmp_path, outdir, capsys, monkeypatch, flags, message):
+    def no_build(cls, *args):
+        raise AssertionError("a kernel matrix was built")
+    monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(no_build))
+    config = dict(BRIDGE_CONFIG, pipeline="simulate")
+    code = cli.main(["simulate", "--config", _write_config(tmp_path, config),
+                     *flags])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_gallery_subcommand_writes_the_suite_report(outdir, monkeypatch,
+                                                    gallery_report):
+    # the session's example1 report stands in for a second run of the suite
+    monkeypatch.setattr(gallery, "run_scenario", gallery_report)
+    assert cli.main(["gallery", "example1"]) == cli.EXIT_OK
+    payload = json.loads((outdir / "example1-report.json").read_text())
+    assert payload["scenario"] == "example1" and payload["all_passed"]
+    assert (outdir / "example1-report.txt").is_file()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--n-paths"])
+def test_gallery_path_flags_are_quantum_free_only(outdir, capsys, flag):
+    assert cli.main(["gallery", "example1", flag, "3"]) == cli.EXIT_CONFIG
+    assert f"{flag} " in capsys.readouterr().err
 
 
 def test_sde_nu_is_not_a_config_key(tmp_path, outdir, capsys):

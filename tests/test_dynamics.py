@@ -244,7 +244,7 @@ def _per_chunk_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
     chunk starts.  Under reflect it folds on every step.  Also returns
     counts of the steps on which a chunk crossed the upper and the lower
     wall."""
-    n_steps, rec_idx = dynamics._step_schedule(horizon, cfg.dt, record_taus)
+    n_steps, rec_idx = dynamics.step_schedule(horizon, cfg.dt, record_taus)
     cdf, nodes = dynamics._inverse_cdf_table(start)
     sig = np.sqrt(2.0 * cfg.nu * cfg.dt)
     out = np.empty((cfg.n_paths, rec_idx.size))
@@ -535,10 +535,8 @@ def test_empirical_density_mass_and_placement():
     grid = Grid1D(0.0, 4.0, 5)
     times = np.array([0.0, 1.0])
     pos = np.array([[1.0, 1.0], [1.0, 3.0], [3.0, 3.0], [1.0, 3.0]])
-    ens_cfg = SDEConfig(n_paths=4, dt=1e-2, seed=0)
     from schrobridge.dynamics import PathEnsemble
-    ens = PathEnsemble(times=times, positions=pos, config=ens_cfg,
-                       horizon=1.0, n_requested=4)
+    ens = PathEnsemble(times=times, positions=pos, n_requested=4)
     f = empirical_density(ens, 0.0, grid)
     assert float(grid.weights @ f.values) == pytest.approx(1.0, abs=1e-12)
     # three paths in the bin at x=1, one at x=3, bin width 1

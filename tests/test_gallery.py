@@ -16,16 +16,16 @@ def test_unknown_scenario_is_rejected():
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
-def test_closed_form_suites_pass(name):
-    report = gallery.run_scenario(name)
+def test_closed_form_suites_pass(name, gallery_report):
+    report = gallery_report(name)
     assert report.all_passed, report.render_text()
     assert report.scenario == name
     assert len(report.checks) >= 10
 
 
-def test_quantum_free_suite_passes():
+def test_quantum_free_suite_passes(gallery_report):
     # the slowest suite: refinement pairs, transitions, and seeded paths
-    report = gallery.run_scenario("quantum-free")
+    report = gallery_report("quantum-free")
     assert report.all_passed, report.render_text()
     names = [c.name for c in report.checks]
     assert "hopf-cole-roundtrip" in names

@@ -54,6 +54,20 @@ class TestLoadScenario:
         ({"pipeline": "simulate", "kernel": {}}, "'tag' entry"),
         ({"pipeline": "simulate", "time_slices": 1}, "at least 2"),
         ({"pipeline": "simulate", "horizon": -1.0}, "must be positive"),
+        ({"pipeline": "simulate", "time_slices": 10.5},
+         "time_slices must be an integer, got 10.5"),
+        ({"pipeline": "simulate", "horizon": "1"},
+         "horizon must be a number, got '1'"),
+        ({"pipeline": "simulate", "horizon": True},
+         "horizon must be a number, got True"),
+        ({"pipeline": "simulate", "grid": {"n_points": 64.7}},
+         "grid.n_points must be an integer, got 64.7"),
+        ({"pipeline": "simulate", "sde": {"seed": 1.5}},
+         "sde.seed must be an integer, got 1.5"),
+        ({"pipeline": "simulate", "sde": {"n_paths": False}},
+         "sde.n_paths must be an integer, got False"),
+        ({"pipeline": "simulate", "grid": 5},
+         "grid section must be an object, got 5"),
     ])
     def test_validation_failures(self, tmp_path, payload, message):
         with pytest.raises(ConfigError, match=message):
@@ -201,8 +215,7 @@ class TestWriters:
         from schrobridge.dynamics import PathEnsemble, SDEConfig
         ens = PathEnsemble(times=np.array([0.0, 1.0]),
                            positions=np.array([[0.0, 1.0], [2.0, 3.0]]),
-                           config=SDEConfig(n_paths=2, dt=1e-2, seed=0),
-                           horizon=1.0, n_requested=2)
+                           n_requested=2)
         write_paths_csv(tmp_path / "p.csv", ens)
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines == ["path_id,t,x", "0,0,0", "0,1,1", "1,0,2", "1,1,3"]
@@ -256,9 +269,7 @@ class TestWritersMatchTheFloatReference:
     ], ids=["three-paths", "zero-paths", "zero-records"])
     def test_paths(self, tmp_path, csv_reference, times, positions):
         from schrobridge.dynamics import PathEnsemble, SDEConfig
-        ens = PathEnsemble(times=times, positions=positions,
-                           config=SDEConfig(n_paths=3, dt=1e-2, seed=0),
-                           horizon=1.0, n_requested=3)
+        ens = PathEnsemble(times=times, positions=positions, n_requested=3)
         got = self._same_bytes(tmp_path, write_paths_csv, csv_reference.paths,
                                ens)
         if positions.size == 0:
