@@ -147,7 +147,9 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     k1 = make_kernel("quantum-k1")
     k2 = make_kernel("quantum-k2")
     boundary, factors1, solution = packet_bridge(k1, grid=grid)
-    _, factors2, _ = packet_bridge(k2, grid=grid, times=np.array([0.0, HORIZON]))
+    # only k2's factor pair is checked, so it needs K(0, H) and no sweep
+    factors2 = solve_boundary_system(
+        KernelMatrix.from_kernel(k2, grid, 0.0, HORIZON), boundary)
     w = grid.weights
     # the propagated v at t = 0 is K(0, H) applied to vT
     recov0 = factors1.u0.values * solution.v[0]

@@ -39,6 +39,8 @@ from .packet import PACKET
 ENTRY_FLOOR = 1e-300
 # the largest argument whose exp is finite
 LOG_MAX = float(np.log(np.finfo(float).max))
+# exp of anything below this is under ENTRY_FLOOR (by a factor e)
+LOG_CLAMP = float(np.log(ENTRY_FLOOR)) - 1.0
 NEGATIVITY_TOL = -1e-12
 MOMENT_DTS = (1e-2, 5e-3, 2.5e-3)
 MOMENT_HALF_WIDTH = 4.0
@@ -259,14 +261,15 @@ class KernelMatrix:
         at offset x_j - x_i, when c = 1; otherwise on the n x n pairs
         d = x_j - c y_i - shift.  An untilted core is then floored (on the
         row, before it is expanded); a tilted one gets a(y_i, s) added down
-        the rows and a(x_j, t) subtracted along the columns, then one
-        in-place exp and one in-place floor.  Non-finite or overflowing
-        values are refused (from the core, the tilt vectors and the
-        largest log entry they allow; a density core cannot be negative)
-        and exp underflow is raised to ENTRY_FLOOR.  On grids whose nodes
-        are exact multiples of the spacing (the default boxes) the row
-        builds agree with ``evaluate`` on the node pairs bit for bit;
-        elsewhere they differ by the rounding of x_j - y_i.
+        the rows and a(x_j, t) subtracted along the columns, is clamped
+        below at LOG_CLAMP, then gets one in-place exp and one in-place
+        floor.  Non-finite or overflowing values are refused (from the
+        core, the tilt vectors and the largest log entry they allow; a
+        density core cannot be negative) and exp underflow is raised to
+        ENTRY_FLOOR.  On grids whose nodes are exact multiples of the
+        spacing (the default boxes) the row builds agree with ``evaluate``
+        on the node pairs bit for bit; elsewhere they differ by the
+        rounding of x_j - y_i.
         """
         x = grid.nodes
         row = kernel.coef is None
@@ -289,6 +292,11 @@ class KernelMatrix:
         e = _lattice(e, x.size) if row else e
         e += tilt_s[:, None]
         e -= tilt_t[None, :]
+        # every entry below LOG_CLAMP is floored anyway, and exp is slow
+        # where its result is subnormal; the clamp pass is skipped when the
+        # extremes show no entry can reach it
+        if (low + np.min(tilt_s)) - np.max(tilt_t) < LOG_CLAMP:
+            np.maximum(e, LOG_CLAMP, out=e)
         np.exp(e, out=e)
         np.maximum(e, ENTRY_FLOOR, out=e)
         return cls._checked(grid, s, t, e)
@@ -370,22 +378,32 @@ def _slice_times(times) -> np.ndarray:
     return times
 
 
-def _tridiag_apply(diag: np.ndarray, off: float, w: np.ndarray) -> np.ndarray:
-    out = (diag if w.ndim == 1 else diag[:, None]) * w
-    out[:-1] += off * w[1:]
-    out[1:] += off * w[:-1]
-    return out
-
-
 def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on the first Feynman-Kac step.
+    """Solve A x = b in place for a symmetric positive-definite tridiagonal A.
 
-    Only ``numeric-fk`` solves need it, so the closed-form commands start
-    without loading ``scipy.linalg``.  ``_Step`` looks this name up at call
-    time, so a wrapper bound over it sees every banded solve.
+    ``ab`` is A in ``scipy.linalg.solve_banded``'s banded form with
+    ``l_and_u`` (1, 1); only its diagonal and superdiagonal are read.
+    LAPACK ``?ptsv`` factors A as L D L^T (as ``scipy.linalg.solveh_banded``
+    does for a tridiagonal A) and overwrites ``b``, a float vector or a
+    Fortran-ordered block of columns, with x; ``b`` is returned.  A that is
+    not positive definite raises NumericDomainError.
+
+    ``scipy.linalg`` is imported here, on the first Feynman-Kac step, so
+    the closed-form commands start without it.  ``_Step`` looks this name
+    up at call time, so a wrapper bound over it sees every banded solve.
     """
-    from scipy.linalg import solve_banded
-    return solve_banded(l_and_u, ab, b)
+    from scipy.linalg.lapack import dptsv
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"need a tridiagonal A, got l_and_u = {l_and_u}")
+    if b.dtype != np.float64 or not b.flags.f_contiguous:
+        raise ValueError("b must be a float vector or a Fortran-ordered block")
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dptsv(ab[1], ab[0, 1:], b, overwrite_b=True)
+    if info > 0:
+        raise NumericDomainError(
+            f"leading minor {info} of the banded matrix is not positive definite")
+    return x
 
 
 def _banded(diag: np.ndarray, off: float) -> np.ndarray:
@@ -398,27 +416,77 @@ def _banded(diag: np.ndarray, off: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Step:
-    """One factor A^-1 B of the evolution on the interior nodes.
+    """One factor A^-1 B of the evolution on the interior nodes, ending at
+    time ``t``.
 
     A (banded form ``a``) and B are symmetric tridiagonal; B has diagonal
     ``b_diag`` and off-diagonal ``b_off``, or is the identity for an
     implicit-Euler step (``b_diag`` None).
     """
 
+    t: float
     a: np.ndarray
     b_diag: np.ndarray | None = None
     b_off: float = 0.0
 
-    def apply(self, w: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """A^-1 B w, or (A^-1 B)^T w = B A^-1 w; w is a vector or columns."""
-        if transpose:
-            return self._apply_b(solve_banded((1, 1), self.a, w))
-        return solve_banded((1, 1), self.a, self._apply_b(w))
+    def solve(self, w: np.ndarray):
+        """Overwrite w with A^-1 w."""
+        try:
+            solve_banded((1, 1), self.a, w)
+        except NumericDomainError as err:
+            raise NumericDomainError(
+                f"the Feynman-Kac substep ending at t = {self.t:.6g} is not "
+                f"positive definite ({err}); increase n_substeps") from None
 
-    def _apply_b(self, w: np.ndarray) -> np.ndarray:
-        if self.b_diag is None:
-            return w
-        return _tridiag_apply(self.b_diag, self.b_off, w)
+    def apply_b(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """out = B w for Fortran-ordered w, out and scratch of one shape.
+
+        Their columns lie end to end in memory, so each off-diagonal term
+        is one product over the flat buffer (strided 2-D slices are several
+        times slower), with the terms that would reach into a neighbouring
+        column set to zero in ``scratch``.  Adding those zeros changes
+        nothing but the sign of a zero sum.
+        """
+        m = w.shape[0]
+        np.multiply(self.b_diag if w.ndim == 1 else self.b_diag[:, None], w,
+                    out=out)
+        w, out, scratch = (a.ravel(order="F") for a in (w, out, scratch))
+        np.multiply(w[1:], self.b_off, out=scratch[:-1])
+        scratch[m - 1::m] = 0.0
+        out += scratch
+        np.multiply(w[:-1], self.b_off, out=scratch[1:])
+        scratch[::m] = 0.0
+        out += scratch
+
+
+class _Carry:
+    """Interior values carried through Crank-Nicolson steps in place.
+
+    ``w`` is an owned float vector or Fortran-ordered block of columns; it
+    and a spare buffer of its shape take turns holding the values, and a
+    scratch buffer takes B's off-diagonal terms, so a step allocates
+    nothing and every banded solve overwrites its right-hand side.
+    """
+
+    def __init__(self, w: np.ndarray):
+        if not w.flags.f_contiguous:
+            raise ValueError("carried values must be Fortran-ordered")
+        self.w = w
+        self._spare = np.empty_like(w)
+        self._scratch = np.empty_like(w)
+
+    def run(self, steps, transpose: bool = False) -> np.ndarray:
+        """Apply ``steps`` in order: w <- A^-1 B w, or with ``transpose``
+        w <- (A^-1 B)^T w = B A^-1 w; returns the buffer holding w."""
+        for step in steps:
+            if transpose:
+                step.solve(self.w)
+            if step.b_diag is not None:
+                step.apply_b(self.w, self._spare, self._scratch)
+                self.w, self._spare = self._spare, self.w
+            if not transpose:
+                step.solve(self.w)
+        return self.w
 
 
 def _default_substeps(potential: Potential, grid: Grid1D,
@@ -480,12 +548,14 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
 
     def implicit_euler(tau_next, dt):
         c_next = potential(xs, tau_next)
-        return _Step(_banded(1.0 + dt * (2.0 * rate + c_next), -dt * rate))
+        return _Step(tau_next,
+                     _banded(1.0 + dt * (2.0 * rate + c_next), -dt * rate))
 
     def crank_nicolson(tau, tau_next):
         dt = tau_next - tau
         r = dt * rate
-        return _Step(_banded(1.0 + r + 0.5 * dt * potential(xs, tau_next),
+        return _Step(tau_next,
+                     _banded(1.0 + r + 0.5 * dt * potential(xs, tau_next),
                              -0.5 * r),
                      b_diag=1.0 - r - 0.5 * dt * potential(xs, tau),
                      b_off=0.5 * r)
@@ -517,20 +587,23 @@ def solve_feynman_kac(propagator: "FeynmanKacPropagator") -> KernelMatrix:
     """
     grid, times = propagator.grid, propagator.times
     n, h = grid.n_points, grid.spacing
-    w = np.eye(n - 2) / h
-    for interval in propagator.steps:
-        for step in interval:
-            w = step.apply(w)
+    w = np.eye(n - 2, order="F")
+    w /= h
+    carry = _Carry(w)
+    w = carry.run(step for interval in propagator.steps for step in interval)
+    # the work buffers go before the n x n assembly
+    del carry
 
     full = np.zeros((n, n))
     full[1:-1, 1:-1] = w
+    del w
     entries = full.T
     worst = float(np.min(entries))
     if worst < NEGATIVITY_TOL:
         raise PositivityError(
             f"Feynman-Kac solution went negative ({worst:.3e}); "
             "refine the substeps")
-    entries = np.maximum(entries, ENTRY_FLOOR)
+    np.maximum(entries, ENTRY_FLOOR, out=entries)
     return KernelMatrix(grid, float(times[0]), float(times[-1]), entries)
 
 
@@ -602,16 +675,13 @@ class FeynmanKacPropagator(Propagator):
         v = np.zeros_like(u)
         u[0] = u0
         v[-1] = vT
-        w = u[0, 1:-1]
+        # the carries own copies: solves overwrite their right-hand sides
+        forward = _Carry(u[0, 1:-1].copy())
         for k, interval in enumerate(self.steps, start=1):
-            for step in interval:
-                w = step.apply(w)
-            u[k, 1:-1] = w
-        w = v[-1, 1:-1]
+            u[k, 1:-1] = forward.run(interval)
+        backward = _Carry(v[-1, 1:-1].copy())
         for k in range(self.times.size - 2, -1, -1):
-            for step in reversed(self.steps[k]):
-                w = step.apply(w, transpose=True)
-            v[k, 1:-1] = w
+            v[k, 1:-1] = backward.run(reversed(self.steps[k]), transpose=True)
         for name, stack in (("u", u), ("v", v)):
             _check_swept(name, stack, self.times, self.grid)
         return np.maximum(u, 0.0), np.maximum(v, 0.0)

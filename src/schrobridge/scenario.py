@@ -55,6 +55,17 @@ _NUMERIC_KEYS = {
     "ck.s": Real, "ck.tau": Real, "ck.t": Real, "ck.threshold": Real}
 
 
+def _number(mapping: dict, key: str, default, where: str = "",
+            kind: type = Real):
+    """mapping[key], or ``default`` when absent, refused by name (``where``
+    prefixed) unless it is a number of ``kind``; a bool is not a number."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is Integral else "a number"
+        raise ConfigError(f"{where}{key} must be {noun}, got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} section must be an object, got {mapping!r}")
@@ -90,12 +101,9 @@ class ScenarioConfig:
         if not isinstance(self.kernel, dict) or "tag" not in self.kernel:
             raise ConfigError("kernel section needs a 'tag' entry")
         for key, kind in _NUMERIC_KEYS.items():
-            section, _, name = key.rpartition(".")
-            value = (getattr(self, section) if section else vars(self)).get(
-                name, 0)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is Integral else "a number"
-                raise ConfigError(f"{key} must be {noun}, got {value!r}")
+            section, dot, name = key.rpartition(".")
+            _number(getattr(self, section) if section else vars(self), name,
+                    0, section + dot, kind)
         if self.time_slices < 2:
             raise ConfigError("time_slices must be at least 2")
         if not 0.0 < self.horizon < np.inf:
@@ -171,8 +179,8 @@ def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
                 f"(|mass - 1| must be <= {CSV_MASS_TOL})")
         return f.with_values(resampled / mass)
     if spec.get("form") == "gaussian":
-        mean = float(spec.get("mean", 0.0))
-        var = float(spec.get("var", 1.0))
+        mean = float(_number(spec, "mean", 0.0, "gaussian density "))
+        var = float(_number(spec, "var", 1.0, "gaussian density "))
         if not (np.isfinite(mean) and 0.0 < var < np.inf):
             raise ConfigError(f"gaussian density {spec!r} needs finite "
                               "positive variance and a finite mean")
@@ -201,11 +209,13 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
     if tag == "numeric-fk":
         pot_cfg = cfg.pop("potential", {"kind": "zero"})
         kind = pot_cfg.get("kind", "zero")
-        nu = float(pot_cfg.get("nu", 1.0))
+        nu = float(_number(pot_cfg, "nu", 1.0, "kernel.potential."))
+        if cfg.get("n_substeps") is not None:
+            _number(cfg, "n_substeps", None, "kernel.", Integral)
         if kind == "zero":
             potential = Potential.zero(nu)
         elif kind == "constant":
-            value = float(pot_cfg.get("value", 0.0))
+            value = float(_number(pot_cfg, "value", 0.0, "kernel.potential."))
             if not np.isfinite(value):
                 raise ConfigError(f"potential value must be finite, got {value}")
             potential = Potential.constant(value, nu)
@@ -215,6 +225,8 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
             raise ConfigError(f"unknown potential kind {kind!r}")
         return NumericFeynmanKacKernel(potential, grid=grid,
                                        n_substeps=cfg.pop("n_substeps", None))
+    for key in cfg:
+        _number(cfg, key, None, "kernel.")
     try:
         return make_kernel(tag, **cfg)
     except (TypeError, ValueError) as e:

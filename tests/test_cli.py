@@ -313,6 +313,42 @@ def test_sde_nu_is_not_a_config_key(tmp_path, outdir, capsys):
     assert "unknown sde keys: ['nu']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"form": "gaussian", "mean": "0.5", "var": True},
+     "gaussian density mean must be a number, got '0.5'"),
+    ({"form": "gaussian", "mean": 0.5, "var": True},
+     "gaussian density var must be a number, got True"),
+])
+def test_density_values_of_the_wrong_type_name_their_key(tmp_path, outdir,
+                                                         capsys, spec,
+                                                         message):
+    payload = dict(BRIDGE_CONFIG,
+                   boundary=dict(BRIDGE_CONFIG["boundary"], rho0=spec))
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, message", [
+    ({"tag": "heat", "nu": "1"}, "kernel.nu must be a number, got '1'"),
+    ({"tag": "markov-family", "anchor_y": 0.0, "anchor_s": False},
+     "kernel.anchor_s must be a number, got False"),
+    ({"tag": "numeric-fk", "potential": {"kind": "zero", "nu": "1"}},
+     "kernel.potential.nu must be a number, got '1'"),
+    ({"tag": "numeric-fk", "potential": {"kind": "constant", "value": "2"}},
+     "kernel.potential.value must be a number, got '2'"),
+    ({"tag": "numeric-fk", "n_substeps": 40.0},
+     "kernel.n_substeps must be an integer, got 40.0"),
+])
+def test_kernel_values_of_the_wrong_type_name_their_key(tmp_path, outdir,
+                                                        capsys, kernel,
+                                                        message):
+    payload = dict(BRIDGE_CONFIG, kernel=kernel)
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_list_scenarios_prints_the_gallery_names(capsys, outdir):
     assert cli.main(["list-scenarios"]) == cli.EXIT_OK
     names = capsys.readouterr().out.split()

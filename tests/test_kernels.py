@@ -12,7 +12,8 @@ from schrobridge import (ExtrapolationWarning, GaussianKernel, Grid1D,
                          generalized_heat_residual, make_kernel,
                          pinned_coefficient, pinned_coefficient_dt,
                          short_time_moments)
-from schrobridge.kernels import ENTRY_FLOOR
+from schrobridge.gallery import WIDE_GRID
+from schrobridge.kernels import ENTRY_FLOOR, LOG_CLAMP
 from schrobridge.packet import PACKET
 
 TAGS = ("heat", "example1", "quantum-k1", "pinned-example2", "quantum-k2")
@@ -494,6 +495,25 @@ def test_gaussian_builds_floor_underflowing_corners(name):
     e = KernelMatrix.from_kernel(make_kernel(name), grid, 0.1, 0.11).entries
     assert e[-1, 0] == ENTRY_FLOOR
     assert np.all(e > 0.0)
+
+
+def test_narrow_tilted_build_equals_the_unclamped_expression():
+    # the tilted build clamps log entries at LOG_CLAMP before its exp; the
+    # floor must hide the clamp bit for bit, floored entries included
+    kernel = make_kernel("quantum-k1")
+    s, t = 0.0, 0.05
+    x = WIDE_GRID.nodes
+    log_e = kernel.core(x[:, None], s, x[None, :], t)
+    log_e += PACKET.log_factor_v(x, s)[:, None]
+    log_e -= PACKET.log_factor_v(x, t)[None, :]
+    # entries far below the clamp, and entries just above it whose exp
+    # lands between ENTRY_FLOOR / e and ENTRY_FLOOR
+    assert np.any(log_e < LOG_CLAMP - 30.0)
+    assert np.any((log_e > LOG_CLAMP) & (log_e < LOG_CLAMP + 1.0))
+    want = np.maximum(np.exp(log_e), ENTRY_FLOOR)
+    got = KernelMatrix.from_kernel(kernel, WIDE_GRID, s, t).entries
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
 
 
 def test_offset_row_build_returns_an_owned_contiguous_matrix():

@@ -66,13 +66,65 @@ def test_sweeps_track_the_packet_factors(packet_sweep):
         assert err <= 1e-3, k
 
 
-def test_solve_banded_is_scipys_for_vectors_and_columns():
+def test_solve_banded_is_the_ldlt_solve_for_vectors_and_columns():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(7)
     ab = _banded(2.0 + rng.random(40), -0.4)
-    for b in (rng.standard_normal(40), rng.standard_normal((40, 5))):
-        got = kernels.solve_banded((1, 1), ab, b)
-        assert np.array_equal(got, scipy_linalg.solve_banded((1, 1), ab, b))
+    for b in (rng.standard_normal(40),
+              np.asfortranarray(rng.standard_normal((40, 5)))):
+        ldlt = scipy_linalg.solveh_banded(ab[:2], b)
+        lu = scipy_linalg.solve_banded((1, 1), ab, b)
+        work = b.copy(order="F")
+        got = kernels.solve_banded((1, 1), ab, work)
+        # the right-hand side is overwritten with the solution
+        assert got is work
+        assert np.array_equal(got, ldlt)
+        assert np.max(np.abs(got - lu)) <= 1e-14 * np.max(np.abs(lu))
+
+
+def test_solve_banded_refuses_a_c_ordered_block():
+    ab = _banded(np.full(6, 3.0), -1.0)
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        kernels.solve_banded((1, 1), ab, np.ones((6, 2)))
+
+
+def test_b_product_of_a_block_is_the_product_of_each_column():
+    # the block product runs over the flat Fortran buffer; no term may
+    # reach across a column boundary
+    rng = np.random.default_rng(3)
+    m, off = 9, 0.7
+    step = kernels._Step(0.5, _banded(np.full(m, 3.0), -1.0),
+                         b_diag=rng.standard_normal(m), b_off=off)
+    w = np.asfortranarray(rng.standard_normal((m, 4)))
+    out, scratch = np.empty_like(w), np.empty_like(w)
+    step.apply_b(w, out, scratch)
+    for j in range(w.shape[1]):
+        col = w[:, j].copy()
+        want = step.b_diag * col
+        want[:-1] += off * col[1:]
+        want[1:] += off * col[:-1]
+        assert np.array_equal(out[:, j], want), j
+
+
+def test_an_indefinite_step_names_its_time_and_asks_for_substeps():
+    # dt*|c| = 25 on the first half step: its A has a negative diagonal
+    grid = Grid1D(-10.0, 10.0, 65)
+    kernel = NumericFeynmanKacKernel(Potential.constant(-200.0), grid=grid,
+                                     n_substeps=4)
+    with pytest.raises(NumericDomainError,
+                       match=r"substep ending at t = 0\.125 is not positive "
+                             r"definite .*increase n_substeps"):
+        kernel.propagator(grid, (0.0, 1.0)).matrix
+
+
+def test_sweeps_leave_their_inputs_unchanged(packet_propagator):
+    x = GRID.nodes
+    u0 = np.exp(-((x - 1.0) ** 2) / 3.0)
+    vT = 1.5 + np.sin(0.5 * x)
+    u0_copy, vT_copy = u0.copy(), vT.copy()
+    u, v = packet_propagator.sweep(u0, vT)
+    assert np.array_equal(u0, u0_copy) and np.array_equal(vT, vT_copy)
+    assert np.array_equal(u[0], u0) and np.array_equal(v[-1], vT)
 
 
 @pytest.fixture()
