@@ -11,10 +11,11 @@ gallery           run a named gallery suite
 list-scenarios    print the known gallery scenario names
 
 Exit codes: 0 success; 2 config/parse/validation problem; 3 missing
-input file; 4 a numerical check failed; 5 numeric-domain error during
-computation.  The default output directory is $SCHROBRIDGE_OUT or
-./schrobridge-out; reports carry no timestamps, so reruns with the same
-config and seed are byte-identical.
+or unreadable input file; 4 a numerical check failed; 5 numeric-domain
+error during computation; 6 output could not be written.  The default
+output directory is $SCHROBRIDGE_OUT or ./schrobridge-out; reports carry
+no timestamps, so reruns with the same config and seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_CHECK_FAILED = 4
 EXIT_NUMERIC = 5
+EXIT_OUTPUT = 6
 ENV_OUT = "SCHROBRIDGE_OUT"
 
 
@@ -427,6 +429,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as e:  # an unreadable input raises MissingInputError
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

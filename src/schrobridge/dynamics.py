@@ -115,8 +115,9 @@ def step_schedule(horizon: float, dt: float, record_times: np.ndarray):
     return n_steps, idx
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
+def cores() -> int:
+    """Cores this process may run on: the sampler's worker threads and the
+    CSV writers' formatting processes are sized from it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -174,7 +175,7 @@ def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
             return True
         return False
 
-    pool = ThreadPoolExecutor(max(1, _cores() - 1))
+    pool = ThreadPoolExecutor(max(1, cores() - 1))
     try:
         jobs = [draw_ahead(c, 0) for c in range(len(streams))]
         for first in range(0, n_steps, NOISE_ROWS):

@@ -50,7 +50,7 @@ class BoundaryLeakError(SchrobridgeError):
 
 
 class MissingInputError(SchrobridgeError):
-    """Raised when a referenced input file does not exist."""
+    """Raised when a referenced input file does not exist or cannot be read."""
 
 
 class ConfigError(SchrobridgeError):

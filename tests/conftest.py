@@ -1,6 +1,7 @@
 """Shared fixtures and the acceptance summary hook."""
 from __future__ import annotations
 
+import os
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,6 +20,15 @@ _ACCEPTANCE_LINES: list[str] = []
 @pytest.fixture(scope="session")
 def acceptance_log() -> list[str]:
     return _ACCEPTANCE_LINES
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind (the CSV writers fork
+    formatting processes and must reap every one)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

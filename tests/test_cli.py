@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 
-from schrobridge import KernelMatrix, bridge, cli, gallery
+from schrobridge import KernelMatrix, bridge, cli, gallery, scenario
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -372,6 +375,49 @@ class TestExitCodes:
                                "rhoT": {"form": "gaussian"}}
         cfg = _write_config(tmp_path, payload)
         assert cli.main(["run", "--config", cfg]) == cli.EXIT_MISSING
+
+    @pytest.mark.parametrize("what", ["config", "density"])
+    def test_an_unreadable_input_is_a_missing_input(self, tmp_path, outdir,
+                                                   capsys, monkeypatch, what):
+        (tmp_path / "rho0.csv").write_text("x,value\n-10,0.05\n10,0.05\n")
+        cfg = _write_config(tmp_path, dict(BRIDGE_CONFIG, boundary={
+            "rho0": {"csv": "rho0.csv"}, "rhoT": {"form": "gaussian"}}))
+        owner, name, path = {
+            "config": (Path, "read_text", cfg),
+            "density": (scenario.np, "loadtxt", tmp_path / "rho0.csv")}[what]
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(path))
+
+        monkeypatch.setattr(owner, name, denied)
+        assert cli.main(["run", "--config", cfg]) == cli.EXIT_MISSING
+        assert (f"cannot read {what} file {path}: Permission denied"
+                in capsys.readouterr().err)
+
+    def test_an_output_directory_under_a_file_is_an_output_error(
+            self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["bridge-solve", "--rho0", "gaussian:0,1",
+                         "--rhoT", "gaussian:0,3",
+                         "--out", str(blocker / "sub")])
+        assert code == cli.EXIT_OUTPUT
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(blocker / "sub") in err
+
+    def test_a_failed_formatting_process_is_an_output_error(
+            self, outdir, capsys, monkeypatch):
+        monkeypatch.setattr(scenario, "cores", lambda: 2)
+        monkeypatch.setattr(scenario, "_format_and_exit",
+                            lambda *args: os._exit(1))
+        code = cli.main(["bridge-solve", "--rho0", "gaussian:0,1",
+                         "--rhoT", "gaussian:0,3"])
+        assert code == cli.EXIT_OUTPUT
+        assert capsys.readouterr().err == (
+            f"output error: could not write {outdir / 'rho.csv'}: its "
+            "formatting process exited with status 1\n")
 
     def test_bad_density_flag_is_a_config_error(self, outdir, capsys):
         code = cli.main(["bridge-solve", "--rho0", "uniform:0,1",

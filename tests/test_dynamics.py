@@ -426,7 +426,7 @@ def test_draws_run_ahead_taken_back_or_waited_for_keep_each_stream_in_order(
 @pytest.mark.parametrize("cores", [1, 2, 3, 8])
 def test_ensembles_do_not_depend_on_the_core_count(monkeypatch, cores):
     monkeypatch.setattr(dynamics, "CHUNK", 64)
-    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    monkeypatch.setattr(dynamics, "cores", lambda: cores)
     made = []
 
     class Pool(ThreadPoolExecutor):
@@ -462,7 +462,7 @@ def test_drift_sees_every_path_once_per_step(monkeypatch):
 
 def test_a_failing_drift_propagates_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(dynamics, "CHUNK", 64)
-    monkeypatch.setattr(dynamics, "_cores", lambda: 3)
+    monkeypatch.setattr(dynamics, "cores", lambda: 3)
 
     def drift(x, t):
         if t >= 0.5:

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from schrobridge import (ConfigError, Grid1D, MissingInputError,
-                         NumericFeynmanKacKernel, integrate, sample_field)
+from schrobridge import (ConfigError, FieldStack, Grid1D, MissingInputError,
+                         NumericFeynmanKacKernel, PathEnsemble, integrate,
+                         sample_field, scenario)
 from schrobridge.packet import PACKET
 from schrobridge.scenario import (density_from_spec, kernel_from_config,
                                   load_scenario, write_density_csv,
@@ -224,8 +230,35 @@ class TestWriters:
 _EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e300, 0.1 + 0.2, -1.5, -2.5e-17, -1e300]
 
 
+def _edge_field() -> FieldStack:
+    """A 101 x 513 field of random magnitudes and _EDGE_VALUES."""
+    rng = np.random.default_rng(17)
+    values = (rng.standard_normal((101, 513))
+              * 10.0 ** rng.integers(-300, 300, (101, 513)))
+    values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+    values[50, 100:100 + len(_EDGE_VALUES)] = _EDGE_VALUES
+    times = np.concatenate(([0.0], np.sort(rng.random(100))))
+    return FieldStack(Grid1D(), times, values)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The os.fork calls made while the writers see three cores."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(scenario, "cores", lambda: 3)
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
 class TestWritersMatchTheFloatReference:
-    """Each writer's bytes equal those of the per-element float() writers."""
+    """Each writer's bytes equal those of the per-element float() writers,
+    whether one process or several format them."""
 
     @staticmethod
     def _same_bytes(tmp_path, write, reference, obj):
@@ -235,17 +268,10 @@ class TestWritersMatchTheFloatReference:
         assert got == (tmp_path / "ref.csv").read_bytes()
         return got
 
-    def test_field_with_edge_values(self, tmp_path, csv_reference):
-        from schrobridge import FieldStack
-        rng = np.random.default_rng(17)
-        values = (rng.standard_normal((101, 513))
-                  * 10.0 ** rng.integers(-300, 300, (101, 513)))
-        values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
-        values[50, 100:100 + len(_EDGE_VALUES)] = _EDGE_VALUES
-        times = np.concatenate(([0.0], np.sort(rng.random(100))))
-        stack = FieldStack(Grid1D(), times, values)
+    def test_field_with_edge_values(self, tmp_path, csv_reference, forks):
         got = self._same_bytes(tmp_path, write_field_csv, csv_reference.field,
-                               stack)
+                               _edge_field())
+        assert len(forks) == 2  # three parts of 51,813 rows
         lines = got.decode().splitlines()
         assert len(lines) == 1 + 101 * 513
         assert lines[1] == "0,-10,-0"
@@ -255,10 +281,11 @@ class TestWritersMatchTheFloatReference:
             "1.0000000000000001e+300", "0.30000000000000004", "-1.5",
             "-2.4999999999999999e-17", "-1.0000000000000001e+300"]
 
-    def test_density(self, tmp_path, csv_reference):
+    def test_density(self, tmp_path, csv_reference, forks):
         density = sample_field(Grid1D(-8.0, 8.0, 257), PACKET.rho, 0.5)
         self._same_bytes(tmp_path, write_density_csv, csv_reference.density,
                          density)
+        assert forks == []
 
     @pytest.mark.parametrize("times, positions", [
         (np.array([0.0, 0.1 + 0.2, 1.0]),
@@ -268,7 +295,6 @@ class TestWritersMatchTheFloatReference:
         (np.empty(0), np.empty((3, 0))),
     ], ids=["three-paths", "zero-paths", "zero-records"])
     def test_paths(self, tmp_path, csv_reference, times, positions):
-        from schrobridge.dynamics import PathEnsemble, SDEConfig
         ens = PathEnsemble(times=times, positions=positions, n_requested=3)
         got = self._same_bytes(tmp_path, write_paths_csv, csv_reference.paths,
                                ens)
@@ -276,3 +302,92 @@ class TestWritersMatchTheFloatReference:
             assert got == b"path_id,t,x\n"
         else:
             assert got.splitlines()[4] == b"1,0,4.9406564584124654e-324"
+
+    def test_large_paths_table(self, tmp_path, csv_reference, forks):
+        rng = np.random.default_rng(23)
+        positions = (rng.standard_normal((10_000, 11))
+                     * 10.0 ** rng.integers(-300, 300, (10_000, 11)))
+        for path in (0, 5_000, 9_999):  # one in each of the three parts
+            positions[path, 0] = np.nan
+            positions[path, 3:3 + len(_EDGE_VALUES)] = _EDGE_VALUES
+        ens = PathEnsemble(times=np.linspace(0.0, 1.0, 11),
+                           positions=positions, n_requested=10_000)
+        got = self._same_bytes(tmp_path, write_paths_csv, csv_reference.paths,
+                               ens)
+        assert len(forks) == 2  # three parts of 110,000 rows
+        assert got.count(b"\n") == 1 + 110_000
+        assert got.count(b",nan\n") == 3
+
+    def test_one_core_formats_in_process(self, tmp_path, csv_reference,
+                                         monkeypatch):
+        def no_fork():
+            raise AssertionError("forked on one core")
+
+        monkeypatch.setattr(scenario, "cores", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        self._same_bytes(tmp_path, write_field_csv, csv_reference.field,
+                         _edge_field())
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_failed_fork_leaves_its_ranges_to_the_caller(
+            self, tmp_path, csv_reference, monkeypatch, failing):
+        calls = []
+        fork = os.fork
+
+        def fork_until_refused():
+            calls.append(None)
+            if len(calls) == failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(scenario, "cores", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork_until_refused)
+        self._same_bytes(tmp_path, write_field_csv, csv_reference.field,
+                         _edge_field())
+        assert len(calls) == failing
+
+
+def _fail():
+    raise RuntimeError("formatting failed")
+
+
+def _write_four_blocks(path, block):
+    """Blocks 0-3 with rows enough for two parts: the caller formats blocks
+    0 and 1, a forked child blocks 2 and 3."""
+    scenario._write_lines(path, "k", 4, scenario.MIN_PART_ROWS, block)
+
+
+class TestFailingWrites:
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(scenario, "cores", lambda: 2)
+
+    @pytest.mark.parametrize("fail, ending", [
+        (_fail, "exited with status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         "was killed by signal 9")], ids=["raises", "killed"])
+    def test_a_failing_back_range_fails_the_write_naming_the_file(
+            self, tmp_path, fail, ending):
+        path = tmp_path / "four.csv"
+
+        def block(k):
+            if k == 3:
+                fail()
+            return f"{k}\n"
+
+        with pytest.raises(OSError, match=re.escape(
+                f"could not write {path}: its formatting process {ending}")):
+            _write_four_blocks(path, block)
+
+    def test_a_failing_caller_range_kills_and_reaps_its_children(
+            self, tmp_path):
+        def block(k):
+            if k == 0:
+                _fail()
+            time.sleep(60)  # the child's range; only a kill ends it in time
+            return f"{k}\n"
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            _write_four_blocks(tmp_path / "four.csv", block)
+        assert time.perf_counter() - start < 30
