@@ -28,6 +28,7 @@ MASS_TOL = 1e-8
 MASS_DRIFT_TOL = 1e-4
 DENSITY_FLOOR = 1e-12
 IPF_TOL = 1e-12
+IPF_MAX_SWEEPS = 500
 
 
 def _node(grid: Grid1D, values: np.ndarray, i: int) -> str:
@@ -90,15 +91,16 @@ def marginal_l1_residual(matrix: KernelMatrix, u: np.ndarray, v: np.ndarray,
 
 
 def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
-                          tol: float = IPF_TOL, max_iter: int = 500,
+                          tol: float = IPF_TOL,
                           callback: Callable[[int, float, float], None] | None = None,
                           ) -> BridgeFactors:
     """Iterative proportional fitting for the boundary factor pair.
 
     Alternates u = rho0 / K v and v = rhoT / K^T u (quadrature-weighted
     kernel applications) until the successive L1 change of the pair drops
-    below ``tol``.  The returned pair is gauge-fixed so u0 has unit
-    integral; ``gauge`` is the scalar that was divided out.
+    below ``tol``, within IPF_MAX_SWEEPS sweeps.  The returned pair is
+    gauge-fixed so u0 has unit integral; ``gauge`` is the scalar that was
+    divided out.
 
     ``callback(iteration, l1_change, marginal_residual)``, when given, is
     invoked once per sweep; the residual sequence is non-increasing.
@@ -116,7 +118,7 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     u_prev: np.ndarray | None = None
     change = float("inf")
     residual = float("inf")
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, IPF_MAX_SWEEPS + 1):
         kv = matrix.apply_target(v)
         if np.min(kv) <= 0.0 or not np.all(np.isfinite(kv)):
             raise IncompatibilityError(
@@ -148,7 +150,7 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
                                time_label=boundary.horizon),
                 gauge=gauge)
     raise ConvergenceError(
-        f"IPF did not reach tol={tol} within {max_iter} sweeps "
+        f"IPF did not reach tol={tol} within {IPF_MAX_SWEEPS} sweeps "
         f"(last change {change:.3e}, marginal residual {residual:.3e})",
         last_change=change, last_residual=residual)
 

@@ -10,6 +10,11 @@ kernel-check-ck   Chapman-Kolmogorov consistency probe for one kernel
 gallery           run a named gallery suite
 list-scenarios    print the known gallery scenario names
 
+Every other subcommand builds one ScenarioConfig and runs the core of
+its pipeline.  Each flag sets one config key (``FLAG_KEYS``); a flag the
+user gave wins over the --config file, which wins over the default of
+the code that reads the key.
+
 Exit codes: 0 success; 2 config/parse/validation problem; 3 missing
 or unreadable input file; 4 a numerical check failed; 5 numeric-domain
 error during computation; 6 output could not be written.  The default
@@ -23,16 +28,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bridge import (MASS_DRIFT_TOL, BoundaryData, propagate_factors,
-                     solve_boundary_system)
+from .bridge import (IPF_MAX_SWEEPS, MASS_DRIFT_TOL, BoundaryData,
+                     propagate_factors, solve_boundary_system)
 from .burgers import burgers_residual
-from .dynamics import (SDEConfig, simulate_backward, simulate_forward,
-                       step_schedule)
+from .dynamics import (RECORD_SLICES, SDEConfig, simulate_backward,
+                       simulate_forward, step_schedule)
 from .errors import (ConfigError, MissingInputError, NumericDomainError,
                      SchrobridgeError)
 from .grids import FieldStack, Grid1D, normalize, sample_field
@@ -65,7 +69,8 @@ def _emit(report: RunReport, outdir: Path, stem: str) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def _parse_density_arg(text: str) -> dict:
+def density_spec(text: str) -> dict:
+    """The config density spec of a --rho0 / --rhoT value."""
     if text.endswith(".csv"):
         return {"csv": text}
     if text.startswith("gaussian:"):
@@ -79,20 +84,19 @@ def _parse_density_arg(text: str) -> dict:
                       "use gaussian:mean,var or a .csv path")
 
 
-# -- pipeline cores (shared by `run` and the direct subcommands) ----------
+# -- pipeline cores, one per config pipeline ---------------------------------
 
-def run_gallery_pipeline(name: str, outdir: Path, grid_points: int | None = None,
-                         n_paths: int | None = None,
-                         seed: int | None = None) -> int:
-    for flag, value in (("--n-paths (sde.n_paths)", n_paths),
-                        ("--seed (sde.seed)", seed)):
-        if value is not None and name != "quantum-free":
-            raise ConfigError(f"{flag} applies only to the quantum-free suite; "
-                              f"{name} draws no paths")
-    options = {"grid_points": grid_points, "n_paths": n_paths, "seed": seed}
+def run_gallery_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
+    options = {"grid_points": cfg.grid.get("n_points"),
+               "n_paths": cfg.sde.get("n_paths"), "seed": cfg.sde.get("seed")}
+    for flag, key in (("--n-paths", "n_paths"), ("--seed", "seed")):
+        if key in cfg.sde and cfg.scenario != "quantum-free":
+            raise ConfigError(f"{flag} (sde.{key}) applies only to the "
+                              f"quantum-free suite; {cfg.scenario} draws no "
+                              "paths")
     report = gallery.run_scenario(
-        name, **{k: v for k, v in options.items() if v is not None})
-    return _emit(report, outdir, f"{name}-report")
+        cfg.scenario, **{k: v for k, v in options.items() if v is not None})
+    return _emit(report, outdir, f"{cfg.scenario}-report")
 
 
 def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
@@ -127,7 +131,7 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     report = RunReport(scenario="bridge-solve", config={
         "kernel": cfg.kernel.get("tag"), "grid_points": grid.n_points,
         "horizon": cfg.horizon, "ipf_tol": cfg.ipf_tol})
-    report.add("ipf-sweeps", float(len(sweeps)), upper=500.0,
+    report.add("ipf-sweeps", float(len(sweeps)), upper=float(IPF_MAX_SWEEPS),
                detail=f"last change {sweeps[-1][1]:.3e}")
     recovered0 = factors.u0.values * propagator.matrix.apply_target(
         factors.vT.values)
@@ -147,18 +151,15 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
 
 def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
-    sde = cfg.sde
-    # checked before any solve; the nu of the paths comes with the drift
-    config = SDEConfig(
-        n_paths=int(sde.get("n_paths", 10_000)),
-        dt=float(sde.get("dt", 1e-3)), seed=int(sde.get("seed", 0)),
-        boundary_policy=sde.get("boundary_policy", "reflect"))
-    direction = sde.get("direction", "forward")
+    sde = dict(cfg.sde)
+    direction = sde.pop("direction", "forward")
     if direction not in ("forward", "backward"):
         raise ConfigError("sde.direction must be 'forward' or 'backward'")
     forward = direction == "forward"
+    # checked before any solve; the nu of the paths comes with the drift
+    config = SDEConfig(**sde)
     grid = cfg.make_grid()
-    record = np.linspace(0.0, cfg.horizon, 11)
+    record = np.linspace(0.0, cfg.horizon, RECORD_SLICES)
     step_schedule(cfg.horizon, config.dt, record)
 
     if cfg.boundary is not None:
@@ -179,7 +180,7 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
         raise ConfigError(
             f"scenario {cfg.scenario!r} has no constant-diffusivity process "
             "to simulate; use quantum-free or provide a boundary section")
-    config = replace(config, nu=nu)
+    config = SDEConfig(nu=nu, **sde)
     report = RunReport(scenario="simulate", config={
         "direction": direction, "n_paths": config.n_paths, "dt": config.dt,
         "seed": config.seed, "policy": config.boundary_policy})
@@ -243,6 +244,7 @@ def run_ck_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
 
 _PIPELINE_CORES = {
+    "gallery": run_gallery_pipeline,
     "bridge-solve": run_bridge_pipeline,
     "simulate": run_simulate_pipeline,
     "burgers-residual": run_burgers_pipeline,
@@ -250,92 +252,43 @@ _PIPELINE_CORES = {
 }
 
 
-# -- argparse handlers ------------------------------------------------------
-
-def _cmd_run(args) -> int:
-    cfg = load_scenario(args.config)
-    if args.grid_points is not None:
-        cfg.grid["n_points"] = args.grid_points
-    if args.seed is not None:
-        cfg.sde["seed"] = args.seed
-    if args.tol is not None:
-        cfg.ipf_tol = args.tol
-    outdir = _resolve_outdir(args.out or cfg.output_dir)
-    if cfg.pipeline == "gallery":
-        return run_gallery_pipeline(
-            cfg.scenario, outdir, grid_points=cfg.grid.get("n_points"),
-            n_paths=cfg.sde.get("n_paths"), seed=cfg.sde.get("seed"))
-    return _PIPELINE_CORES[cfg.pipeline](cfg, outdir)
+def _run(args) -> int:
+    """Every subcommand but list-scenarios: the --config file, if any, with
+    each flag the user gave set over it, run by its pipeline's core."""
+    given = {key: value for key, value in vars(args).items()
+             if value is not None}
+    command, path = given.pop("command"), given.pop("config", None)
+    if command != "run":
+        given["pipeline"] = command
+    cfg = load_scenario(path, given)
+    return _PIPELINE_CORES[cfg.pipeline](cfg, _resolve_outdir(cfg.output_dir))
 
 
-def _kernel_section(args) -> dict:
-    """Kernel config from the --kernel flag and the flags of its parameters."""
-    params = {"heat": {"nu": args.nu}, "markov-family": {
-        "anchor_y": args.anchor_y, "anchor_s": args.anchor_s}}
-    return {"tag": args.kernel, **params.get(args.kernel, {})}
+# the config key each flag sets when given, and the type of its value; a
+# flag has no default, so an absent key takes the default of its reader
+FLAG_KEYS = {
+    "--out": ("output_dir", str), "--scenario": ("scenario", str),
+    "--horizon": ("horizon", float), "--time-slices": ("time_slices", int),
+    "--tol": ("ipf_tol", float), "--x-min": ("grid.x_min", float),
+    "--x-max": ("grid.x_max", float), "--grid-points": ("grid.n_points", int),
+    "--kernel": ("kernel.tag", str), "--nu": ("kernel.nu", float),
+    "--anchor-y": ("kernel.anchor_y", float),
+    "--anchor-s": ("kernel.anchor_s", float),
+    "--rho0": ("boundary.rho0", density_spec),
+    "--rhoT": ("boundary.rhoT", density_spec),
+    "--n-paths": ("sde.n_paths", int), "--dt": ("sde.dt", float),
+    "--seed": ("sde.seed", int), "--direction": ("sde.direction", str),
+    "--s": ("ck.s", float), "--tau": ("ck.tau", float), "--t": ("ck.t", float),
+    "--threshold": ("ck.threshold", float),
+}
 
 
-def _cmd_bridge_solve(args) -> int:
-    cfg = ScenarioConfig(
-        pipeline="bridge-solve", kernel=_kernel_section(args),
-        boundary={"rho0": _parse_density_arg(args.rho0),
-                  "rhoT": _parse_density_arg(args.rhoT)},
-        horizon=args.horizon,
-        grid={"x_min": args.x_min, "x_max": args.x_max,
-              "n_points": args.grid_points},
-        time_slices=args.time_slices, ipf_tol=args.tol)
-    return run_bridge_pipeline(cfg, _resolve_outdir(args.out))
-
-
-def _cmd_simulate(args) -> int:
-    if args.config:
-        cfg = load_scenario(args.config)
-        if cfg.pipeline != "simulate":
-            cfg.pipeline = "simulate"
-    else:
-        cfg = ScenarioConfig(pipeline="simulate", scenario=args.scenario,
-                             grid={"n_points": args.grid_points})
-    cfg.sde.setdefault("direction", args.direction)
-    if args.n_paths is not None:
-        cfg.sde["n_paths"] = args.n_paths
-    if args.dt is not None:
-        cfg.sde["dt"] = args.dt
-    if args.seed is not None:
-        cfg.sde["seed"] = args.seed
-    return run_simulate_pipeline(cfg, _resolve_outdir(args.out))
-
-
-def _cmd_burgers(args) -> int:
-    cfg = ScenarioConfig(pipeline="burgers-residual", scenario=args.scenario)
-    return run_burgers_pipeline(cfg, _resolve_outdir(args.out))
-
-
-def _cmd_ck(args) -> int:
-    cfg = ScenarioConfig(
-        pipeline="kernel-check-ck", kernel=_kernel_section(args),
-        grid={"n_points": args.grid_points},
-        ck={"s": args.s, "tau": args.tau, "t": args.t,
-            "threshold": args.threshold})
-    return run_ck_pipeline(cfg, _resolve_outdir(args.out))
-
-
-def _cmd_gallery(args) -> int:
-    return run_gallery_pipeline(args.name, _resolve_outdir(args.out),
-                                grid_points=args.grid_points,
-                                n_paths=args.n_paths, seed=args.seed)
-
-
-def _cmd_list(args) -> int:
-    for name in gallery.scenario_names():
-        print(name)
-    return EXIT_OK
-
-
-def _add_kernel_flags(p: argparse.ArgumentParser, **kernel_opts):
-    p.add_argument("--kernel", **kernel_opts)
-    p.add_argument("--nu", type=float, default=1.0, help="heat only")
-    for flag in ("--anchor-y", "--anchor-s"):
-        p.add_argument(flag, type=float, default=0.0, help="markov-family only")
+def _flags(p: argparse.ArgumentParser, flags, options: dict | None = None):
+    """Add ``flags``; ``options[flag]`` holds more add_argument keywords."""
+    for flag in flags:
+        key, kind = FLAG_KEYS[flag]
+        p.add_argument(flag, dest=key, type=kind,
+                       **(options or {}).get(flag, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,77 +296,57 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schrobridge",
         description="boundary-data bridge toolkit for 1-D diffusions")
     sub = parser.add_subparsers(dest="command", required=True)
+    kernel_flags = ("--kernel", "--nu", "--anchor-y", "--anchor-s")
+    kernel_help = {"--nu": {"help": "heat only"},
+                   "--anchor-y": {"help": "markov-family only"},
+                   "--anchor-s": {"help": "markov-family only"}}
 
     run_p = sub.add_parser("run", help="execute a JSON scenario config")
     run_p.add_argument("--config", required=True, help="path to the JSON file")
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--grid-points", type=int, default=None)
-    run_p.add_argument("--tol", type=float, default=None,
-                       help="IPF convergence tolerance override")
-    run_p.set_defaults(func=_cmd_run)
+    _flags(run_p, ("--out", "--seed", "--grid-points", "--tol"), {
+        "--out": {"help": "output directory"},
+        "--tol": {"help": "IPF convergence tolerance override"}})
 
     br = sub.add_parser("bridge-solve", help="solve the boundary factor system")
-    _add_kernel_flags(br, default="heat")
-    br.add_argument("--rho0", required=True,
-                    help="gaussian:mean,var or a two-column CSV path")
-    br.add_argument("--rhoT", required=True)
-    br.add_argument("--horizon", type=float, default=1.0)
-    br.add_argument("--x-min", type=float, default=-10.0)
-    br.add_argument("--x-max", type=float, default=10.0)
-    br.add_argument("--grid-points", type=int, default=513)
-    br.add_argument("--time-slices", type=int, default=101)
-    br.add_argument("--tol", type=float, default=1e-12)
-    br.add_argument("--out", default=None)
-    br.set_defaults(func=_cmd_bridge_solve)
+    _flags(br, kernel_flags + (
+        "--rho0", "--rhoT", "--horizon", "--x-min", "--x-max", "--grid-points",
+        "--time-slices", "--tol", "--out"), {
+        "--rho0": {"required": True,
+                   "help": "gaussian:mean,var or a two-column CSV path"},
+        "--rhoT": {"required": True}, **kernel_help})
 
     sim = sub.add_parser("simulate", help="sample SDE paths")
-    sim.add_argument("--scenario", default="quantum-free")
-    sim.add_argument("--config", default=None,
+    sim.add_argument("--config",
                      help="bridge config to drive the drift (optional)")
-    sim.add_argument("--direction", choices=("forward", "backward"),
-                     default="forward")
-    sim.add_argument("--n-paths", type=int, default=None)
-    sim.add_argument("--dt", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--grid-points", type=int, default=513)
-    sim.add_argument("--out", default=None)
-    sim.set_defaults(func=_cmd_simulate)
+    _flags(sim, ("--scenario", "--direction", "--n-paths", "--dt", "--seed",
+                 "--grid-points", "--out"),
+           {"--direction": {"choices": ("forward", "backward")}})
 
     bur = sub.add_parser("burgers-residual",
                          help="refinement study of the forced Burgers residual")
-    bur.add_argument("--scenario", default="quantum-free")
-    bur.add_argument("--out", default=None)
-    bur.set_defaults(func=_cmd_burgers)
+    _flags(bur, ("--scenario", "--out"))
 
     ck = sub.add_parser("kernel-check-ck",
                         help="Chapman-Kolmogorov consistency probe")
-    _add_kernel_flags(ck, required=True)
-    ck.add_argument("--s", type=float, default=0.0)
-    ck.add_argument("--tau", type=float, default=0.5)
-    ck.add_argument("--t", type=float, default=1.0)
-    ck.add_argument("--grid-points", type=int, default=513)
-    ck.add_argument("--threshold", type=float, default=1e-6)
-    ck.add_argument("--out", default=None)
-    ck.set_defaults(func=_cmd_ck)
+    _flags(ck, kernel_flags + ("--s", "--tau", "--t", "--grid-points",
+                               "--threshold", "--out"),
+           {"--kernel": {"required": True}, **kernel_help})
 
     gal = sub.add_parser("gallery", help="run a named gallery suite")
-    gal.add_argument("name", choices=gallery.scenario_names())
-    gal.add_argument("--grid-points", type=int, default=None)
-    gal.add_argument("--n-paths", type=int, default=None)
-    gal.add_argument("--seed", type=int, default=None)
-    gal.add_argument("--out", default=None)
-    gal.set_defaults(func=_cmd_gallery)
+    gal.add_argument("scenario", choices=gallery.scenario_names())
+    _flags(gal, ("--grid-points", "--n-paths", "--seed", "--out"))
 
-    lst = sub.add_parser("list-scenarios", help="print gallery scenario names")
-    lst.set_defaults(func=_cmd_list)
+    sub.add_parser("list-scenarios", help="print gallery scenario names")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        if args.command == "list-scenarios":
+            print("\n".join(gallery.scenario_names()))
+            return EXIT_OK
+        return _run(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -43,6 +43,7 @@ from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
 BOUNDARY_POLICIES = ("reflect", "absorb-and-discard")
 CHUNK = 8192
 NOISE_ROWS = 16
+RECORD_SLICES = 11
 
 
 @dataclass(frozen=True)
@@ -235,14 +236,14 @@ def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float
     """Euler-Maruyama paths of dX = b dt + sqrt(2 nu) dW started from rho0.
 
     Initial positions are drawn by inverse-CDF sampling of rho0 on its
-    grid.  ``record_times`` (default: 11 uniform slices) must sit on the
-    step lattice.  Reflection (default) folds overshoots back into the
+    grid.  ``record_times`` (default: RECORD_SLICES uniform slices) must
+    sit on the step lattice.  Reflection (default) folds overshoots back into the
     domain; the absorbing policy discards exited paths and raises if
     fewer than 90 percent survive.
     """
     drift = _drift_fn(drift)
     if record_times is None:
-        record_times = np.linspace(0.0, horizon, 11)
+        record_times = np.linspace(0.0, horizon, RECORD_SLICES)
     times = np.asarray(record_times, dtype=float)
     domain = domain or rho0.grid
     out = _run_euler(drift, rho0, config, horizon, times, domain)
@@ -260,7 +261,7 @@ def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
     """
     drift_star = _drift_fn(drift_star)
     if record_times is None:
-        record_times = np.linspace(0.0, horizon, 11)
+        record_times = np.linspace(0.0, horizon, RECORD_SLICES)
     times = np.sort(np.asarray(record_times, dtype=float))
     taus = horizon - times[::-1]
     domain = domain or rhoT.grid

@@ -199,7 +199,8 @@ def quantum_k2_kernel() -> GaussianKernel:
                    log_tilt=PACKET.log_factor_v)
 
 
-def markov_family_kernel(anchor_y: float, anchor_s: float) -> GaussianKernel:
+def markov_family_kernel(anchor_y: float = 0.0,
+                         anchor_s: float = 0.0) -> GaussianKernel:
     """Consistent Markov transition family anchored at one pinning point.
 
     With c(t) = c(t, anchor_s), the two-time law

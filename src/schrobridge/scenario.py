@@ -5,7 +5,7 @@ A scenario file is a single JSON object.  Top-level keys:
   pipeline     one of "gallery", "bridge-solve", "simulate",
                "burgers-residual", "kernel-check-ck"       (required)
   scenario     gallery scenario name (gallery/simulate/burgers pipelines)
-  kernel       {"tag": <registry tag>, ...tag parameters}
+  kernel       {"tag": <registry tag>, ...tag parameters} (default heat)
   boundary     {"rho0": <density spec>, "rhoT": <density spec>}
   horizon      end time T (default 1.0)
   grid         {"x_min", "x_max", "n_points"}
@@ -15,6 +15,8 @@ A scenario file is a single JSON object.  Top-level keys:
                paths diffuse at the kernel's nu (1 for quantum-free)
   ck           {"s", "tau", "t", "threshold"}
   output_dir   default output directory for this run
+
+Absent keys take the default of the code that reads them.
 
 A density spec is {"form": "gaussian", "mean": m, "var": v} or
 {"csv": <path>} with a two-column x,value file covering the grid; CSV
@@ -29,12 +31,13 @@ import os
 import shutil
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
+from .bridge import IPF_TOL
 from .dynamics import PathEnsemble, cores
 from .errors import ConfigError, MissingInputError
 from .grids import FieldStack, Grid1D, ScalarField, integrate
@@ -51,9 +54,13 @@ MIN_PART_ROWS = 10_000
 
 _TOP_KEYS = {"pipeline", "scenario", "kernel", "boundary", "horizon", "grid",
              "time_slices", "ipf_tol", "sde", "ck", "output_dir"}
+_BOUNDARY_KEYS = {"rho0", "rhoT"}
 _GRID_KEYS = {"x_min", "x_max", "n_points"}
 _SDE_KEYS = {"n_paths", "dt", "seed", "boundary_policy", "direction"}
 _CK_KEYS = {"s", "tau", "t", "threshold"}
+# the keys of each numeric-fk potential kind; the packet's closed forms are nu = 1
+_POTENTIAL_KEYS = {"zero": {"kind", "nu"}, "constant": {"kind", "nu", "value"},
+                   "packet": {"kind"}}
 # the numeric keys and the type each must hold ("section.key" in a section)
 _NUMERIC_KEYS = {
     "horizon": Real, "ipf_tol": Real, "time_slices": Integral,
@@ -87,12 +94,12 @@ class ScenarioConfig:
 
     pipeline: str
     scenario: str = "quantum-free"
-    kernel: dict = field(default_factory=lambda: {"tag": "quantum-k1"})
+    kernel: dict = field(default_factory=lambda: {"tag": "heat"})
     boundary: dict | None = None
     horizon: float = 1.0
     grid: dict = field(default_factory=dict)
     time_slices: int = 101
-    ipf_tol: float = 1e-12
+    ipf_tol: float = IPF_TOL
     sde: dict = field(default_factory=dict)
     ck: dict = field(default_factory=dict)
     output_dir: str | None = None
@@ -102,6 +109,8 @@ class ScenarioConfig:
         if self.pipeline not in PIPELINES:
             raise ConfigError(
                 f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+        if self.boundary is not None:
+            _reject_unknown(self.boundary, _BOUNDARY_KEYS, "boundary")
         _reject_unknown(self.grid, _GRID_KEYS, "grid")
         _reject_unknown(self.sde, _SDE_KEYS, "sde")
         _reject_unknown(self.ck, _CK_KEYS, "ck")
@@ -117,35 +126,51 @@ class ScenarioConfig:
             raise ConfigError("horizon must be positive and finite")
 
     def make_grid(self) -> Grid1D:
-        g = self.grid
-        return Grid1D(x_min=float(g.get("x_min", -10.0)),
-                      x_max=float(g.get("x_max", 10.0)),
-                      n_points=int(g.get("n_points", 513)))
+        return Grid1D(**self.grid)
 
     def make_times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.time_slices)
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and validate a JSON scenario file."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingInputError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as e:
-        raise MissingInputError(f"cannot read config file {path}: "
-                                f"{e.strerror}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"config parse error at line {e.lineno}, column {e.colno}: "
-            f"{e.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+# a section a given key creates starts from its ScenarioConfig default
+_SECTION_DEFAULTS = {f.name: f.default_factory for f in fields(ScenarioConfig)
+                     if f.default_factory is not MISSING}
+
+
+def load_scenario(path: str | Path | None = None,
+                  given: dict | None = None) -> ScenarioConfig:
+    """Validate a JSON scenario file (``None``: an empty one) with each
+    ``given`` "key" or "section.key" set over it."""
+    raw = {}
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise MissingInputError(f"config file not found: {path}")
+        try:
+            raw = json.loads(path.read_text())
+        except OSError as e:
+            raise MissingInputError(f"cannot read config file {path}: "
+                                    f"{e.strerror}") from None
+        except json.JSONDecodeError as e:
+            raise ConfigError(
+                f"config parse error at line {e.lineno}, column {e.colno}: "
+                f"{e.msg}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
+    for key, value in (given or {}).items():
+        section, _, name = key.rpartition(".")
+        target = raw
+        if section:
+            target = raw.setdefault(section,
+                                    _SECTION_DEFAULTS.get(section, dict)())
+            if not isinstance(target, dict):
+                raise ConfigError(
+                    f"{section} section must be an object, got {target!r}")
+        target[name] = value
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "pipeline" not in raw:
         raise ConfigError("config needs a 'pipeline' entry")
-    return ScenarioConfig(base_dir=path.parent, **raw)
+    return ScenarioConfig(base_dir=path.parent if path else Path(), **raw)
 
 
 def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
@@ -220,24 +245,26 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
     cfg = dict(cfg)
     tag = cfg.pop("tag")
     if tag == "numeric-fk":
-        pot_cfg = cfg.pop("potential", {"kind": "zero"})
+        _reject_unknown(cfg, {"potential", "n_substeps"}, "kernel")
+        pot_cfg = cfg.get("potential", {})
+        _reject_unknown(pot_cfg, {"kind", "nu", "value"}, "kernel.potential")
         kind = pot_cfg.get("kind", "zero")
-        nu = float(_number(pot_cfg, "nu", 1.0, "kernel.potential."))
+        if kind not in _POTENTIAL_KEYS:
+            raise ConfigError(f"unknown potential kind {kind!r}")
+        _reject_unknown(pot_cfg, _POTENTIAL_KEYS[kind], f"{kind} potential")
+        params = {key: float(_number(pot_cfg, key, None, "kernel.potential."))
+                  for key in pot_cfg if key != "kind"}
         if cfg.get("n_substeps") is not None:
             _number(cfg, "n_substeps", None, "kernel.", Integral)
-        if kind == "zero":
-            potential = Potential.zero(nu)
-        elif kind == "constant":
-            value = float(_number(pot_cfg, "value", 0.0, "kernel.potential."))
+        if kind == "constant":
+            value = params.pop("value", 0.0)
             if not np.isfinite(value):
                 raise ConfigError(f"potential value must be finite, got {value}")
-            potential = Potential.constant(value, nu)
-        elif kind == "packet":
-            potential = Potential.packet()
+            potential = Potential.constant(value, **params)
         else:
-            raise ConfigError(f"unknown potential kind {kind!r}")
+            potential = getattr(Potential, kind)(**params)
         return NumericFeynmanKacKernel(potential, grid=grid,
-                                       n_substeps=cfg.pop("n_substeps", None))
+                                       n_substeps=cfg.get("n_substeps"))
     for key in cfg:
         _number(cfg, key, None, "kernel.")
     try:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import errno
+import inspect
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from schrobridge import KernelMatrix, bridge, cli, gallery, scenario
+from schrobridge.kernels import KERNEL_TAGS
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -463,3 +466,184 @@ class TestExitCodes:
             cli.main(["transmogrify"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+# -- one route: a flag the user gave, then the config file, then the default
+
+def _report(outdir, stem):
+    return json.loads((outdir / f"{stem}-report.json").read_text())
+
+
+def test_simulate_direction_flag_beats_the_config(tmp_path):
+    cfg = _write_config(tmp_path, dict(SIM_CONFIG, sde=dict(
+        SIM_CONFIG["sde"], direction="forward")))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--direction", "backward",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert _report(out, "simulate")["config"]["direction"] == "backward"
+
+
+def test_simulate_grid_points_flag_beats_the_config(tmp_path):
+    flagged, written = tmp_path / "flagged", tmp_path / "written"
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, SIM_CONFIG, "a.json"),
+                     "--grid-points", "129", "--out", str(flagged)]
+                    ) == cli.EXIT_OK
+    assert cli.main(["run", "--config", _write_config(
+        tmp_path, dict(SIM_CONFIG, grid={"n_points": 129}), "b.json"),
+        "--out", str(written)]) == cli.EXIT_OK
+    assert ((flagged / "paths.csv").read_bytes()
+            == (written / "paths.csv").read_bytes())
+
+
+def test_simulate_config_output_dir_beats_the_environment(tmp_path, outdir):
+    target = tmp_path / "from-config"
+    cfg = _write_config(tmp_path, dict(SIM_CONFIG, output_dir=str(target)))
+    assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_OK
+    assert (target / "paths.csv").is_file()
+    assert not outdir.exists()
+
+
+def test_simulate_scenario_flag_beats_the_config(tmp_path, outdir, capsys):
+    cfg = _write_config(tmp_path, SIM_CONFIG)
+    code = cli.main(["simulate", "--config", cfg, "--scenario", "example1"])
+    assert code == cli.EXIT_CONFIG
+    assert ("scenario 'example1' has no constant-diffusivity process"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kernel, flag, key", [
+    ("example1", "--nu", "nu"), ("heat", "--anchor-y", "anchor_y"),
+    ("markov-family", "--nu", "nu")])
+def test_a_kernel_flag_for_another_kernel_is_refused(outdir, capsys, kernel,
+                                                     flag, key):
+    code = cli.main(["bridge-solve", "--kernel", kernel, flag, "7",
+                     "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,3",
+                     "--grid-points", "129", "--time-slices", "3"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad kernel section: ")
+    assert f"unexpected keyword argument '{key}'" in err
+
+
+def test_bridge_solve_flags_and_a_run_config_write_the_same_bytes(tmp_path):
+    flagged, written = tmp_path / "flagged", tmp_path / "written"
+    assert cli.main(["bridge-solve", "--kernel", "markov-family",
+                     "--anchor-y", "0.3", "--rho0", "gaussian:0.1,1",
+                     "--rhoT", "gaussian:-0.2,2", "--horizon", "0.8",
+                     "--x-min", "-9", "--x-max", "8", "--grid-points", "129",
+                     "--time-slices", "9", "--tol", "1e-11",
+                     "--out", str(flagged)]) == cli.EXIT_OK
+    cfg = _write_config(tmp_path, {
+        "pipeline": "bridge-solve",
+        "kernel": {"tag": "markov-family", "anchor_y": 0.3},
+        "boundary": {"rho0": {"form": "gaussian", "mean": 0.1, "var": 1.0},
+                     "rhoT": {"form": "gaussian", "mean": -0.2, "var": 2.0}},
+        "horizon": 0.8, "grid": {"x_min": -9.0, "x_max": 8.0, "n_points": 129},
+        "time_slices": 9, "ipf_tol": 1e-11, "output_dir": str(written)})
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_OK
+    names = sorted(p.name for p in flagged.iterdir())
+    assert names == sorted(p.name for p in written.iterdir())
+    assert len(names) == 7
+    for name in names:
+        assert (flagged / name).read_bytes() == (written / name).read_bytes()
+
+
+def test_gallery_flags_and_a_gallery_config_write_the_same_report(tmp_path):
+    flagged, written = tmp_path / "flagged", tmp_path / "written"
+    assert cli.main(["gallery", "example1", "--grid-points", "129",
+                     "--out", str(flagged)]) == cli.EXIT_OK
+    cfg = _write_config(tmp_path, {"pipeline": "gallery",
+                                   "scenario": "example1",
+                                   "grid": {"n_points": 129}})
+    assert cli.main(["run", "--config", cfg, "--out", str(written)]
+                    ) == cli.EXIT_OK
+    assert _report(flagged, "example1")["config"]["grid_points"] == 129
+    for name in ("example1-report.txt", "example1-report.json"):
+        assert (flagged / name).read_bytes() == (written / name).read_bytes()
+
+
+def test_the_markov_anchors_default_to_zero_in_a_config_too(tmp_path, outdir):
+    payload = dict(BRIDGE_CONFIG, kernel={"tag": "markov-family"})
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_OK
+
+
+def test_a_config_without_a_kernel_section_solves_heat(tmp_path, outdir):
+    payload = {k: v for k, v in BRIDGE_CONFIG.items() if k != "kernel"}
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_OK
+    assert _report(outdir, "bridge")["config"]["kernel"] == "heat"
+
+
+@pytest.mark.parametrize("kernel, message", [
+    ({"tag": "numeric-fk", "nu": 5, "typo": 1,
+      "potential": {"kind": "zero", "bogus": 3}},
+     "unknown kernel keys: ['nu', 'typo']"),
+    ({"tag": "numeric-fk", "potential": {"kind": "zero", "bogus": 3}},
+     "unknown kernel.potential keys: ['bogus']"),
+    ({"tag": "numeric-fk", "potential": {"kind": "packet", "nu": 2}},
+     "unknown packet potential keys: ['nu']"),
+    ({"tag": "numeric-fk", "potential": {"kind": "zero", "value": 3}},
+     "unknown zero potential keys: ['value']"),
+    ({"tag": "numeric-fk", "potential": 5},
+     "kernel.potential section must be an object, got 5"),
+], ids=["kernel-keys", "potential-key", "packet-nu", "zero-value",
+        "not-an-object"])
+def test_numeric_fk_sections_refuse_keys_they_do_not_read(
+        tmp_path, outdir, capsys, monkeypatch, kernel, message):
+    monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(
+        lambda cls, *args: pytest.fail("a kernel matrix was built")))
+    payload = dict(FK_CONFIG, kernel=kernel)
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_a_flag_over_a_config_section_that_is_not_an_object(tmp_path, outdir,
+                                                           capsys):
+    cfg = _write_config(tmp_path, dict(SIM_CONFIG, grid=5))
+    code = cli.main(["simulate", "--config", cfg, "--grid-points", "129"])
+    assert code == cli.EXIT_CONFIG
+    assert "grid section must be an object, got 5" in capsys.readouterr().err
+
+
+def _accepted_keys() -> set[str]:
+    """Every key a ScenarioConfig accepts, "section.key" in a section."""
+    keys = set(scenario._TOP_KEYS)
+    for section, names in (("boundary", scenario._BOUNDARY_KEYS),
+                           ("grid", scenario._GRID_KEYS),
+                           ("sde", scenario._SDE_KEYS),
+                           ("ck", scenario._CK_KEYS)):
+        keys |= {f"{section}.{name}" for name in names}
+    kernel = {"tag", "potential", "n_substeps"}
+    for factory in KERNEL_TAGS.values():
+        if not isinstance(factory, type):
+            kernel |= set(inspect.signature(factory).parameters)
+    return keys | {f"kernel.{name}" for name in kernel}
+
+
+def test_every_flag_sets_a_config_key_and_has_no_default():
+    # a flag with its own default, or one that feeds something other than
+    # the config, would be a second route from the command line to a run
+    parser = cli.build_parser()
+    accepted = _accepted_keys()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == {
+        "run", "bridge-solve", "simulate", "burgers-residual",
+        "kernel-check-ck", "gallery", "list-scenarios"}
+    seen = set()
+    for command, sub in subparsers.choices.items():
+        assert sub._defaults == {}, command
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            where = f"{command} {'/'.join(action.option_strings) or action.dest}"
+            if action.option_strings == ["--config"]:
+                assert action.dest == "config", where
+                continue
+            assert action.default is None, where
+            assert action.dest in accepted, where
+            seen.add(action.dest)
+    assert seen == {key for key, _ in cli.FLAG_KEYS.values()} | {"scenario"}

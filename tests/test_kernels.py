@@ -71,7 +71,7 @@ def test_non_finite_kernel_parameters_are_refused_by_name(tag, params, name):
 
 @pytest.mark.parametrize("tag, params", [
     ("heat", {"anchor_y": 0.0}), ("example1", {"nu": 1.0}),
-    ("quantum-k2", {"nu": 1.0}), ("markov-family", {"anchor_y": 0.0}),
+    ("quantum-k2", {"nu": 1.0}), ("markov-family", {"nu": 1.0}),
     ("markov-family", {"anchor_y": 0.0, "anchor_s": 0.0, "nu": 1.0}),
 ])
 def test_registry_accepts_only_each_tags_own_parameters(tag, params):

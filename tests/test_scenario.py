@@ -29,7 +29,7 @@ class TestLoadScenario:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = load_scenario(_write_config(tmp_path, {"pipeline": "bridge-solve"}))
         assert cfg.pipeline == "bridge-solve"
-        assert cfg.kernel == {"tag": "quantum-k1"}
+        assert cfg.kernel == {"tag": "heat"}
         assert cfg.horizon == 1.0
         assert cfg.make_grid() == Grid1D(-10.0, 10.0, 513)
         assert cfg.make_times().size == cfg.time_slices
