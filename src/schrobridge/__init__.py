@@ -10,9 +10,8 @@ packet closed forms.
 from .bridge import (BoundaryData, BridgeFactors, BridgeSolution,
                      backward_transition, forward_transition, gauge_align,
                      propagate_factors, solve_boundary_system)
-from .burgers import (CompatibilityPotential, burgers_residual,
-                      compatibility_potential, hopf_cole_forward,
-                      hopf_cole_inverse)
+from .burgers import (burgers_residual, compatibility_potential,
+                      hopf_cole_forward, hopf_cole_inverse, hopf_cole_velocity)
 from .dynamics import (PathEnsemble, SDEConfig, cdf_from_field,
                        empirical_density, fokker_planck_residual, ks_distance,
                        simulate_backward, simulate_forward)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, IncompatibilityError, NormalizationError,
                      PositivityError, PropagationError)
-from .grids import (FieldStack, Grid1D, ScalarField, gradient_values, integrate,
-                    lattice_index)
+from .burgers import hopf_cole_velocity
+from .grids import FieldStack, Grid1D, ScalarField, integrate, lattice_index
 from .kernels import Kernel, KernelMatrix, Propagator
 
 FACTOR_CLIP = 1e-300
@@ -155,19 +155,12 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
         last_change=change, last_residual=residual)
 
 
-def _log_gradient_drift(values: np.ndarray, spacing: float, nu: float,
-                        sign: float) -> np.ndarray:
-    # 2*nu*grad(ln f): exact for log-quadratic factors under central stencils
-    return sign * 2.0 * nu * gradient_values(
-        np.log(np.maximum(values, FACTOR_CLIP)), spacing)
-
-
 @dataclass(frozen=True)
 class BridgeSolution:
     """Factor pair carried over a time lattice, with density and drifts.
 
-    rho[k] = u[k] * v[k] row by row; b = 2*nu*grad(ln v) and
-    b_star = -2*nu*grad(ln u) are the forward and backward drifts.
+    rho[k] = u[k] * v[k] row by row; the drifts b = 2*nu*grad(ln v) and
+    b_star = -2*nu*grad(ln u) are Hopf-Cole velocities of the factors.
     """
 
     grid: Grid1D
@@ -198,8 +191,8 @@ class BridgeSolution:
                 f"(> {MASS_DRIFT_TOL}) at slice {worst} (t = {times[worst]:.6g})")
         h = grid.spacing
         return cls(grid=grid, times=times, u=u, v=v, rho=rho,
-                   b=_log_gradient_drift(v, h, nu, +1.0),
-                   b_star=_log_gradient_drift(u, h, nu, -1.0),
+                   b=-hopf_cole_velocity(np.maximum(v, FACTOR_CLIP), h, nu),
+                   b_star=hopf_cole_velocity(np.maximum(u, FACTOR_CLIP), h, nu),
                    nu=float(nu), masses=masses)
 
     def slice_index(self, t: float) -> int:

@@ -26,6 +26,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -55,12 +56,17 @@ EXIT_CHECK_FAILED = 4
 EXIT_NUMERIC = 5
 EXIT_OUTPUT = 6
 ENV_OUT = "SCHROBRIDGE_OUT"
+# the config keys and sections a bridge solve reads
+_BRIDGE_READS = {"kernel", "boundary", "horizon", "grid", "time_slices",
+                 "ipf_tol"}
 
 
-def _resolve_outdir(explicit: str | None) -> Path:
-    out = Path(explicit or os.environ.get(ENV_OUT) or "schrobridge-out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _refuse_unread(cfg: ScenarioConfig, reads: set, reader: str):
+    """Refuse, by flag and key, the first given key that ``reader`` reads
+    neither itself nor by its section (every run reads pipeline, output_dir)."""
+    for key in sorted(cfg.given - {"pipeline", "output_dir"}):
+        if not {key, key.partition(".")[0]} & reads:
+            raise ConfigError(f"{_NAMED.get(key, key)} is not read by {reader}")
 
 
 def _emit(report: RunReport, outdir: Path, stem: str) -> int:
@@ -87,13 +93,12 @@ def density_spec(text: str) -> dict:
 # -- pipeline cores, one per config pipeline ---------------------------------
 
 def run_gallery_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
+    paths = cfg.scenario == "quantum-free"  # the one suite that draws paths
+    _refuse_unread(cfg, {"scenario", "grid.n_points"}
+                   | ({"sde.n_paths", "sde.seed"} if paths else set()),
+                   f"the {cfg.scenario} suite")
     options = {"grid_points": cfg.grid.get("n_points"),
                "n_paths": cfg.sde.get("n_paths"), "seed": cfg.sde.get("seed")}
-    for flag, key in (("--n-paths", "n_paths"), ("--seed", "seed")):
-        if key in cfg.sde and cfg.scenario != "quantum-free":
-            raise ConfigError(f"{flag} (sde.{key}) applies only to the "
-                              f"quantum-free suite; {cfg.scenario} draws no "
-                              "paths")
     report = gallery.run_scenario(
         cfg.scenario, **{k: v for k, v in options.items() if v is not None})
     return _emit(report, outdir, f"{cfg.scenario}-report")
@@ -123,6 +128,7 @@ def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
 def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     if cfg.boundary is None:
         raise ConfigError("bridge-solve needs a 'boundary' section")
+    _refuse_unread(cfg, _BRIDGE_READS, "bridge-solve")
     grid = cfg.make_grid()
     sweeps: list[tuple[int, float, float]] = []
     boundary, propagator, factors, solution = _solve_bridge(
@@ -158,11 +164,16 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     forward = direction == "forward"
     # checked before any solve; the nu of the paths comes with the drift
     config = SDEConfig(**sde)
+    along_bridge = cfg.boundary is not None  # else along a scenario's drift
+    _refuse_unread(cfg, {"sde"} | (_BRIDGE_READS if along_bridge else
+                                   {"scenario", "horizon", "grid"}),
+                   "simulate " + ("with" if along_bridge else "without")
+                   + " a boundary section")
     grid = cfg.make_grid()
     record = np.linspace(0.0, cfg.horizon, RECORD_SLICES)
     step_schedule(cfg.horizon, config.dt, record)
 
-    if cfg.boundary is not None:
+    if along_bridge:
         # bridge-driven run: solve the factor system, then ride its drift
         boundary, _, _, solution = _solve_bridge(cfg, grid)
         start = boundary.rho0 if forward else boundary.rhoT
@@ -180,7 +191,7 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
         raise ConfigError(
             f"scenario {cfg.scenario!r} has no constant-diffusivity process "
             "to simulate; use quantum-free or provide a boundary section")
-    config = SDEConfig(nu=nu, **sde)
+    config = dataclasses.replace(config, nu=nu)
     report = RunReport(scenario="simulate", config={
         "direction": direction, "n_paths": config.n_paths, "dt": config.dt,
         "seed": config.seed, "policy": config.boundary_policy})
@@ -190,13 +201,10 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     write_paths_csv(outdir / "paths.csv", ens)
     report.add("surviving-paths", float(ens.n_paths),
                lower=0.9 * config.n_paths)
+    nodes, w = grid.nodes, grid.weights
     for t_probe in (0.0, cfg.horizon):
-        samples = ens.slice(t_probe)
-        v_emp = float(np.var(samples))
-        k = rho_ref.slice_index(t_probe)
-        nodes = grid.nodes
-        w = grid.weights
-        rho_slice = rho_ref.values[k]
+        v_emp = float(np.var(ens.slice(t_probe)))
+        rho_slice = rho_ref.slice(t_probe).values
         mean_ref = float(w @ (nodes * rho_slice))
         v_ref = float(w @ ((nodes - mean_ref) ** 2 * rho_slice))
         report.add(f"variance-at-{t_probe:g}", abs(v_emp - v_ref) / v_ref,
@@ -207,6 +215,7 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 def run_burgers_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     if cfg.scenario != "quantum-free":
         raise ConfigError("burgers-residual supports the quantum-free scenario")
+    _refuse_unread(cfg, {"scenario"}, "burgers-residual")
     report = RunReport(scenario="burgers-residual",
                        config={"scenario": cfg.scenario})
     levels = []
@@ -225,6 +234,7 @@ def run_burgers_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
 
 def run_ck_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
+    _refuse_unread(cfg, {"kernel", "grid", "ck"}, "kernel-check-ck")
     grid = cfg.make_grid()
     kernel = kernel_from_config(cfg.kernel, grid=grid)
     s = float(cfg.ck.get("s", 0.0))
@@ -261,7 +271,9 @@ def _run(args) -> int:
     if command != "run":
         given["pipeline"] = command
     cfg = load_scenario(path, given)
-    return _PIPELINE_CORES[cfg.pipeline](cfg, _resolve_outdir(cfg.output_dir))
+    # the writers make the directory, so a refused run leaves none
+    outdir = Path(cfg.output_dir or os.environ.get(ENV_OUT) or "schrobridge-out")
+    return _PIPELINE_CORES[cfg.pipeline](cfg, outdir)
 
 
 # the config key each flag sets when given, and the type of its value; a
@@ -281,6 +293,8 @@ FLAG_KEYS = {
     "--s": ("ck.s", float), "--tau": ("ck.tau", float), "--t": ("ck.t", float),
     "--threshold": ("ck.threshold", float),
 }
+# a key as errors name it: by its flag too when it has one
+_NAMED = {key: f"{flag} ({key})" for flag, (key, _) in FLAG_KEYS.items()}
 
 
 def _flags(p: argparse.ArgumentParser, flags, options: dict | None = None):

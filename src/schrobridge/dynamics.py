@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import BoundaryLeakError
 from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
-                    laplacian_values, lattice_index, normalize)
+                    interior_max, laplacian_values, lattice_index, normalize,
+                    time_derivative)
 
 BOUNDARY_POLICIES = ("reflect", "absorb-and-discard")
 CHUNK = 8192
@@ -309,21 +310,20 @@ def _nu_per_slice(nu, times: np.ndarray) -> np.ndarray:
 
 
 def fokker_planck_residual(rho: FieldStack, drift: FieldStack | None, nu,
-                           direction: str = "forward",
-                           mask_floor: float = 1e-12) -> float:
+                           direction: str = "forward") -> float:
     """Max interior residual of the forward or backward transport identity.
 
     forward:  d(rho)/dt + d(b rho)/dx - nu * lap(rho)
     backward: d(rho)/dt + d(b* rho)/dx + nu * lap(rho)
 
     ``nu`` may be a number or a function of time (time-dependent
-    diffusivity).  Points with rho below ``mask_floor`` and the lattice
-    borders are excluded.
+    diffusivity).  Points with rho below 1e-12 and the lattice borders
+    are excluded.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     h = rho.grid.spacing
-    drdt = np.gradient(rho.values, rho.times, axis=0, edge_order=2)
+    drdt = time_derivative(rho.values, rho.times)
     if drift is None:
         flux = 0.0
     else:
@@ -332,6 +332,4 @@ def fokker_planck_residual(rho: FieldStack, drift: FieldStack | None, nu,
     nu_t = _nu_per_slice(nu, rho.times)[:, None]
     sign = -1.0 if direction == "forward" else 1.0
     res = drdt + flux + sign * nu_t * lap
-    window = np.abs(res[1:-1, 1:-1])
-    keep = rho.values[1:-1, 1:-1] >= mask_floor
-    return float(np.max(np.where(keep, window, 0.0)))
+    return interior_max(res, rho.values)

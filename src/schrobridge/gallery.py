@@ -16,12 +16,13 @@ import numpy as np
 from .bridge import (IPF_TOL, BoundaryData, BridgeFactors, BridgeSolution,
                      KernelMatrix, backward_transition, forward_transition,
                      gauge_align, propagate_factors, solve_boundary_system)
-from .burgers import compatibility_potential, hopf_cole_forward, hopf_cole_inverse
+from .burgers import (compatibility_potential, hopf_cole_forward,
+                      hopf_cole_inverse, hopf_cole_velocity)
 from .dynamics import (SDEConfig, cdf_from_field, empirical_density,
                        fokker_planck_residual, ks_distance, simulate_backward,
                        simulate_forward)
-from .grids import (FieldStack, Grid1D, ScalarField, gradient_values, integrate,
-                    normalize, sample_field)
+from .grids import (FieldStack, Grid1D, ScalarField, integrate, normalize,
+                    sample_field)
 from .kernels import (Potential, check_chapman_kolmogorov,
                       extract_forward_drift, generalized_heat_residual,
                       make_kernel, pinned_coefficient, pinned_coefficient_dt,
@@ -119,8 +120,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
 
     b_stack = FieldStack.sample(grid, times, PACKET.drift_forward)
     bstar_stack = FieldStack.sample(grid, times, PACKET.drift_backward)
-    log_rho_grad = gradient_values(np.log(rho_stack.values), grid.spacing)
-    osmotic = bstar_stack.values - b_stack.values + 2.0 * log_rho_grad
+    osmotic = (bstar_stack.values - b_stack.values
+               - hopf_cole_velocity(rho_stack.values, grid.spacing, 1.0))
     report.add("drift-difference-identity", float(np.max(np.abs(osmotic))),
                upper=1e-10, detail="b* - b = -2 nu d(ln rho)/dx")
 
@@ -137,8 +138,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     for t0 in (0.25, 0.5, 0.75):
         t3 = np.array([t0 - 1e-4, t0, t0 + 1e-4])
         b3 = FieldStack.sample(Grid1D(), t3, PACKET.drift_forward)
-        rec = compatibility_potential(b3, nu=1.0)
-        diff = rec.c.values[1] - PACKET.potential(rec.c.grid.nodes, t0)
+        c = compatibility_potential(b3, nu=1.0)
+        diff = c.values[1] - PACKET.potential(c.grid.nodes, t0)
         dev = max(dev, float(np.max(np.abs(diff - np.mean(diff)))))
     report.add("compatibility-spatial-constancy", dev, upper=1e-6,
                detail="recovered c minus closed form is constant in x")

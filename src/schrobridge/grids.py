@@ -20,6 +20,7 @@ from .errors import NormalizationError, NumericDomainError
 DEFAULT_X_MIN = -10.0
 DEFAULT_X_MAX = 10.0
 DEFAULT_N_POINTS = 513
+LATTICE_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -122,6 +123,21 @@ def laplacian_values(values: np.ndarray, spacing: float) -> np.ndarray:
     return lap
 
 
+def time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Second-order d/dt along the first axis, one-sided at the end slices."""
+    return np.gradient(values, times, axis=0, edge_order=2)
+
+
+def interior_max(residual: np.ndarray, rho: np.ndarray | None = None,
+                 floor: float = 1e-12) -> float:
+    """Max |residual| off the lattice border (first and last slices, edge
+    nodes), counting only points where ``rho`` >= ``floor`` when given."""
+    window = np.abs(residual[1:-1, 1:-1])
+    if rho is not None:
+        window = np.where(rho[1:-1, 1:-1] >= floor, window, 0.0)
+    return float(np.max(window))
+
+
 def normalize(f: ScalarField) -> ScalarField:
     """Scale f to unit trapezoid mass; reject non-positive or non-finite mass."""
     mass = integrate(f)
@@ -168,8 +184,8 @@ class FieldStack:
             vals[k] = fn(grid.nodes, float(t))
         return cls(grid, times, vals)
 
-    def slice_index(self, t: float, tol: float = 1e-9) -> int:
-        return lattice_index(self.times, t, "is not on the stack lattice", tol)
+    def slice_index(self, t: float) -> int:
+        return lattice_index(self.times, t, "is not on the stack lattice")
 
     def slice(self, t: float) -> ScalarField:
         k = self.slice_index(t)
@@ -223,14 +239,10 @@ class FieldStack:
         return q.reshape(x.shape)
 
 
-def lattice_index(times: np.ndarray, t: float, missing: str,
-                  tol: float = 1e-9) -> int:
-    """Index of the entry of ``times`` nearest t.
-
-    Raises ValueError("time {t} {missing}") when that entry is more than
-    ``tol`` away.
-    """
+def lattice_index(times: np.ndarray, t: float, missing: str) -> int:
+    """Index of the entry of ``times`` nearest t; raises
+    ValueError("time {t} {missing}") when it is more than LATTICE_TOL away."""
     k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > tol:
+    if abs(times[k] - t) > LATTICE_TOL:
         raise ValueError(f"time {t} {missing}")
     return k

@@ -33,7 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ExtrapolationWarning, NumericDomainError, PositivityError,
                      TimeOrderingError)
-from .grids import FieldStack, Grid1D, laplacian_values
+from .grids import (FieldStack, Grid1D, interior_max, laplacian_values,
+                    time_derivative)
 from .packet import PACKET
 
 ENTRY_FLOOR = 1e-300
@@ -835,20 +836,17 @@ def generalized_heat_residual(stack: FieldStack, potential: Potential,
     """Max interior residual of the adjoint parabolic pair on a stack.
 
     kind "u": du/dt - nu*lap(u) + c*u.  kind "v": dv/dt + nu*lap(v) - c*v.
-    Time derivative via central differences on the stack lattice; the
-    first/last time slices and edge nodes are excluded.
+    The first/last time slices and edge nodes are excluded.
     """
     if kind not in ("u", "v"):
         raise ValueError("kind must be 'u' or 'v'")
     vals = stack.values
-    dvdt = np.gradient(vals, stack.times, axis=0, edge_order=2)
     lap = laplacian_values(vals, stack.grid.spacing)
-    c = np.empty_like(vals)
-    for k, t in enumerate(stack.times):
-        c[k] = potential(stack.grid.nodes, float(t))
+    c = FieldStack.sample(stack.grid, stack.times, potential).values
     sign = -1.0 if kind == "u" else 1.0
-    res = dvdt + sign * (potential.nu * lap - c * vals)
-    return float(np.max(np.abs(res[1:-1, 1:-1])))
+    res = (time_derivative(vals, stack.times)
+           + sign * (potential.nu * lap - c * vals))
+    return interior_max(res)
 
 
 KERNEL_TAGS: dict[str, Callable[..., Kernel]] = {

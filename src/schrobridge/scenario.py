@@ -104,6 +104,8 @@ class ScenarioConfig:
     ck: dict = field(default_factory=dict)
     output_dir: str | None = None
     base_dir: Path = field(default_factory=Path)
+    # the keys the file and flags gave, "section.key" in a section
+    given: frozenset = field(default=frozenset(), init=False, repr=False)
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
@@ -170,7 +172,10 @@ def load_scenario(path: str | Path | None = None,
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "pipeline" not in raw:
         raise ConfigError("config needs a 'pipeline' entry")
-    return ScenarioConfig(base_dir=path.parent if path else Path(), **raw)
+    cfg = ScenarioConfig(base_dir=path.parent if path else Path(), **raw)
+    cfg.given = frozenset(k for key, value in raw.items() for k in (
+        [f"{key}.{n}" for n in value] if isinstance(value, dict) else [key]))
+    return cfg
 
 
 def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
@@ -297,7 +302,8 @@ def _format_and_exit(out, block, lo: int, hi: int):
 def _write_lines(path: str | Path, header: str, n_blocks: int,
                  block_rows: int, block: Callable[[int], str]):
     """Header line, then ``block(k)`` (``block_rows`` newline-terminated
-    rows) for k = 0 .. n_blocks-1, complete when this returns.
+    rows) for k = 0 .. n_blocks-1, complete (its directory made if missing)
+    when this returns.
 
     A file of at least MIN_PART_ROWS rows per part is cut into up to
     ``cores()`` contiguous ranges of blocks.  Every range after the first
@@ -312,6 +318,7 @@ def _write_lines(path: str | Path, header: str, n_blocks: int,
     parts = max(1, parts) if hasattr(os, "fork") else 1
     cuts = [n_blocks * i // parts for i in range(parts + 1)]
     children = []  # (pid, temporary file) of each forked range, in order
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "wb") as fh:
             fh.write(f"{header}\n".encode())
@@ -376,8 +383,9 @@ def write_paths_csv(path: str | Path, ensemble: PathEnsemble):
 
 
 def write_report(path: str | Path, report: RunReport):
-    """Plain-text report plus a JSON twin next to it."""
+    """Plain-text report plus a JSON twin, in a directory made if missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(report.render_text() + "\n")
     path.with_suffix(".json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -312,6 +312,61 @@ def test_gallery_path_flags_are_quantum_free_only(outdir, capsys, flag):
     assert f"{flag} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, flags, message", [
+    ({"grid": {"x_min": -3.0}}, [], "--x-min (grid.x_min)"),
+    ({"time_slices": 7}, [], "--time-slices (time_slices)"),
+    ({}, ["--tol", "5"], "--tol (ipf_tol)"),
+    ({"sde": {"dt": 0.01}}, [], "--dt (sde.dt)"),
+    ({"kernel": {"tag": "heat"}}, [], "--kernel (kernel.tag)"),
+], ids=["x-min", "time-slices", "tol", "dt", "kernel"])
+def test_a_gallery_suite_refuses_config_keys_it_does_not_read(
+        tmp_path, outdir, capsys, monkeypatch, payload, flags, message):
+    monkeypatch.setattr(gallery, "run_scenario",
+                        lambda *args, **kwargs: pytest.fail("the suite ran"))
+    cfg = _write_config(tmp_path, dict(payload, pipeline="gallery",
+                                       scenario="example1"))
+    assert cli.main(["run", "--config", cfg, *flags]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {message} is not read by the example1 suite\n")
+
+
+@pytest.mark.parametrize("argv", [["--scenario", "quantum-free"], []],
+                         ids=["flag", "config"])
+def test_a_simulation_along_a_bridge_refuses_a_scenario(
+        tmp_path, outdir, capsys, monkeypatch, argv):
+    monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(
+        lambda cls, *args: pytest.fail("a kernel matrix was built")))
+    config = dict(BRIDGE_CONFIG, pipeline="simulate")
+    if not argv:
+        config["scenario"] = "example1"
+    code = cli.main(["simulate", "--config", _write_config(tmp_path, config),
+                     *argv])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: --scenario (scenario) is not read by simulate with a "
+        "boundary section\n")
+
+
+@pytest.mark.parametrize("payload, argv, message", [
+    (BRIDGE_CONFIG, ["--seed", "3"], "--seed (sde.seed) is not read by "
+     "bridge-solve"),
+    ({"pipeline": "burgers-residual", "grid": {"n_points": 129}}, [],
+     "--grid-points (grid.n_points) is not read by burgers-residual"),
+    ({"pipeline": "kernel-check-ck", "kernel": {"tag": "heat"},
+      "horizon": 2.0}, [], "--horizon (horizon) is not read by "
+     "kernel-check-ck"),
+    (dict(SIM_CONFIG, time_slices=11), [], "--time-slices (time_slices) is "
+     "not read by simulate without a boundary section"),
+], ids=["bridge-solve", "burgers-residual", "kernel-check-ck", "simulate"])
+def test_every_core_refuses_config_keys_it_does_not_read(
+        tmp_path, outdir, capsys, payload, argv, message):
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload),
+                     *argv])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not outdir.exists()
+
+
 def test_sde_nu_is_not_a_config_key(tmp_path, outdir, capsys):
     payload = dict(SIM_CONFIG, sde=dict(SIM_CONFIG["sde"], nu=0.5))
     code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
@@ -427,6 +482,15 @@ class TestExitCodes:
                          "--rhoT", "gaussian:0,3"])
         assert code == cli.EXIT_CONFIG
         assert "density spec" in capsys.readouterr().err
+
+    def test_a_refused_run_makes_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["bridge-solve", "--kernel", "nope",
+                         "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,3",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "unknown kernel tag" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unordered_probe_times_are_a_numeric_error(self, outdir, capsys):
         code = cli.main(["kernel-check-ck", "--kernel", "heat",

@@ -6,7 +6,8 @@ import pytest
 from schrobridge import (FieldStack, Grid1D, NormalizationError,
                          NumericDomainError, ScalarField, integrate,
                          normalize, sample_field)
-from schrobridge.grids import gradient_values, lattice_index, laplacian_values
+from schrobridge.grids import (gradient_values, interior_max, lattice_index,
+                               laplacian_values)
 
 
 def test_grid_nodes_and_spacing():
@@ -182,3 +183,18 @@ def test_lattice_index_tolerates_rounding_and_names_a_missing_time():
     stack = FieldStack.sample(Grid1D(-1.0, 1.0, 11), times, lambda x, t: x)
     with pytest.raises(ValueError, match="time 0.3 is not on the stack lattice"):
         stack.slice_index(0.3)
+
+
+def test_interior_max_skips_the_border_and_points_under_the_floor():
+    res = np.zeros((4, 5))
+    # the first and last slices and the edge nodes never count
+    res[0, 2] = res[-1, 2] = res[1, 0] = res[2, -1] = -9.0
+    res[1, 1], res[2, 3] = -3.0, 2.0
+    assert interior_max(res) == 3.0
+    rho = np.ones_like(res)
+    rho[1, 1] = 1e-13
+    # the -3 sits where rho is under the floor, so only the 2 counts
+    assert interior_max(res, rho) == 2.0
+    assert interior_max(res, rho, floor=1e-14) == 3.0
+    rho[2, 3] = 0.0
+    assert interior_max(res, rho) == 0.0
