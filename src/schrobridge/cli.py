@@ -271,8 +271,15 @@ def _run(args) -> int:
     if command != "run":
         given["pipeline"] = command
     cfg = load_scenario(path, given)
-    # the writers make the directory, so a refused run leaves none
+    # the writers make the directory, so a refused run leaves none; one
+    # they could not make is refused here, before any work
     outdir = Path(cfg.output_dir or os.environ.get(ENV_OUT) or "schrobridge-out")
+    existing = outdir.absolute()
+    while not os.path.lexists(existing):
+        existing = existing.parent
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot make output directory {outdir}: {existing} "
+                      "is not a writable directory")
     return _PIPELINE_CORES[cfg.pipeline](cfg, outdir)
 
 

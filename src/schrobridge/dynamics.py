@@ -58,8 +58,8 @@ class SDEConfig:
     boundary_policy: str = "reflect"
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
         if not self.dt > 0.0:

@@ -224,7 +224,7 @@ def markov_family_kernel(anchor_y: float = 0.0,
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Kernel sampled on the node pairs of one grid at fixed (s, t).
+    """Kernel sampled on the node pairs of one grid from time s to time t.
 
     entries[i, j] = k(node_i, s, node_j, t), so a row is the propagated
     delta from one node and integrates against the grid's quadrature
@@ -232,8 +232,6 @@ class KernelMatrix:
     """
 
     grid: Grid1D
-    s: float
-    t: float
     entries: np.ndarray
 
     def __post_init__(self):
@@ -244,12 +242,11 @@ class KernelMatrix:
             raise PositivityError("kernel matrix entries must be finite")
 
     @classmethod
-    def _checked(cls, grid: Grid1D, s: float, t: float,
-                 entries: np.ndarray) -> "KernelMatrix":
+    def _checked(cls, grid: Grid1D, entries: np.ndarray) -> "KernelMatrix":
         """A matrix whose entries are finite by construction; skips the
         n^2 finiteness scan of ``__post_init__``."""
         mat = object.__new__(cls)
-        mat.__dict__.update(grid=grid, s=float(s), t=float(t), entries=entries)
+        mat.__dict__.update(grid=grid, entries=entries)
         return mat
 
     @classmethod
@@ -283,7 +280,7 @@ class KernelMatrix:
             raise PositivityError("kernel evaluation produced non-finite values")
         if kernel.log_tilt is None:
             np.maximum(e, ENTRY_FLOOR, out=e)
-            return cls._checked(grid, s, t, _lattice(e, x.size) if row else e)
+            return cls._checked(grid, _lattice(e, x.size) if row else e)
         tilt_s, tilt_t = kernel.log_tilt(x, s), kernel.log_tilt(x, t)
         # rounding is monotone, so no entry exceeds this sum of extremes
         top = (high + np.max(tilt_s)) - np.min(tilt_t)
@@ -301,7 +298,7 @@ class KernelMatrix:
             np.maximum(e, LOG_CLAMP, out=e)
         np.exp(e, out=e)
         np.maximum(e, ENTRY_FLOOR, out=e)
-        return cls._checked(grid, s, t, e)
+        return cls._checked(grid, e)
 
     def apply_target(self, g: np.ndarray) -> np.ndarray:
         """Integrate k(y_i, s, x, t) g(x) dx over the grid."""
@@ -380,40 +377,31 @@ def _slice_times(times) -> np.ndarray:
     return times
 
 
-def solve_banded(l_and_u, ab, b):
+def solve_banded(diag, off, b):
     """Solve A x = b in place for a symmetric positive-definite tridiagonal A.
 
-    ``ab`` is A in ``scipy.linalg.solve_banded``'s banded form with
-    ``l_and_u`` (1, 1); only its diagonal and superdiagonal are read.
-    LAPACK ``?ptsv`` factors A as L D L^T (as ``scipy.linalg.solveh_banded``
-    does for a tridiagonal A) and overwrites ``b``, a float vector or a
-    Fortran-ordered block of columns, with x; ``b`` is returned.  A that is
-    not positive definite raises NumericDomainError.
+    A has diagonal ``diag`` and off-diagonal ``off`` (one entry shorter), the
+    two arrays LAPACK ``?ptsv`` reads.  It factors A as L D L^T (as
+    ``scipy.linalg.solveh_banded`` does for a tridiagonal A) and overwrites
+    ``b``, a float vector or a Fortran-ordered block of columns, with x;
+    ``b`` is returned.  A that is not positive definite raises
+    NumericDomainError.
 
     ``scipy.linalg`` is imported here, on the first Feynman-Kac step, so
     the closed-form commands start without it.  ``_Step`` looks this name
     up at call time, so a wrapper bound over it sees every banded solve.
     """
     from scipy.linalg.lapack import dptsv
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError(f"need a tridiagonal A, got l_and_u = {l_and_u}")
     if b.dtype != np.float64 or not b.flags.f_contiguous:
         raise ValueError("b must be a float vector or a Fortran-ordered block")
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()
+            and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dptsv(ab[1], ab[0, 1:], b, overwrite_b=True)
+    *_, x, info = dptsv(diag, off, b, overwrite_b=True)
     if info > 0:
         raise NumericDomainError(
             f"leading minor {info} of the banded matrix is not positive definite")
     return x
-
-
-def _banded(diag: np.ndarray, off: float) -> np.ndarray:
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return ab
 
 
 @dataclass(frozen=True)
@@ -421,20 +409,22 @@ class _Step:
     """One factor A^-1 B of the evolution on the interior nodes, ending at
     time ``t``.
 
-    A (banded form ``a``) and B are symmetric tridiagonal; B has diagonal
-    ``b_diag`` and off-diagonal ``b_off``, or is the identity for an
-    implicit-Euler step (``b_diag`` None).
+    A and B are symmetric tridiagonal.  A has diagonal ``a_diag`` and
+    off-diagonal ``a_off``; B has diagonal ``b_diag`` and off-diagonal
+    ``b_off``, or is the identity for an implicit-Euler step (``b_diag``
+    None).
     """
 
     t: float
-    a: np.ndarray
+    a_diag: np.ndarray
+    a_off: np.ndarray
     b_diag: np.ndarray | None = None
     b_off: float = 0.0
 
     def solve(self, w: np.ndarray):
         """Overwrite w with A^-1 w."""
         try:
-            solve_banded((1, 1), self.a, w)
+            solve_banded(self.a_diag, self.a_off, w)
         except NumericDomainError as err:
             raise NumericDomainError(
                 f"the Feynman-Kac substep ending at t = {self.t:.6g} is not "
@@ -461,34 +451,25 @@ class _Step:
         out += scratch
 
 
-class _Carry:
-    """Interior values carried through Crank-Nicolson steps in place.
+def _evolve(steps, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Apply ``steps`` in order to the owned, Fortran-ordered ``w`` in place:
+    w <- A^-1 B w, or with ``transpose`` w <- (A^-1 B)^T w = B A^-1 w.
 
-    ``w`` is an owned float vector or Fortran-ordered block of columns; it
-    and a spare buffer of its shape take turns holding the values, and a
-    scratch buffer takes B's off-diagonal terms, so a step allocates
-    nothing and every banded solve overwrites its right-hand side.
+    ``w`` and one spare buffer of its shape take turns holding the values,
+    and a scratch buffer takes B's off-diagonal terms, so a step allocates
+    nothing and every banded solve overwrites its right-hand side.  Returns
+    the buffer that holds the result.
     """
-
-    def __init__(self, w: np.ndarray):
-        if not w.flags.f_contiguous:
-            raise ValueError("carried values must be Fortran-ordered")
-        self.w = w
-        self._spare = np.empty_like(w)
-        self._scratch = np.empty_like(w)
-
-    def run(self, steps, transpose: bool = False) -> np.ndarray:
-        """Apply ``steps`` in order: w <- A^-1 B w, or with ``transpose``
-        w <- (A^-1 B)^T w = B A^-1 w; returns the buffer holding w."""
-        for step in steps:
-            if transpose:
-                step.solve(self.w)
-            if step.b_diag is not None:
-                step.apply_b(self.w, self._spare, self._scratch)
-                self.w, self._spare = self._spare, self.w
-            if not transpose:
-                step.solve(self.w)
-        return self.w
+    spare, scratch = np.empty_like(w), np.empty_like(w)
+    for step in steps:
+        if transpose:
+            step.solve(w)
+        if step.b_diag is not None:
+            step.apply_b(w, spare, scratch)
+            w, spare = spare, w
+        if not transpose:
+            step.solve(w)
+    return w
 
 
 def _default_substeps(potential: Potential, grid: Grid1D,
@@ -550,15 +531,14 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
 
     def implicit_euler(tau_next, dt):
         c_next = potential(xs, tau_next)
-        return _Step(tau_next,
-                     _banded(1.0 + dt * (2.0 * rate + c_next), -dt * rate))
+        return _Step(tau_next, 1.0 + dt * (2.0 * rate + c_next),
+                     np.full(xs.size - 1, -dt * rate))
 
     def crank_nicolson(tau, tau_next):
         dt = tau_next - tau
         r = dt * rate
-        return _Step(tau_next,
-                     _banded(1.0 + r + 0.5 * dt * potential(xs, tau_next),
-                             -0.5 * r),
+        return _Step(tau_next, 1.0 + r + 0.5 * dt * potential(xs, tau_next),
+                     np.full(xs.size - 1, -0.5 * r),
                      b_diag=1.0 - r - 0.5 * dt * potential(xs, tau),
                      b_off=0.5 * r)
 
@@ -587,14 +567,11 @@ def solve_feynman_kac(propagator: "FeynmanKacPropagator") -> KernelMatrix:
     grid edges, as one dense block through ``propagator.steps`` (the steps
     its ``sweep`` runs): entries[i, j] ~ k(y_i, times[0], x_j, times[-1]).
     """
-    grid, times = propagator.grid, propagator.times
+    grid = propagator.grid
     n, h = grid.n_points, grid.spacing
     w = np.eye(n - 2, order="F")
     w /= h
-    carry = _Carry(w)
-    w = carry.run(step for interval in propagator.steps for step in interval)
-    # the work buffers go before the n x n assembly
-    del carry
+    w = _evolve((step for interval in propagator.steps for step in interval), w)
 
     full = np.zeros((n, n))
     full[1:-1, 1:-1] = w
@@ -606,7 +583,7 @@ def solve_feynman_kac(propagator: "FeynmanKacPropagator") -> KernelMatrix:
             f"Feynman-Kac solution went negative ({worst:.3e}); "
             "refine the substeps")
     np.maximum(entries, ENTRY_FLOOR, out=entries)
-    return KernelMatrix(grid, float(times[0]), float(times[-1]), entries)
+    return KernelMatrix(grid, entries)
 
 
 class NumericFeynmanKacKernel(Kernel):
@@ -677,13 +654,15 @@ class FeynmanKacPropagator(Propagator):
         v = np.zeros_like(u)
         u[0] = u0
         v[-1] = vT
-        # the carries own copies: solves overwrite their right-hand sides
-        forward = _Carry(u[0, 1:-1].copy())
+        # the evolved values are owned copies: solves overwrite them
+        w = u[0, 1:-1].copy()
         for k, interval in enumerate(self.steps, start=1):
-            u[k, 1:-1] = forward.run(interval)
-        backward = _Carry(v[-1, 1:-1].copy())
+            w = _evolve(interval, w)
+            u[k, 1:-1] = w
+        w = v[-1, 1:-1].copy()
         for k in range(self.times.size - 2, -1, -1):
-            v[k, 1:-1] = backward.run(reversed(self.steps[k]), transpose=True)
+            w = _evolve(reversed(self.steps[k]), w, transpose=True)
+            v[k, 1:-1] = w
         for name, stack in (("u", u), ("v", v)):
             _check_swept(name, stack, self.times, self.grid)
         return np.maximum(u, 0.0), np.maximum(v, 0.0)

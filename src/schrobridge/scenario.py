@@ -40,7 +40,7 @@ import numpy as np
 from .bridge import IPF_TOL
 from .dynamics import PathEnsemble, cores
 from .errors import ConfigError, MissingInputError
-from .grids import FieldStack, Grid1D, ScalarField, integrate
+from .grids import FieldStack, Grid1D, ScalarField, integrate, normalize
 from .kernels import (Kernel, NumericFeynmanKacKernel, Potential, make_kernel)
 from .report import RunReport
 
@@ -61,21 +61,23 @@ _CK_KEYS = {"s", "tau", "t", "threshold"}
 # the keys of each numeric-fk potential kind; the packet's closed forms are nu = 1
 _POTENTIAL_KEYS = {"zero": {"kind", "nu"}, "constant": {"kind", "nu", "value"},
                    "packet": {"kind"}}
-# the numeric keys and the type each must hold ("section.key" in a section)
-_NUMERIC_KEYS = {
+# the typed keys and the type each must hold ("section.key" in a section);
+# a null output_dir is its default
+_TYPED_KEYS = {
+    "scenario": str, "output_dir": (str, type(None)),
     "horizon": Real, "ipf_tol": Real, "time_slices": Integral,
     "grid.x_min": Real, "grid.x_max": Real, "grid.n_points": Integral,
     "sde.n_paths": Integral, "sde.dt": Real, "sde.seed": Integral,
     "ck.s": Real, "ck.tau": Real, "ck.t": Real, "ck.threshold": Real}
 
 
-def _number(mapping: dict, key: str, default, where: str = "",
-            kind: type = Real):
+def _typed(mapping: dict, key: str, default, where: str = "",
+           kind: type | tuple = Real):
     """mapping[key], or ``default`` when absent, refused by name (``where``
-    prefixed) unless it is a number of ``kind``; a bool is not a number."""
+    prefixed) unless it is of ``kind``; a bool is not a number."""
     value = mapping.get(key, default)
     if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is Integral else "a number"
+        noun = {Integral: "an integer", Real: "a number"}.get(kind, "a string")
         raise ConfigError(f"{where}{key} must be {noun}, got {value!r}")
     return value
 
@@ -118,10 +120,10 @@ class ScenarioConfig:
         _reject_unknown(self.ck, _CK_KEYS, "ck")
         if not isinstance(self.kernel, dict) or "tag" not in self.kernel:
             raise ConfigError("kernel section needs a 'tag' entry")
-        for key, kind in _NUMERIC_KEYS.items():
+        for key, kind in _TYPED_KEYS.items():
             section, dot, name = key.rpartition(".")
-            _number(getattr(self, section) if section else vars(self), name,
-                    0, section + dot, kind)
+            _typed(getattr(self, section) if section else vars(self), name,
+                   0, section + dot, kind)
         if self.time_slices < 2:
             raise ConfigError("time_slices must be at least 2")
         if not 0.0 < self.horizon < np.inf:
@@ -182,7 +184,8 @@ def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
                       time_label: float = 0.0) -> ScalarField:
     """Build a boundary density from a config spec on the run grid.
 
-    Gaussian specs are evaluated and renormalized on the grid.  CSV specs
+    Gaussian specs are evaluated and renormalized on the grid; one with no
+    mass on the grid is refused.  CSV specs
     are linearly resampled; the file must cover the grid span with
     positive values and carry unit mass within 1e-3, after which the
     field is renormalized exactly.
@@ -220,17 +223,21 @@ def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
             raise ConfigError(
                 f"density CSV {path} mass {mass:.6f} is not normalized "
                 f"(|mass - 1| must be <= {CSV_MASS_TOL})")
-        return f.with_values(resampled / mass)
+        return normalize(f)
     if spec.get("form") == "gaussian":
-        mean = float(_number(spec, "mean", 0.0, "gaussian density "))
-        var = float(_number(spec, "var", 1.0, "gaussian density "))
+        mean = float(_typed(spec, "mean", 0.0, "gaussian density "))
+        var = float(_typed(spec, "var", 1.0, "gaussian density "))
         if not (np.isfinite(mean) and 0.0 < var < np.inf):
             raise ConfigError(f"gaussian density {spec!r} needs finite "
                               "positive variance and a finite mean")
         vals = np.exp(-((grid.nodes - mean) ** 2) / (2.0 * var))
         vals /= np.sqrt(2.0 * np.pi * var)
         f = ScalarField(grid, vals, time_label=time_label)
-        return f.with_values(vals / integrate(f))
+        if not integrate(f) > 0.0:
+            raise ConfigError(
+                f"gaussian density {spec!r} has no mass on the grid span "
+                f"[{grid.x_min:g}, {grid.x_max:g}]")
+        return normalize(f)
     raise ConfigError(f"unrecognized density spec {spec!r}")
 
 
@@ -257,10 +264,10 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
         if kind not in _POTENTIAL_KEYS:
             raise ConfigError(f"unknown potential kind {kind!r}")
         _reject_unknown(pot_cfg, _POTENTIAL_KEYS[kind], f"{kind} potential")
-        params = {key: float(_number(pot_cfg, key, None, "kernel.potential."))
+        params = {key: float(_typed(pot_cfg, key, None, "kernel.potential."))
                   for key in pot_cfg if key != "kind"}
         if cfg.get("n_substeps") is not None:
-            _number(cfg, "n_substeps", None, "kernel.", Integral)
+            _typed(cfg, "n_substeps", None, "kernel.", Integral)
         if kind == "constant":
             value = params.pop("value", 0.0)
             if not np.isfinite(value):
@@ -271,7 +278,7 @@ def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
         return NumericFeynmanKacKernel(potential, grid=grid,
                                        n_substeps=cfg.get("n_substeps"))
     for key in cfg:
-        _number(cfg, key, None, "kernel.")
+        _typed(cfg, key, None, "kernel.")
     try:
         return make_kernel(tag, **cfg)
     except (TypeError, ValueError) as e:

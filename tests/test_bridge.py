@@ -130,7 +130,7 @@ def test_incompatible_kernel_is_reported():
     boundary = _packet_boundary(grid)
     entries = np.ones((65, 65))
     entries[30, :] = 0.0  # one start node that cannot reach anything
-    mat = KernelMatrix(grid=grid, s=0.0, t=1.0, entries=entries)
+    mat = KernelMatrix(grid=grid, entries=entries)
     with pytest.raises(IncompatibilityError,
                        match=r"end factor to a non-positive intermediate at "
                              r"sweep 1, worst at node 30 \(x = -0.625, "
@@ -143,7 +143,7 @@ def test_unreachable_end_node_is_named_with_its_sweep():
     boundary = _packet_boundary(grid)
     entries = np.ones((65, 65))
     entries[:, 40] = 0.0  # one end node that nothing reaches
-    mat = KernelMatrix(grid=grid, s=0.0, t=1.0, entries=entries)
+    mat = KernelMatrix(grid=grid, entries=entries)
     with pytest.raises(IncompatibilityError,
                        match=r"start factor to a non-positive intermediate at "
                              r"sweep 1, worst at node 40 \(x = 2.5, "

@@ -454,7 +454,10 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     def test_an_output_directory_under_a_file_is_an_output_error(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
+        # refused before the solve: no kernel matrix is built
+        monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(
+            lambda cls, *args: pytest.fail("a kernel matrix was built")))
         blocker = tmp_path / "file"
         blocker.write_text("")
         code = cli.main(["bridge-solve", "--rho0", "gaussian:0,1",
@@ -464,6 +467,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert str(blocker / "sub") in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec, values", [
+        ("gaussian:100,1", "'mean': 100.0, 'var': 1.0"),
+        ("gaussian:0.01,1e-8", "'mean': 0.01, 'var': 1e-08"),
+    ], ids=["off-grid", "between-nodes"])
+    def test_a_density_spec_with_no_mass_on_the_grid_is_a_config_error(
+            self, outdir, capsys, spec, values):
+        code = cli.main(["bridge-solve", "--rho0", spec,
+                         "--rhoT", "gaussian:0,3"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: gaussian density {{'form': 'gaussian', {values}}} "
+            "has no mass on the grid span [-10, 10]\n")
+        assert not outdir.exists()
 
     def test_a_failed_formatting_process_is_an_output_error(
             self, outdir, capsys, monkeypatch):

@@ -528,6 +528,13 @@ def test_bad_policy_is_rejected():
         SDEConfig(boundary_policy="bounce")
 
 
+@pytest.mark.parametrize("nu", [np.inf, np.nan, 0.0])
+def test_a_non_finite_or_non_positive_nu_is_rejected(nu):
+    # an infinite nu would fold every path onto the walls
+    with pytest.raises(ValueError, match="nu must be positive and finite"):
+        SDEConfig(nu=nu)
+
+
 # ------------------------------------------------------- density helpers
 
 

@@ -202,9 +202,9 @@ def test_kernel_matrix_row_mass_is_unit_for_heat():
 def test_kernel_matrix_shape_validation():
     grid = Grid1D(0.0, 1.0, 9)
     with pytest.raises(ValueError):
-        KernelMatrix(grid=grid, s=0.0, t=1.0, entries=np.ones((3, 3)))
+        KernelMatrix(grid=grid, entries=np.ones((3, 3)))
     with pytest.raises(PositivityError):
-        KernelMatrix(grid=grid, s=0.0, t=1.0, entries=np.full((9, 9), np.nan))
+        KernelMatrix(grid=grid, entries=np.full((9, 9), np.nan))
 
 
 # ------------------------------------------------------- Gaussian builds
@@ -350,7 +350,7 @@ def test_offset_row_build_matches_dense_to_rounding(name, grid,
     g = 1.0 + 0.5 * np.sin(grid.nodes)
     for s, t in _pairs(name, ROW_PAIRS):
         mat = KernelMatrix.from_kernel(kernel, grid, s, t)
-        ref = KernelMatrix(grid=grid, s=s, t=t,
+        ref = KernelMatrix(grid=grid,
                            entries=dense_reference(kernel, grid, s, t))
         above = ref.entries > ENTRY_FLOOR
         rel = np.abs(mat.entries - ref.entries)[above] / ref.entries[above]

@@ -9,7 +9,7 @@ from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
                          PositivityError, Potential, PropagationError,
                          kernels, make_kernel, normalize, propagate_factors,
                          sample_field)
-from schrobridge.kernels import _banded, _default_substeps
+from schrobridge.kernels import _default_substeps
 
 GRID = Grid1D(-10.0, 10.0, 257)
 TIMES = np.linspace(0.0, 1.0, 21)
@@ -69,13 +69,16 @@ def test_sweeps_track_the_packet_factors(packet_sweep):
 def test_solve_banded_is_the_ldlt_solve_for_vectors_and_columns():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(7)
-    ab = _banded(2.0 + rng.random(40), -0.4)
+    diag, off = 2.0 + rng.random(40), np.full(39, -0.4)
+    # scipy's banded forms: upper (superdiagonal, diagonal) and full 3-row
+    upper = np.stack((np.r_[0.0, off], diag))
+    ab = np.stack((np.r_[0.0, off], diag, np.r_[off, 0.0]))
     for b in (rng.standard_normal(40),
               np.asfortranarray(rng.standard_normal((40, 5)))):
-        ldlt = scipy_linalg.solveh_banded(ab[:2], b)
+        ldlt = scipy_linalg.solveh_banded(upper, b)
         lu = scipy_linalg.solve_banded((1, 1), ab, b)
         work = b.copy(order="F")
-        got = kernels.solve_banded((1, 1), ab, work)
+        got = kernels.solve_banded(diag, off, work)
         # the right-hand side is overwritten with the solution
         assert got is work
         assert np.array_equal(got, ldlt)
@@ -83,9 +86,9 @@ def test_solve_banded_is_the_ldlt_solve_for_vectors_and_columns():
 
 
 def test_solve_banded_refuses_a_c_ordered_block():
-    ab = _banded(np.full(6, 3.0), -1.0)
     with pytest.raises(ValueError, match="Fortran-ordered"):
-        kernels.solve_banded((1, 1), ab, np.ones((6, 2)))
+        kernels.solve_banded(np.full(6, 3.0), np.full(5, -1.0),
+                             np.ones((6, 2)))
 
 
 def test_b_product_of_a_block_is_the_product_of_each_column():
@@ -93,7 +96,7 @@ def test_b_product_of_a_block_is_the_product_of_each_column():
     # reach across a column boundary
     rng = np.random.default_rng(3)
     m, off = 9, 0.7
-    step = kernels._Step(0.5, _banded(np.full(m, 3.0), -1.0),
+    step = kernels._Step(0.5, np.full(m, 3.0), np.full(m - 1, -1.0),
                          b_diag=rng.standard_normal(m), b_off=off)
     w = np.asfortranarray(rng.standard_normal((m, 4)))
     out, scratch = np.empty_like(w), np.empty_like(w)
@@ -137,9 +140,9 @@ def banded_calls(monkeypatch):
     calls: list[int] = []
     solve = kernels.solve_banded
 
-    def counting(l_and_u, ab, b):
+    def counting(diag, off, b):
         calls.append(b.shape[1] if b.ndim == 2 else 1)
-        return solve(l_and_u, ab, b)
+        return solve(diag, off, b)
 
     monkeypatch.setattr(kernels, "solve_banded", counting)
     return calls

@@ -74,10 +74,21 @@ class TestLoadScenario:
          "sde.n_paths must be an integer, got False"),
         ({"pipeline": "simulate", "grid": 5},
          "grid section must be an object, got 5"),
+        ({"pipeline": "burgers-residual", "output_dir": 5},
+         "output_dir must be a string, got 5"),
+        ({"pipeline": "burgers-residual", "output_dir": ["o"]},
+         r"output_dir must be a string, got \['o'\]"),
+        ({"pipeline": "gallery", "scenario": ["x"]},
+         r"scenario must be a string, got \['x'\]"),
     ])
     def test_validation_failures(self, tmp_path, payload, message):
         with pytest.raises(ConfigError, match=message):
             load_scenario(_write_config(tmp_path, payload))
+
+    def test_a_null_output_dir_is_the_default(self, tmp_path):
+        cfg = load_scenario(_write_config(
+            tmp_path, {"pipeline": "burgers-residual", "output_dir": None}))
+        assert cfg.output_dir is None
 
 
 class TestDensityFromSpec:
