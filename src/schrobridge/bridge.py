@@ -12,7 +12,6 @@ tilt the reference kernel by the propagated factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -20,13 +19,12 @@ import numpy as np
 from .errors import (ConvergenceError, IncompatibilityError, NormalizationError,
                      PositivityError, PropagationError)
 from .burgers import hopf_cole_velocity
-from .grids import FieldStack, Grid1D, ScalarField, integrate, lattice_index
+from .grids import FieldStack, Grid1D, ScalarField, integrate
 from .kernels import Kernel, KernelMatrix, Propagator
 
 FACTOR_CLIP = 1e-300
 MASS_TOL = 1e-8
 MASS_DRIFT_TOL = 1e-4
-DENSITY_FLOOR = 1e-12
 IPF_TOL = 1e-12
 IPF_MAX_SWEEPS = 500
 
@@ -159,17 +157,16 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
 class BridgeSolution:
     """Factor pair carried over a time lattice, with density and drifts.
 
-    rho[k] = u[k] * v[k] row by row; the drifts b = 2*nu*grad(ln v) and
+    Each field is a FieldStack on one grid and slice lattice: rho = u * v
+    slice by slice; the drifts b = 2*nu*grad(ln v) and
     b_star = -2*nu*grad(ln u) are Hopf-Cole velocities of the factors.
     """
 
-    grid: Grid1D
-    times: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    rho: np.ndarray
-    b: np.ndarray
-    b_star: np.ndarray
+    u: FieldStack
+    v: FieldStack
+    rho: FieldStack
+    b: FieldStack
+    b_star: FieldStack
     nu: float
     masses: np.ndarray
 
@@ -181,8 +178,8 @@ class BridgeSolution:
         v = np.asarray(v, dtype=float)
         if np.min(u) < 0.0 or np.min(v) < 0.0:
             raise PositivityError("bridge factors must be nonnegative")
-        rho = u * v
-        masses = rho @ grid.weights
+        rho = FieldStack(grid, times, u * v)
+        masses = rho.values @ grid.weights
         drifts = np.abs(masses - 1.0)
         worst = int(np.argmax(drifts))
         if drifts[worst] > MASS_DRIFT_TOL:
@@ -190,29 +187,14 @@ class BridgeSolution:
                 f"interpolating density mass drifts by {drifts[worst]:.3e} "
                 f"(> {MASS_DRIFT_TOL}) at slice {worst} (t = {times[worst]:.6g})")
         h = grid.spacing
-        return cls(grid=grid, times=times, u=u, v=v, rho=rho,
-                   b=-hopf_cole_velocity(np.maximum(v, FACTOR_CLIP), h, nu),
-                   b_star=hopf_cole_velocity(np.maximum(u, FACTOR_CLIP), h, nu),
-                   nu=float(nu), masses=masses)
-
-    def slice_index(self, t: float) -> int:
-        return lattice_index(self.times, t, "is not on the solution lattice")
-
-    @cached_property
-    def rho_stack(self) -> FieldStack:
-        return FieldStack(self.grid, self.times, self.rho)
-
-    @cached_property
-    def forward_drift_stack(self) -> FieldStack:
-        return FieldStack(self.grid, self.times, self.b)
-
-    @cached_property
-    def backward_drift_stack(self) -> FieldStack:
-        return FieldStack(self.grid, self.times, self.b_star)
-
-    def density_mask(self) -> np.ndarray:
-        """Boolean [n_times, n_points] mask where rho >= DENSITY_FLOOR."""
-        return self.rho >= DENSITY_FLOOR
+        # the drifts' temporaries are freed before the factors are copied
+        return cls(
+            b=FieldStack(grid, times, -hopf_cole_velocity(
+                np.maximum(v, FACTOR_CLIP), h, nu)),
+            b_star=FieldStack(grid, times, hopf_cole_velocity(
+                np.maximum(u, FACTOR_CLIP), h, nu)),
+            u=FieldStack(grid, times, u), v=FieldStack(grid, times, v), rho=rho,
+            nu=float(nu), masses=masses)
 
 
 def propagate_factors(factors: BridgeFactors,
@@ -237,8 +219,16 @@ def propagate_factors(factors: BridgeFactors,
                                              propagator.kernel.nu)
 
 
-def _interp_row(grid: Grid1D, row: np.ndarray, points) -> np.ndarray:
-    return np.interp(np.asarray(points, dtype=float), grid.nodes, row)
+def _tilted(kernel: Kernel, factor: FieldStack, y, s: float, x, t: float,
+            forward: bool) -> np.ndarray:
+    """k(y,s,x,t) times the factor at the later point over the factor at
+    the earlier one (``forward``), or the reverse; the denominator is
+    clipped at the factor floor."""
+    nodes = factor.grid.nodes
+    at_y = np.interp(np.asarray(y, dtype=float), nodes, factor.slice(s).values)
+    at_x = np.interp(np.asarray(x, dtype=float), nodes, factor.slice(t).values)
+    num, den = (at_x, at_y) if forward else (at_y, at_x)
+    return kernel.evaluate(y, s, x, t) * num / np.maximum(den, FACTOR_CLIP)
 
 
 def forward_transition(solution: BridgeSolution, kernel: Kernel, y, s: float,
@@ -246,14 +236,9 @@ def forward_transition(solution: BridgeSolution, kernel: Kernel, y, s: float,
     """Forward transition density k(y,s,x,t) * v(x,t) / v(y,s).
 
     s and t must lie on the solution lattice; y and x may be off-node
-    (factors are interpolated linearly).  The denominator is clipped at
-    the factor floor.
+    (factors are interpolated linearly).
     """
-    ks, kt = solution.slice_index(s), solution.slice_index(t)
-    v_y = _interp_row(solution.grid, solution.v[ks], y)
-    v_x = _interp_row(solution.grid, solution.v[kt], x)
-    k_val = kernel.evaluate(y, s, x, t)
-    return k_val * v_x / np.maximum(v_y, FACTOR_CLIP)
+    return _tilted(kernel, solution.v, y, s, x, t, forward=True)
 
 
 def backward_transition(solution: BridgeSolution, kernel: Kernel, y, s: float,
@@ -263,11 +248,7 @@ def backward_transition(solution: BridgeSolution, kernel: Kernel, y, s: float,
     Integrates to one over y for each fixed (x, t) and satisfies the
     reversal identity rho(y,s) p(y,s,x,t) = p*(y,s,x,t) rho(x,t).
     """
-    ks, kt = solution.slice_index(s), solution.slice_index(t)
-    u_y = _interp_row(solution.grid, solution.u[ks], y)
-    u_x = _interp_row(solution.grid, solution.u[kt], x)
-    k_val = kernel.evaluate(y, s, x, t)
-    return k_val * u_y / np.maximum(u_x, FACTOR_CLIP)
+    return _tilted(kernel, solution.u, y, s, x, t, forward=False)
 
 
 def gauge_align(candidate: np.ndarray, reference: np.ndarray,

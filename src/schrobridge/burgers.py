@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PositivityError
-from .grids import (FieldStack, ScalarField, gradient_values, interior_max,
-                    laplacian_values, time_derivative)
+from .grids import (DENSITY_FLOOR, FieldStack, ScalarField, gradient_values,
+                    interior_max, laplacian_values, time_derivative)
 
 
 def _leapfrog_antiderivative(v: np.ndarray, h: float) -> np.ndarray:
@@ -67,7 +67,7 @@ def hopf_cole_inverse(velocity: ScalarField, nu: float = 1.0) -> ScalarField:
 def burgers_residual(velocity: FieldStack, nu: float,
                      force: FieldStack | None = None,
                      rho: FieldStack | None = None,
-                     mask_floor: float = 1e-12) -> float:
+                     mask_floor: float = DENSITY_FLOOR) -> float:
     """Max interior residual of dv/dt + v dv/dx - nu lap(v) - F.
 
     ``force`` omitted means the unforced equation.  When ``rho`` is given,

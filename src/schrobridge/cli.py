@@ -146,10 +146,9 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
     write_density_csv(outdir / "u0.csv", factors.u0)
     write_density_csv(outdir / "vT.csv", factors.vT)
-    write_field_csv(outdir / "rho.csv", solution.rho_stack)
-    write_field_csv(outdir / "drift-forward.csv", solution.forward_drift_stack)
-    write_field_csv(outdir / "drift-backward.csv",
-                    solution.backward_drift_stack)
+    write_field_csv(outdir / "rho.csv", solution.rho)
+    write_field_csv(outdir / "drift-forward.csv", solution.b)
+    write_field_csv(outdir / "drift-backward.csv", solution.b_star)
     report.add("interpolation-mass-drift",
                float(np.max(np.abs(solution.masses - 1.0))),
                upper=MASS_DRIFT_TOL)
@@ -177,9 +176,8 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
         # bridge-driven run: solve the factor system, then ride its drift
         boundary, _, _, solution = _solve_bridge(cfg, grid)
         start = boundary.rho0 if forward else boundary.rhoT
-        drift = (solution.forward_drift_stack if forward
-                 else solution.backward_drift_stack)
-        rho_ref, nu = solution.rho_stack, solution.nu
+        drift = solution.b.at if forward else solution.b_star.at
+        rho_ref, nu = solution.rho, solution.nu
     elif cfg.scenario == "quantum-free":
         if abs(cfg.horizon - 1.0) > 1e-12:
             raise ConfigError("the quantum-free scenario uses horizon 1.0")

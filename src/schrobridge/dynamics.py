@@ -12,12 +12,12 @@ An ensemble is bit-identical for a given (seed, n_paths), whatever the
 core count, and the paths of a full chunk do not depend on n_paths.
 
 The caller steps all paths in lock-step: one call per step of the drift
-(a lattice drift's ``at``, or a plain b(x, t)) on the float vector of all
-positions and a float time, so a drift must be pointwise in x.  Worker
-threads (one fewer than the cores the process may run on, at least one)
-draw each chunk's normals NOISE_ROWS steps ahead into two
-(NOISE_ROWS, n_paths) buffers, while the caller steps through the other
-block.  Draws no worker has started when the caller needs them run on
+b(x, t) (a lattice drift's ``FieldStack.at``, or a closed form) on the
+float vector of all positions and a float time, so a drift must be
+pointwise in x.  Worker threads (one fewer than the cores the process
+may run on, at least one) draw each chunk's normals NOISE_ROWS steps
+ahead into two (NOISE_ROWS, n_paths) buffers, while the caller steps
+through the other block.  Draws no worker has started when the caller needs them run on
 the caller, and while it waits for a started one it draws ahead for the
 other chunks.
 
@@ -87,14 +87,6 @@ class PathEnsemble:
         return self.positions[:, lattice_index(self.times, t, "was not recorded")]
 
 
-def _drift_fn(drift) -> Callable[[np.ndarray, float], np.ndarray]:
-    """``drift.at`` of a lattice drift, else the drift b(x, t) itself."""
-    fn = getattr(drift, "at", drift)
-    if not callable(fn):
-        raise TypeError("drift must expose .at(positions, t) or be callable")
-    return fn
-
-
 def _inverse_cdf_table(density: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     f = normalize(density)
     v, h = f.values, f.grid.spacing
@@ -131,13 +123,12 @@ def _draw_normals(rng: np.random.Generator, rows: np.ndarray):
         rng.standard_normal(out=row)
 
 
-def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
-               horizon: float, record_taus: np.ndarray,
-               domain: Grid1D) -> np.ndarray:
+def _run_euler(drift, init_density: ScalarField, config: SDEConfig,
+               horizon: float, record_taus: np.ndarray) -> np.ndarray:
     n_steps, rec_idx = step_schedule(horizon, config.dt, record_taus)
     cdf, nodes = _inverse_cdf_table(init_density)
     sig = np.sqrt(2.0 * config.nu * config.dt)
-    lo, hi = domain.x_min, domain.x_max
+    lo, hi = init_density.grid.x_min, init_density.grid.x_max
     reflect = config.boundary_policy == "reflect"
     rec_at = {int(step): r for r, step in enumerate(rec_idx)}
 
@@ -205,7 +196,7 @@ def _run_euler(drift_at, init_density: ScalarField, config: SDEConfig,
             block = noise[first // NOISE_ROWS % 2]
             for k in range(first, min(first + NOISE_ROWS, n_steps)):
                 tau = k * config.dt
-                x = x + drift_at(x, tau) * config.dt + sig * block[k - first]
+                x = x + drift(x, tau) * config.dt + sig * block[k - first]
                 if not reflect:
                     x = np.where((x < lo) | (x > hi), np.nan, x)
                 elif not (x.min() >= lo and x.max() <= hi):  # NaN takes the folds
@@ -232,42 +223,46 @@ def _finish(out: np.ndarray, times: np.ndarray, config: SDEConfig) -> PathEnsemb
 
 
 def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float,
-                     record_times: np.ndarray | None = None,
-                     domain: Grid1D | None = None) -> PathEnsemble:
+                     record_times: np.ndarray | None = None) -> PathEnsemble:
     """Euler-Maruyama paths of dX = b dt + sqrt(2 nu) dW started from rho0.
 
+    ``drift`` is b(x, t), e.g. a lattice drift's ``FieldStack.at``.
     Initial positions are drawn by inverse-CDF sampling of rho0 on its
-    grid.  ``record_times`` (default: RECORD_SLICES uniform slices) must
-    sit on the step lattice.  Reflection (default) folds overshoots back into the
-    domain; the absorbing policy discards exited paths and raises if
-    fewer than 90 percent survive.
+    grid, whose ends are the walls.  ``record_times`` (default:
+    RECORD_SLICES uniform slices) must sit on the step lattice.
+    Reflection (default) folds overshoots back between the walls; the
+    absorbing policy discards exited paths and raises if fewer than 90
+    percent survive.
     """
-    drift = _drift_fn(drift)
+    if not callable(drift):
+        raise TypeError("drift must be a callable b(x, t), got a "
+                        + type(drift).__name__)
     if record_times is None:
         record_times = np.linspace(0.0, horizon, RECORD_SLICES)
     times = np.asarray(record_times, dtype=float)
-    domain = domain or rho0.grid
-    out = _run_euler(drift, rho0, config, horizon, times, domain)
+    out = _run_euler(drift, rho0, config, horizon, times)
     return _finish(out, times, config)
 
 
 def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
                       horizon: float, record_times: np.ndarray | None = None,
-                      domain: Grid1D | None = None) -> PathEnsemble:
+                      ) -> PathEnsemble:
     """Reversed-clock paths dY = -b*(Y, T - tau) dtau + sqrt(2 nu) dW from rhoT.
 
+    ``drift_star`` is b*(x, t); the walls are the ends of rhoT's grid.
     ``record_times`` are forward time labels; the returned ensemble's
     columns are ordered by increasing forward time, so slice(0.0) is the
     reconstructed start-time sample.
     """
-    drift_star = _drift_fn(drift_star)
+    if not callable(drift_star):
+        raise TypeError("drift_star must be a callable b*(x, t), got a "
+                        + type(drift_star).__name__)
     if record_times is None:
         record_times = np.linspace(0.0, horizon, RECORD_SLICES)
     times = np.sort(np.asarray(record_times, dtype=float))
     taus = horizon - times[::-1]
-    domain = domain or rhoT.grid
     out = _run_euler(lambda y, tau: -drift_star(y, horizon - tau), rhoT,
-                     config, horizon, taus, domain)
+                     config, horizon, taus)
     return _finish(out[:, ::-1], times, config)
 
 
@@ -317,8 +312,8 @@ def fokker_planck_residual(rho: FieldStack, drift: FieldStack | None, nu,
     backward: d(rho)/dt + d(b* rho)/dx + nu * lap(rho)
 
     ``nu`` may be a number or a function of time (time-dependent
-    diffusivity).  Points with rho below 1e-12 and the lattice borders
-    are excluded.
+    diffusivity).  Points with rho below DENSITY_FLOOR and the lattice
+    borders are excluded.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")

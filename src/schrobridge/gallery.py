@@ -21,7 +21,7 @@ from .burgers import (compatibility_potential, hopf_cole_forward,
 from .dynamics import (SDEConfig, cdf_from_field, empirical_density,
                        fokker_planck_residual, ks_distance, simulate_backward,
                        simulate_forward)
-from .grids import (FieldStack, Grid1D, ScalarField, integrate, normalize,
+from .grids import (DENSITY_FLOOR, FieldStack, Grid1D, integrate, normalize,
                     sample_field)
 from .kernels import (Potential, check_chapman_kolmogorov,
                       extract_forward_drift, generalized_heat_residual,
@@ -153,7 +153,7 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
         KernelMatrix.from_kernel(k2, grid, 0.0, HORIZON), boundary)
     w = grid.weights
     # the propagated v at t = 0 is K(0, H) applied to vT
-    recov0 = factors1.u0.values * solution.v[0]
+    recov0 = factors1.u0.values * solution.v.values[0]
     report.add("boundary-recovery-l1",
                float(w @ np.abs(recov0 - boundary.rho0.values)), upper=1e-8)
 
@@ -170,15 +170,18 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
                   factors1.vT.values, w, 1e-6,
                   detail="pinned-kernel factors match the consistent-kernel pair")
 
-    mask = solution.density_mask()
-    b_err = np.abs(solution.b - b_stack.values)
-    bstar_err = np.abs(solution.b_star - bstar_stack.values)
+    mask = solution.rho.values >= DENSITY_FLOOR
+    b_err = np.abs(solution.b.values - b_stack.values)
+    bstar_err = np.abs(solution.b_star.values - bstar_stack.values)
     report.add("bridge-drift-error",
                float(np.max(np.where(mask, np.maximum(b_err, bstar_err), 0.0))),
-               upper=1e-4, detail="drifts vs closed forms where rho >= 1e-12")
+               upper=1e-4,
+               detail=f"drifts vs closed forms where rho >= {DENSITY_FLOOR:g}")
 
-    # probes sit on lattice nodes so the factor lookups are exact
-    probes = grid.nodes[[439, 512, 622]][:, None]
+    # probes sit on lattice nodes so the factor lookups are exact: at any
+    # grid size, the nodes nearest three nodes of the default box
+    near = np.abs(grid.nodes[:, None] - WIDE_GRID.nodes[[439, 512, 622]])
+    probes = grid.nodes[np.argmin(near, axis=0)][:, None]
     p_rows = forward_transition(solution, k1, probes, 0.5,
                                 grid.nodes[None, :], HORIZON)
     report.add("transition-normalization",
@@ -234,8 +237,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     ks0 = ks_distance(ens_back.slice(0.0), lambda x: PACKET.rho_cdf(x, 0.0))
     report.add("backward-mc-ks", ks0, upper=0.02,
                detail="reconstructed start sample vs packet CDF")
-    ks_mid = ks_distance(ens.slice(0.5), cdf_from_field(
-        ScalarField(grid, solution.rho[solution.slice_index(0.5)], 0.5)))
+    ks_mid = ks_distance(ens.slice(0.5),
+                         cdf_from_field(solution.rho.slice(0.5)))
     report.add("slice-consistency-ks", ks_mid, upper=0.02,
                detail="forward sample at t=0.5 vs bridge density")
     emp = empirical_density(ens, 1.0, Grid1D(-8.0, 8.0, 129))

@@ -21,6 +21,8 @@ DEFAULT_X_MIN = -10.0
 DEFAULT_X_MAX = 10.0
 DEFAULT_N_POINTS = 513
 LATTICE_TOL = 1e-9
+# densities below this are masked out of residual and drift comparisons
+DENSITY_FLOOR = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -129,7 +131,7 @@ def time_derivative(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def interior_max(residual: np.ndarray, rho: np.ndarray | None = None,
-                 floor: float = 1e-12) -> float:
+                 floor: float = DENSITY_FLOOR) -> float:
     """Max |residual| off the lattice border (first and last slices, edge
     nodes), counting only points where ``rho`` >= ``floor`` when given."""
     window = np.abs(residual[1:-1, 1:-1])

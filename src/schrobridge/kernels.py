@@ -744,7 +744,24 @@ def _warn_if_not_converging(name: str, steps, values, limit: float):
         warnings.warn(
             f"{name}: step-size table is not monotone "
             f"(steps {list(steps)}, values {list(values)})",
-            ExtrapolationWarning, stacklevel=3)
+            ExtrapolationWarning, stacklevel=4)
+
+
+def _short_time_rates(kernel: Kernel, y: float, t: float, row,
+                      names: tuple[str, ...]) -> tuple[np.ndarray, list[float]]:
+    """The table row(xs, wq, p) / dt, one row per step dt of MOMENT_DTS and
+    one column per name, with p the kernel from (y, t) to t + dt on the
+    local lattice xs (weights wq), and each column's dt -> 0 limit."""
+    local = Grid1D(y - MOMENT_HALF_WIDTH, y + MOMENT_HALF_WIDTH, MOMENT_N_QUAD)
+    xs, wq = local.nodes, local.weights
+    table = np.array([np.divide(row(xs, wq, kernel.evaluate(y, t, xs, t + dt)),
+                                dt) for dt in MOMENT_DTS])
+    table = table.reshape(len(MOMENT_DTS), len(names))
+    steps = np.asarray(MOMENT_DTS, dtype=float)
+    rates = [_extrapolate_rate(steps, column) for column in table.T]
+    for name, column, rate in zip(names, table.T, rates):
+        _warn_if_not_converging(name, steps, column, rate)
+    return table, rates
 
 
 @dataclass(frozen=True)
@@ -769,22 +786,15 @@ def short_time_moments(kernel: Kernel, y: float, t: float,
     column does not approach its limit monotonically.
     """
     y, t = float(y), float(t)
-    local = Grid1D(y - MOMENT_HALF_WIDTH, y + MOMENT_HALF_WIDTH, MOMENT_N_QUAD)
-    xs, wq = local.nodes, local.weights
-    outside = np.abs(xs - y) > eps
-    table = np.empty((len(MOMENT_DTS), 3))
-    for k, dt in enumerate(MOMENT_DTS):
-        p = kernel.evaluate(y, t, xs, t + dt)
-        table[k, 0] = float(np.sum(wq[outside] * p[outside])) / dt
-        table[k, 1] = float(np.sum(wq * (xs - y) * p)) / dt
-        table[k, 2] = float(np.sum(wq * (xs - y) ** 2 * p)) / dt
-    steps = np.asarray(MOMENT_DTS, dtype=float)
-    rates = [_extrapolate_rate(steps, table[:, j]) for j in range(3)]
-    for j, name in enumerate(("leak rate", "first-moment rate",
-                              "second-moment rate")):
-        _warn_if_not_converging(name, steps, table[:, j], rates[j])
-    return MomentRates(leak_rate=rates[0], first_moment_rate=rates[1],
-                       second_moment_rate=rates[2], table=table)
+
+    def row(xs, wq, p):
+        outside = np.abs(xs - y) > eps
+        return (np.sum(wq[outside] * p[outside]), np.sum(wq * (xs - y) * p),
+                np.sum(wq * (xs - y) ** 2 * p))
+
+    table, rates = _short_time_rates(kernel, y, t, row, (
+        "leak rate", "first-moment rate", "second-moment rate"))
+    return MomentRates(*rates, table=table)
 
 
 def extract_forward_drift(kernel: Kernel, x: float, t: float) -> float:
@@ -796,17 +806,10 @@ def extract_forward_drift(kernel: Kernel, x: float, t: float) -> float:
     lattice so mild non-normalization cancels.
     """
     x, t = float(x), float(t)
-    local = Grid1D(x - MOMENT_HALF_WIDTH, x + MOMENT_HALF_WIDTH, MOMENT_N_QUAD)
-    xs, wq = local.nodes, local.weights
-    vals = np.empty(len(MOMENT_DTS))
-    for k, dt in enumerate(MOMENT_DTS):
-        p = kernel.evaluate(x, t, xs, t + dt)
-        mass = float(np.sum(wq * p))
-        mean = float(np.sum(wq * xs * p)) / mass
-        vals[k] = (mean - x) / dt
-    steps = np.asarray(MOMENT_DTS, dtype=float)
-    drift = _extrapolate_rate(steps, vals)
-    _warn_if_not_converging("drift rate", steps, vals, drift)
+    _, (drift,) = _short_time_rates(
+        kernel, x, t,
+        lambda xs, wq, p: np.sum(wq * xs * p) / np.sum(wq * p) - x,
+        ("drift rate",))
     return drift
 
 

@@ -192,6 +192,8 @@ def density_from_spec(spec, grid: Grid1D, base_dir: Path | None = None,
     """
     if not isinstance(spec, dict):
         raise ConfigError("density spec must be an object")
+    _reject_unknown(spec, {"csv"} if "csv" in spec else {"form", "mean", "var"},
+                    f"density spec {spec!r}")
     if "csv" in spec:
         path = Path(spec["csv"])
         if base_dir is not None and not path.is_absolute():

@@ -24,6 +24,7 @@ from schrobridge import (FieldStack, Grid1D, NumericFeynmanKacKernel,
 from schrobridge.bridge import (BridgeSolution, backward_transition,
                                 forward_transition)
 from schrobridge.gallery import WIDE_GRID, packet_boundary, packet_bridge
+from schrobridge.grids import DENSITY_FLOOR
 from schrobridge.packet import PACKET
 
 
@@ -253,10 +254,10 @@ def test_criterion_08_monte_carlo_consistency(acceptance_log):
 def test_criterion_09_identity_suite(acceptance_log):
     kernel = make_kernel("quantum-k1")
     _, _, solution = packet_bridge(kernel)
-    grid = solution.grid
+    rho, u, v = solution.rho, solution.u, solution.v
+    grid = rho.grid
 
-    factorization = float(np.max(np.abs(solution.rho
-                                        - solution.u * solution.v)))
+    factorization = float(np.max(np.abs(rho.values - u.values * v.values)))
 
     rng = np.random.default_rng(7)
     core = np.flatnonzero(np.abs(grid.nodes) <= 3.0)
@@ -271,13 +272,14 @@ def test_criterion_09_identity_suite(acceptance_log):
     # rescaling (u, v) -> (lam u, v / lam) must change nothing observable
     lam = 7.3
     scaled = BridgeSolution.from_factor_stacks(
-        grid, solution.times, lam * solution.u, solution.v / lam, solution.nu)
-    mask = solution.density_mask()
+        grid, rho.times, lam * u.values, v.values / lam, solution.nu)
+    mask = rho.values >= DENSITY_FLOOR
     gauge = max(
-        float(np.max(np.abs(scaled.rho - solution.rho))),
-        float(np.max(np.where(mask, np.abs(scaled.b - solution.b), 0.0))),
-        float(np.max(np.where(mask, np.abs(scaled.b_star - solution.b_star),
-                              0.0))),
+        float(np.max(np.abs(scaled.rho.values - rho.values))),
+        float(np.max(np.where(
+            mask, np.abs(scaled.b.values - solution.b.values), 0.0))),
+        float(np.max(np.where(
+            mask, np.abs(scaled.b_star.values - solution.b_star.values), 0.0))),
         float(np.max(np.abs(forward_transition(scaled, kernel, ys, 0.25,
                                                xs, 0.75) - p) / p)),
         float(np.max(np.abs(backward_transition(scaled, kernel, ys, 0.25,

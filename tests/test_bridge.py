@@ -14,6 +14,7 @@ from schrobridge import (BoundaryData, BridgeFactors, ConvergenceError,
                          solve_boundary_system)
 from schrobridge import bridge
 from schrobridge.bridge import _worst_node, marginal_l1_residual
+from schrobridge.grids import DENSITY_FLOOR
 from schrobridge.packet import PACKET
 
 
@@ -164,13 +165,12 @@ def test_worst_node_prefers_the_first_non_finite_entry():
 
 def test_propagated_marginals_and_masses(coarse_bridge):
     boundary, _, solution = coarse_bridge
-    w = solution.grid.weights
+    rho = solution.rho.values
+    w = solution.rho.grid.weights
     np.testing.assert_allclose(solution.masses, 1.0, atol=1e-10)
-    np.testing.assert_allclose(solution.rho[0], boundary.rho0.values,
-                               atol=1e-10)
-    np.testing.assert_allclose(solution.rho[-1], boundary.rhoT.values,
-                               atol=1e-10)
-    assert float(w @ solution.rho[2]) == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_allclose(rho[0], boundary.rho0.values, atol=1e-10)
+    np.testing.assert_allclose(rho[-1], boundary.rhoT.values, atol=1e-10)
+    assert float(w @ rho[2]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_propagation_mass_guard_trips_on_non_gauge_scaling(coarse_bridge):
@@ -189,20 +189,28 @@ def test_solution_is_mirror_symmetric(coarse_bridge):
     # even boundary data and an even kernel force an even density and an
     # odd forward drift
     _, _, solution = coarse_bridge
-    np.testing.assert_allclose(solution.rho, solution.rho[:, ::-1],
-                               atol=1e-12)
-    mask = solution.density_mask()
-    sym = np.where(mask & mask[:, ::-1],
-                   solution.b + solution.b[:, ::-1], 0.0)
+    rho, b = solution.rho.values, solution.b.values
+    np.testing.assert_allclose(rho, rho[:, ::-1], atol=1e-12)
+    mask = rho >= DENSITY_FLOOR
+    sym = np.where(mask & mask[:, ::-1], b + b[:, ::-1], 0.0)
     assert np.max(np.abs(sym)) < 1e-7
 
 
-def test_solution_lattice_lookup(coarse_bridge):
-    _, _, solution = coarse_bridge
-    assert solution.slice_index(0.4) == 2
+def test_solution_fields_share_one_lattice(coarse_bridge):
+    _, factors, solution = coarse_bridge
+    fields = (solution.u, solution.v, solution.rho, solution.b,
+              solution.b_star)
+    for f in fields:
+        assert f.grid == factors.u0.grid
+        np.testing.assert_array_equal(f.times, np.linspace(0.0, 1.0, 6))
+    np.testing.assert_array_equal(solution.rho.values,
+                                  solution.u.values * solution.v.values)
+    mid = solution.rho.slice(0.4)
+    assert mid.time_label == 0.4
+    np.testing.assert_array_equal(mid.values, solution.rho.values[2])
     with pytest.raises(ValueError,
-                       match="time 0.37 is not on the solution lattice"):
-        solution.slice_index(0.37)
+                       match="time 0.37 is not on the stack lattice"):
+        solution.rho.slice(0.37)
 
 
 def test_propagate_rejects_bad_time_axes(coarse_bridge):
@@ -221,7 +229,7 @@ def test_propagate_rejects_bad_time_axes(coarse_bridge):
 
 def test_forward_transition_rows_are_normalized(coarse_bridge):
     _, _, solution = coarse_bridge
-    grid = solution.grid
+    grid = solution.rho.grid
     kernel = make_kernel("quantum-k1")
     probes = grid.nodes[[64, 128, 192]][:, None]
     rows = forward_transition(solution, kernel, probes, 0.2,
@@ -231,16 +239,15 @@ def test_forward_transition_rows_are_normalized(coarse_bridge):
 
 def test_reversal_identity_on_lattice_probes(coarse_bridge):
     _, _, solution = coarse_bridge
-    grid = solution.grid
+    grid = solution.rho.grid
     kernel = make_kernel("quantum-k1")
     rng = np.random.default_rng(11)
     core = np.flatnonzero(np.abs(grid.nodes) <= 3.0)
     ys = grid.nodes[rng.choice(core, 40)]
     xs = grid.nodes[rng.choice(core, 40)]
     s, t = 0.2, 0.8
-    i_s, i_t = solution.slice_index(s), solution.slice_index(t)
-    rho_s = np.interp(ys, grid.nodes, solution.rho[i_s])
-    rho_t = np.interp(xs, grid.nodes, solution.rho[i_t])
+    rho_s = np.interp(ys, grid.nodes, solution.rho.slice(s).values)
+    rho_t = np.interp(xs, grid.nodes, solution.rho.slice(t).values)
     lhs = rho_s * forward_transition(solution, kernel, ys, s, xs, t)
     rhs = backward_transition(solution, kernel, ys, s, xs, t) * rho_t
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
@@ -263,15 +270,16 @@ def test_gauge_invariance_of_all_observables(coarse_bridge):
         u0=factors.u0.with_values(lam * factors.u0.values),
         vT=factors.vT.with_values(factors.vT.values / lam),
         gauge=factors.gauge)
+    grid = solution.rho.grid
     other = propagate_factors(scaled, make_kernel("quantum-k1").propagator(
-        solution.grid, solution.times))
-    np.testing.assert_allclose(other.rho, solution.rho, rtol=0.0, atol=1e-13)
-    mask = solution.density_mask()
+        grid, solution.rho.times))
+    np.testing.assert_allclose(other.rho.values, solution.rho.values,
+                               rtol=0.0, atol=1e-13)
+    mask = solution.rho.values >= DENSITY_FLOOR
     for a, b in ((other.b, solution.b), (other.b_star, solution.b_star)):
-        assert np.max(np.abs(np.where(mask, a - b, 0.0))) < 1e-9
+        assert np.max(np.abs(np.where(mask, a.values - b.values, 0.0))) < 1e-9
 
     kernel = make_kernel("quantum-k1")
-    grid = solution.grid
     ys = grid.nodes[[100, 128, 150]]
     p1 = forward_transition(solution, kernel, ys, 0.2, ys, 0.8)
     p2 = forward_transition(other, kernel, ys, 0.2, ys, 0.8)

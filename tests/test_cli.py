@@ -8,6 +8,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schrobridge import KernelMatrix, bridge, cli, gallery, scenario
@@ -306,6 +307,21 @@ def test_gallery_subcommand_writes_the_suite_report(outdir, monkeypatch,
     assert (outdir / "example1-report.txt").is_file()
 
 
+def test_the_quantum_free_suite_runs_off_its_default_grid(outdir):
+    # the transition probes are the nodes nearest fixed points of the
+    # default box; with few paths only the Monte Carlo checks may fail
+    code = cli.main(["gallery", "quantum-free", "--grid-points", "513",
+                     "--n-paths", "2000"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    payload = json.loads((outdir / "quantum-free-report.json").read_text())
+    assert payload["config"]["grid_points"] == 513
+    failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+    assert failed <= {"forward-mc-variance-0.5", "forward-mc-variance-1.0",
+                      "backward-mc-ks", "slice-consistency-ks"}
+    assert "transition-normalization" in {c["name"]
+                                          for c in payload["checks"]}
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--n-paths"])
 def test_gallery_path_flags_are_quantum_free_only(outdir, capsys, flag):
     assert cli.main(["gallery", "example1", flag, "3"]) == cli.EXIT_CONFIG
@@ -481,6 +497,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: gaussian density {{'form': 'gaussian', {values}}} "
             "has no mass on the grid span [-10, 10]\n")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"form": "gaussian", "mean": 0, "variance": 4.0}, "variance"),
+        ({"form": "gaussian", "var": 2.0, "csv_path": "rho0.csv"},
+         "csv_path"),
+        ({"csv": "rho0.csv", "var": 2.0}, "var"),
+    ], ids=["gaussian-variance", "gaussian-csv-path", "csv-var"])
+    def test_an_unknown_density_spec_key_is_a_config_error(
+            self, tmp_path, outdir, capsys, spec, key):
+        xs = np.linspace(-10.0, 10.0, 201)
+        np.savetxt(tmp_path / "rho0.csv", np.column_stack(
+            (xs, np.exp(-xs ** 2 / 2.0) / np.sqrt(2.0 * np.pi))),
+            delimiter=",")
+        payload = dict(BRIDGE_CONFIG,
+                       boundary=dict(BRIDGE_CONFIG["boundary"], rho0=spec))
+        code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: unknown density spec {spec!r} keys: ['{key}']\n")
         assert not outdir.exists()
 
     def test_a_failed_formatting_process_is_an_output_error(

@@ -21,6 +21,10 @@ def _rho0(grid: Grid1D) -> ScalarField:
     return normalize(sample_field(grid, PACKET.rho, 0.0))
 
 
+# walls far from every path: the default spacing on a box five times wider
+FAR_WALLS = Grid1D(-50.0, 50.0, 2561)
+
+
 def _cfg(**kw) -> SDEConfig:
     base = dict(nu=1.0, n_paths=2000, dt=2e-3, seed=9)
     base.update(kw)
@@ -45,12 +49,10 @@ def test_chunk_streams_follow_the_documented_layout(monkeypatch):
     # with zero drift and far walls, step one is x0 + sig * the chunk's
     # first normals, drawn right after its initial uniforms
     monkeypatch.setattr(dynamics, "CHUNK", 64)
-    grid = Grid1D()
-    rho0 = _rho0(grid)
+    rho0 = _rho0(FAR_WALLS)
     cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2)
     ens = simulate_forward(_still, rho0, cfg, 1.0,
-                           record_times=np.array([0.0, 0.01]),
-                           domain=Grid1D(-50.0, 50.0, 11))
+                           record_times=np.array([0.0, 0.01]))
     cdf, nodes = dynamics._inverse_cdf_table(rho0)
     sig = np.sqrt(2.0 * cfg.nu * cfg.dt)
     for chunk, (start, stop) in enumerate(((0, 64), (64, 128), (128, 145))):
@@ -75,10 +77,9 @@ def test_full_chunks_do_not_depend_on_n_paths(monkeypatch):
 
 def test_chunks_do_not_share_increments(monkeypatch):
     monkeypatch.setattr(dynamics, "CHUNK", 64)
-    grid = Grid1D()
-    ens = simulate_forward(_still, _rho0(grid), _cfg(n_paths=128, dt=1e-2),
-                           1.0, record_times=np.linspace(0.0, 1.0, 101),
-                           domain=Grid1D(-50.0, 50.0, 11))
+    ens = simulate_forward(_still, _rho0(FAR_WALLS),
+                           _cfg(n_paths=128, dt=1e-2), 1.0,
+                           record_times=np.linspace(0.0, 1.0, 101))
     steps = np.diff(ens.positions, axis=1)
     first, second = steps[:64], steps[64:]
     assert np.intersect1d(first, second).size == 0
@@ -106,21 +107,18 @@ def test_partial_last_chunk_records_every_path(monkeypatch):
 
 def test_absorbing_walls_drop_exactly_the_exited_paths(monkeypatch):
     monkeypatch.setattr(dynamics, "CHUNK", 64)
-    grid = Grid1D()
     every_step = np.linspace(0.0, 1.0, 101)
     cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2, seed=3,
                boundary_policy="absorb-and-discard")
-    free = simulate_forward(PACKET.drift_forward, _rho0(grid), cfg, 1.0,
-                            record_times=every_step,
-                            domain=Grid1D(-50.0, 50.0, 11))
-    walls = Grid1D(-3.0, 3.0, 65)
-    held = simulate_forward(PACKET.drift_forward, _rho0(grid), cfg, 1.0,
-                            record_times=every_step, domain=walls)
-    # walls are checked after each step, so the start column may lie outside
-    inside = np.all(np.abs(free.positions[:, 1:]) <= 3.0, axis=1)
-    assert free.n_paths == 2 * 64 + 17
+    rho0 = _rho0(Grid1D(-3.0, 3.0, 65))
+    held = simulate_forward(PACKET.drift_forward, rho0, cfg, 1.0,
+                            record_times=every_step)
+    # the same paths with no walls at all
+    free, _ = _per_chunk_reference(PACKET.drift_forward, rho0, cfg, 1.0,
+                                   every_step, -np.inf, np.inf)
+    inside = np.all(np.abs(free) <= 3.0, axis=1)
     assert 0 < held.n_requested - held.n_paths == np.sum(~inside)
-    np.testing.assert_array_equal(held.positions, free.positions[inside])
+    np.testing.assert_array_equal(held.positions, free[inside])
 
 
 def test_interleaved_runs_share_no_rng_state(monkeypatch):
@@ -231,8 +229,7 @@ def test_backward_run_recovers_the_start_density():
 def test_reflecting_walls_keep_paths_inside():
     grid = Grid1D(-3.0, 3.0, 129)
     ens = simulate_forward(PACKET.drift_forward, _rho0(grid),
-                           _cfg(boundary_policy="reflect"), 1.0,
-                           domain=grid)
+                           _cfg(boundary_policy="reflect"), 1.0)
     assert np.min(ens.positions) >= -3.0
     assert np.max(ens.positions) <= 3.0
     assert ens.n_paths == 2000
@@ -296,16 +293,14 @@ def test_reflection_equals_the_three_pass_reference(monkeypatch, box,
     rho0 = _rho0(domain)
     rhoT = normalize(sample_field(domain, PACKET.rho, 1.0))
 
-    fwd = simulate_forward(fwd_drift, rho0, cfg, 1.0, record_times=times,
-                           domain=domain)
+    fwd = simulate_forward(fwd_drift, rho0, cfg, 1.0, record_times=times)
     want, crossed = _per_chunk_reference(fwd_drift, rho0, cfg, 1.0, times,
                                          lo, hi)
     assert _same_bits(fwd.positions, want)
     # both walls are hit, and some chunk steps stay inside the box
     assert 0 < crossed.min() and crossed.max() < 3 * 100
 
-    bwd = simulate_backward(bwd_drift, rhoT, cfg, 1.0, record_times=times,
-                            domain=domain)
+    bwd = simulate_backward(bwd_drift, rhoT, cfg, 1.0, record_times=times)
     want, crossed = _per_chunk_reference(
         lambda y, tau: -bwd_drift(y, 1.0 - tau), rhoT, cfg, 1.0,
         1.0 - times[::-1], lo, hi)
@@ -332,8 +327,7 @@ def _lock_step_case(simulate, policy, n_paths, n_steps):
         drift, t0, taus = PACKET.drift_backward, horizon, horizon - times[::-1]
         drift_at = lambda y, tau: -drift(y, horizon - tau)
     start = normalize(sample_field(domain, PACKET.rho, t0))
-    got = simulate(drift, start, cfg, horizon, record_times=times,
-                   domain=domain)
+    got = simulate(drift, start, cfg, horizon, record_times=times)
     want, _ = _per_chunk_reference(drift_at, start, cfg, horizon, taus, lo, hi)
     if simulate is simulate_backward:
         want = want[:, ::-1]
@@ -479,7 +473,7 @@ def test_absorbing_walls_discard_leaked_paths():
     grid = Grid1D(-6.0, 6.0, 129)
     ens = simulate_forward(PACKET.drift_forward, _rho0(grid),
                            _cfg(boundary_policy="absorb-and-discard",
-                                n_paths=4000, seed=23), 1.0, domain=grid)
+                                n_paths=4000, seed=23), 1.0)
     assert ens.n_requested == 4000
     assert 0.9 * 4000 <= ens.n_paths <= 4000
     assert np.all(np.isfinite(ens.positions))
@@ -490,7 +484,7 @@ def test_heavy_leak_raises():
     with pytest.raises(BoundaryLeakError):
         simulate_forward(PACKET.drift_forward, _rho0(tight),
                          _cfg(boundary_policy="absorb-and-discard",
-                              n_paths=500), 1.0, domain=tight)
+                              n_paths=500), 1.0)
 
 
 @pytest.mark.parametrize("policy", ["reflect", "absorb-and-discard"])
@@ -504,7 +498,7 @@ def test_lattice_drift_paths_equal_the_interp_reference(
     stack = FieldStack.sample(grid, np.linspace(0.0, 1.0, 11), drift_fn)
     start = normalize(sample_field(grid, PACKET.rho, boundary_time))
     cfg = _cfg(n_paths=600, dt=1e-2, seed=5, boundary_policy=policy)
-    got = simulate(stack, start, cfg, 1.0)
+    got = simulate(stack.at, start, cfg, 1.0)
     want = simulate(lambda x, t: interp_reference(stack, x, t), start, cfg,
                     1.0)
     # the lookup follows the reference to a few ulps per step
@@ -517,10 +511,13 @@ def test_lattice_drift_paths_equal_the_interp_reference(
 
 
 @pytest.mark.parametrize("simulate", [simulate_forward, simulate_backward])
-def test_a_drift_without_at_that_is_not_callable_is_refused(simulate):
-    start = normalize(sample_field(Grid1D(-4.0, 4.0, 65), PACKET.rho, 0.0))
-    with pytest.raises(TypeError, match="drift must expose"):
-        simulate(0.5, start, _cfg(n_paths=10, dt=1e-2), 1.0)
+def test_a_drift_that_is_not_callable_is_refused(simulate):
+    grid = Grid1D(-4.0, 4.0, 65)
+    start = normalize(sample_field(grid, PACKET.rho, 0.0))
+    stack = FieldStack.sample(grid, np.array([0.0, 1.0]), PACKET.drift_forward)
+    for drift in (0.5, stack):  # a lattice drift is passed as its .at
+        with pytest.raises(TypeError, match="must be a callable"):
+            simulate(drift, start, _cfg(n_paths=10, dt=1e-2), 1.0)
 
 
 def test_bad_policy_is_rejected():

@@ -638,8 +638,10 @@ class _WobblyKernel:
 
 
 def test_non_converging_table_warns():
-    with pytest.warns(ExtrapolationWarning):
+    with pytest.warns(ExtrapolationWarning) as record:
         short_time_moments(_WobblyKernel(), 0.0, 0.5)
+    # the warning points at the probe's caller
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_generalized_heat_residual_kind_guard():

@@ -271,18 +271,19 @@ def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge):
     v = [KernelMatrix.from_kernel(kernel, grid, float(t), 1.0)
          .apply_target(factors.vT.values) for t in times[:-1]]
     v += [factors.vT.values]
-    np.testing.assert_array_equal(solution.u, np.array(u))
-    np.testing.assert_array_equal(solution.v, np.array(v))
+    np.testing.assert_array_equal(solution.u.values, np.array(u))
+    np.testing.assert_array_equal(solution.v.values, np.array(v))
 
 
 def test_propagate_accepts_a_built_propagator(coarse_bridge):
     _, factors, solution = coarse_bridge
     kernel = make_kernel("quantum-k1")
-    propagator = kernel.propagator(factors.u0.grid, solution.times)
+    times = solution.rho.times
+    propagator = kernel.propagator(factors.u0.grid, times)
     again = propagate_factors(factors, propagator)
-    np.testing.assert_array_equal(again.rho, solution.rho)
+    np.testing.assert_array_equal(again.rho.values, solution.rho.values)
     with pytest.raises(ValueError):
-        propagate_factors(factors, kernel.propagator(GRID, solution.times))
+        propagate_factors(factors, kernel.propagator(GRID, times))
 
 
 def test_mass_drift_error_names_the_worst_slice():
