@@ -20,9 +20,8 @@ from .errors import (ConvergenceError, IncompatibilityError, NormalizationError,
                      PositivityError, PropagationError)
 from .burgers import hopf_cole_velocity
 from .grids import FieldStack, Grid1D, ScalarField, integrate
-from .kernels import Kernel, KernelMatrix, Propagator
+from .kernels import ENTRY_FLOOR, Kernel, KernelMatrix, Propagator
 
-FACTOR_CLIP = 1e-300
 MASS_TOL = 1e-8
 MASS_DRIFT_TOL = 1e-4
 IPF_TOL = 1e-12
@@ -38,6 +37,15 @@ def _worst_node(grid: Grid1D, values: np.ndarray) -> str:
     bad = ~np.isfinite(values)
     return _node(grid, values,
                  int(np.argmax(bad)) if bad.any() else int(np.argmin(values)))
+
+
+def _positive(grid: Grid1D, image: np.ndarray, factor: str, sweep: int):
+    """``image``, the kernel applied to the ``factor`` factor, if positive."""
+    if np.min(image) <= 0.0 or not np.all(np.isfinite(image)):
+        raise IncompatibilityError(
+            f"kernel maps the {factor} factor to a non-positive intermediate "
+            f"at sweep {sweep}, worst at " + _worst_node(grid, image))
+    return image
 
 
 @dataclass(frozen=True)
@@ -72,19 +80,18 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class BridgeFactors:
-    """Positive factor pair; gauge records the scalar removed from u0."""
+    """Positive factor pair, u0 at time 0 and vT at the horizon."""
 
     u0: ScalarField
     vT: ScalarField
-    gauge: float
 
 
-def marginal_l1_residual(matrix: KernelMatrix, u: np.ndarray, v: np.ndarray,
-                         boundary: BoundaryData) -> float:
-    """L1 defect of both marginals for a candidate factor pair."""
-    w = matrix.grid.weights
-    left = u * matrix.apply_target(v) - boundary.rho0.values
-    right = v * matrix.apply_source(u) - boundary.rhoT.values
+def marginal_l1_residual(u: np.ndarray, kv: np.ndarray, v: np.ndarray,
+                         ktu: np.ndarray, boundary: BoundaryData) -> float:
+    """L1 defect of both marginals of (u, v) given kv = K v, ktu = K^T u."""
+    w = boundary.grid.weights
+    left = u * kv - boundary.rho0.values
+    right = v * ktu - boundary.rhoT.values
     return float(w @ np.abs(left) + w @ np.abs(right))
 
 
@@ -97,8 +104,8 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     Alternates u = rho0 / K v and v = rhoT / K^T u (quadrature-weighted
     kernel applications) until the successive L1 change of the pair drops
     below ``tol``, within IPF_MAX_SWEEPS sweeps.  The returned pair is
-    gauge-fixed so u0 has unit integral; ``gauge`` is the scalar that was
-    divided out.
+    gauge-fixed so u0 has unit integral.  Each sweep applies the kernel
+    twice (K^T u, then K v, which the residual and the next sweep share).
 
     ``callback(iteration, l1_change, marginal_residual)``, when given, is
     invoked once per sweep; the residual sequence is non-increasing.
@@ -113,29 +120,21 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     w = matrix.grid.weights
 
     v = rhoT.copy()
+    kv = matrix.apply_target(v)
     u_prev: np.ndarray | None = None
     change = float("inf")
     residual = float("inf")
     for sweep in range(1, IPF_MAX_SWEEPS + 1):
-        kv = matrix.apply_target(v)
-        if np.min(kv) <= 0.0 or not np.all(np.isfinite(kv)):
-            raise IncompatibilityError(
-                "kernel maps the end factor to a non-positive intermediate "
-                f"at sweep {sweep}, worst at "
-                + _worst_node(matrix.grid, kv))
-        u = rho0 / np.maximum(kv, FACTOR_CLIP)
-        ktu = matrix.apply_source(u)
-        if np.min(ktu) <= 0.0 or not np.all(np.isfinite(ktu)):
-            raise IncompatibilityError(
-                "kernel maps the start factor to a non-positive intermediate "
-                f"at sweep {sweep}, worst at "
-                + _worst_node(matrix.grid, ktu))
-        v_new = rhoT / np.maximum(ktu, FACTOR_CLIP)
+        u = rho0 / np.maximum(_positive(matrix.grid, kv, "end", sweep),
+                              ENTRY_FLOOR)
+        ktu = _positive(matrix.grid, matrix.apply_source(u), "start", sweep)
+        v_new = rhoT / np.maximum(ktu, ENTRY_FLOOR)
 
         change = float(w @ np.abs(v_new - v))
         if u_prev is not None:
             change += float(w @ np.abs(u - u_prev))
-        residual = marginal_l1_residual(matrix, u, v_new, boundary)
+        kv = matrix.apply_target(v_new)
+        residual = marginal_l1_residual(u, kv, v_new, ktu, boundary)
         if callback is not None:
             callback(sweep, change, residual)
         v = v_new
@@ -145,8 +144,7 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
             return BridgeFactors(
                 u0=ScalarField(matrix.grid, u / gauge, time_label=0.0),
                 vT=ScalarField(matrix.grid, v * gauge,
-                               time_label=boundary.horizon),
-                gauge=gauge)
+                               time_label=boundary.horizon))
     raise ConvergenceError(
         f"IPF did not reach tol={tol} within {IPF_MAX_SWEEPS} sweeps "
         f"(last change {change:.3e}, marginal residual {residual:.3e})",
@@ -155,7 +153,7 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
 
 @dataclass(frozen=True)
 class BridgeSolution:
-    """Factor pair carried over a time lattice, with density and drifts.
+    """Factor pair carried over a time lattice by ``kernel``, with drifts.
 
     Each field is a FieldStack on one grid and slice lattice: rho = u * v
     slice by slice; the drifts b = 2*nu*grad(ln v) and
@@ -167,13 +165,14 @@ class BridgeSolution:
     rho: FieldStack
     b: FieldStack
     b_star: FieldStack
-    nu: float
+    kernel: Kernel
     masses: np.ndarray
 
     @classmethod
-    def from_factor_stacks(cls, grid: Grid1D, times: np.ndarray, u: np.ndarray,
-                           v: np.ndarray, nu: float) -> "BridgeSolution":
-        times = np.asarray(times, dtype=float)
+    def from_factor_stacks(cls, propagator: Propagator, u: np.ndarray,
+                           v: np.ndarray) -> "BridgeSolution":
+        """The solution of factor stacks on the propagator's lattice."""
+        grid, times = propagator.grid, propagator.times
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if np.min(u) < 0.0 or np.min(v) < 0.0:
@@ -186,15 +185,15 @@ class BridgeSolution:
             raise PropagationError(
                 f"interpolating density mass drifts by {drifts[worst]:.3e} "
                 f"(> {MASS_DRIFT_TOL}) at slice {worst} (t = {times[worst]:.6g})")
-        h = grid.spacing
+        h, nu = grid.spacing, propagator.kernel.nu
         # the drifts' temporaries are freed before the factors are copied
         return cls(
             b=FieldStack(grid, times, -hopf_cole_velocity(
-                np.maximum(v, FACTOR_CLIP), h, nu)),
+                np.maximum(v, ENTRY_FLOOR), h, nu)),
             b_star=FieldStack(grid, times, hopf_cole_velocity(
-                np.maximum(u, FACTOR_CLIP), h, nu)),
+                np.maximum(u, ENTRY_FLOOR), h, nu)),
             u=FieldStack(grid, times, u), v=FieldStack(grid, times, v), rho=rho,
-            nu=float(nu), masses=masses)
+            kernel=propagator.kernel, masses=masses)
 
 
 def propagate_factors(factors: BridgeFactors,
@@ -207,48 +206,48 @@ def propagate_factors(factors: BridgeFactors,
     The drifts use the kernel's ``nu``; a mass drift of rho = u*v beyond
     MASS_DRIFT_TOL raises, naming the worst slice.
     """
-    grid = factors.u0.grid
     horizon = factors.vT.time_label
-    if propagator.grid != grid:
+    if propagator.grid != factors.u0.grid:
         raise ValueError("the propagator and the factors use different grids")
     times = propagator.times
     if abs(times[0]) > 1e-12 or abs(times[-1] - horizon) > 1e-12:
         raise ValueError(f"times must run from 0 to the horizon {horizon}")
-    u, v = propagator.sweep(factors.u0.values, factors.vT.values)
-    return BridgeSolution.from_factor_stacks(grid, times, u, v,
-                                             propagator.kernel.nu)
+    return BridgeSolution.from_factor_stacks(
+        propagator, *propagator.sweep(factors.u0.values, factors.vT.values))
 
 
-def _tilted(kernel: Kernel, factor: FieldStack, y, s: float, x, t: float,
+def _tilted(solution: BridgeSolution, y, s: float, x, t: float,
             forward: bool) -> np.ndarray:
-    """k(y,s,x,t) times the factor at the later point over the factor at
-    the earlier one (``forward``), or the reverse; the denominator is
-    clipped at the factor floor."""
+    """k(y,s,x,t) of the solution's kernel times the factor at the later
+    point over the factor at the earlier one, v(x,t)/v(y,s) (``forward``),
+    or u(y,s)/u(x,t); the denominator is clipped at ENTRY_FLOOR."""
+    factor = solution.v if forward else solution.u
     nodes = factor.grid.nodes
     at_y = np.interp(np.asarray(y, dtype=float), nodes, factor.slice(s).values)
     at_x = np.interp(np.asarray(x, dtype=float), nodes, factor.slice(t).values)
     num, den = (at_x, at_y) if forward else (at_y, at_x)
-    return kernel.evaluate(y, s, x, t) * num / np.maximum(den, FACTOR_CLIP)
+    return (solution.kernel.evaluate(y, s, x, t) * num
+            / np.maximum(den, ENTRY_FLOOR))
 
 
-def forward_transition(solution: BridgeSolution, kernel: Kernel, y, s: float,
-                       x, t: float) -> np.ndarray:
+def forward_transition(solution: BridgeSolution, y, s: float, x,
+                       t: float) -> np.ndarray:
     """Forward transition density k(y,s,x,t) * v(x,t) / v(y,s).
 
     s and t must lie on the solution lattice; y and x may be off-node
     (factors are interpolated linearly).
     """
-    return _tilted(kernel, solution.v, y, s, x, t, forward=True)
+    return _tilted(solution, y, s, x, t, forward=True)
 
 
-def backward_transition(solution: BridgeSolution, kernel: Kernel, y, s: float,
-                        x, t: float) -> np.ndarray:
+def backward_transition(solution: BridgeSolution, y, s: float, x,
+                        t: float) -> np.ndarray:
     """Backward transition density k(y,s,x,t) * u(y,s) / u(x,t).
 
     Integrates to one over y for each fixed (x, t) and satisfies the
     reversal identity rho(y,s) p(y,s,x,t) = p*(y,s,x,t) rho(x,t).
     """
-    return _tilted(kernel, solution.u, y, s, x, t, forward=False)
+    return _tilted(solution, y, s, x, t, forward=False)
 
 
 def gauge_align(candidate: np.ndarray, reference: np.ndarray,

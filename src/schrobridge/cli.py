@@ -105,7 +105,7 @@ def run_gallery_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
 
 def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
-    """Boundary data, propagator, IPF factors and bridge of a config.
+    """Boundary data, IPF factors and bridge of a config.
 
     The kernel's propagator is built once for the config's slice lattice:
     IPF iterates on its K(0, T) and the factors are swept through it.
@@ -121,8 +121,7 @@ def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
     propagator = kernel.propagator(grid, cfg.make_times())
     factors = solve_boundary_system(propagator.matrix, boundary,
                                     tol=cfg.ipf_tol, callback=callback)
-    solution = propagate_factors(factors, propagator)
-    return boundary, propagator, factors, solution
+    return boundary, factors, propagate_factors(factors, propagator)
 
 
 def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
@@ -131,7 +130,7 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     _refuse_unread(cfg, _BRIDGE_READS, "bridge-solve")
     grid = cfg.make_grid()
     sweeps: list[tuple[int, float, float]] = []
-    boundary, propagator, factors, solution = _solve_bridge(
+    boundary, factors, solution = _solve_bridge(
         cfg, grid, callback=lambda k, ch, res: sweeps.append((k, ch, res)))
 
     report = RunReport(scenario="bridge-solve", config={
@@ -139,10 +138,8 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
         "horizon": cfg.horizon, "ipf_tol": cfg.ipf_tol})
     report.add("ipf-sweeps", float(len(sweeps)), upper=float(IPF_MAX_SWEEPS),
                detail=f"last change {sweeps[-1][1]:.3e}")
-    recovered0 = factors.u0.values * propagator.matrix.apply_target(
-        factors.vT.values)
-    l1 = float(grid.weights @ np.abs(recovered0 - boundary.rho0.values))
-    report.add("boundary-recovery-l1", l1, upper=1e-6)
+    report.add("boundary-recovery-l1", float(grid.weights @ np.abs(
+        solution.rho.values[0] - boundary.rho0.values)), upper=1e-6)
 
     write_density_csv(outdir / "u0.csv", factors.u0)
     write_density_csv(outdir / "vT.csv", factors.vT)
@@ -174,10 +171,10 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 
     if along_bridge:
         # bridge-driven run: solve the factor system, then ride its drift
-        boundary, _, _, solution = _solve_bridge(cfg, grid)
+        boundary, _, solution = _solve_bridge(cfg, grid)
         start = boundary.rho0 if forward else boundary.rhoT
         drift = solution.b.at if forward else solution.b_star.at
-        rho_ref, nu = solution.rho, solution.nu
+        rho_ref, nu = solution.rho, solution.kernel.nu
     elif cfg.scenario == "quantum-free":
         if abs(cfg.horizon - 1.0) > 1e-12:
             raise ConfigError("the quantum-free scenario uses horizon 1.0")

@@ -83,8 +83,7 @@ def packet_bridge(kernel, grid: Grid1D | None = None,
     boundary = packet_boundary(grid)
     propagator = kernel.propagator(grid, times)
     factors = solve_boundary_system(propagator.matrix, boundary)
-    solution = propagate_factors(factors, propagator)
-    return boundary, factors, solution
+    return boundary, factors, propagate_factors(factors, propagator)
 
 
 def _factor_match(report: RunReport, name: str, candidate: np.ndarray,
@@ -152,10 +151,10 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     factors2 = solve_boundary_system(
         KernelMatrix.from_kernel(k2, grid, 0.0, HORIZON), boundary)
     w = grid.weights
-    # the propagated v at t = 0 is K(0, H) applied to vT
-    recov0 = factors1.u0.values * solution.v.values[0]
+    # rho at t = 0 is u0 times K(0, H) applied to vT
     report.add("boundary-recovery-l1",
-               float(w @ np.abs(recov0 - boundary.rho0.values)), upper=1e-8)
+               float(w @ np.abs(solution.rho.values[0] - boundary.rho0.values)),
+               upper=1e-8)
 
     theta_star0 = PACKET.factor_u(grid.nodes, 0.0)
     theta_t = PACKET.factor_v(grid.nodes, HORIZON)
@@ -182,8 +181,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     # grid size, the nodes nearest three nodes of the default box
     near = np.abs(grid.nodes[:, None] - WIDE_GRID.nodes[[439, 512, 622]])
     probes = grid.nodes[np.argmin(near, axis=0)][:, None]
-    p_rows = forward_transition(solution, k1, probes, 0.5,
-                                grid.nodes[None, :], HORIZON)
+    p_rows = forward_transition(solution, probes, 0.5, grid.nodes[None, :],
+                                HORIZON)
     report.add("transition-normalization",
                float(np.max(np.abs(p_rows @ w - 1.0))), upper=1e-8)
 
@@ -191,8 +190,8 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
     core = np.flatnonzero(np.abs(grid.nodes) <= 3.0)
     ys = grid.nodes[rng.choice(core, 50)]
     xs = grid.nodes[rng.choice(core, 50)]
-    p_val = forward_transition(solution, k1, ys, 0.25, xs, 0.75)
-    pstar_val = backward_transition(solution, k1, ys, 0.25, xs, 0.75)
+    p_val = forward_transition(solution, ys, 0.25, xs, 0.75)
+    pstar_val = backward_transition(solution, ys, 0.25, xs, 0.75)
     lhs = PACKET.rho(ys, 0.25) * p_val
     rhs = pstar_val * PACKET.rho(xs, 0.75)
     report.add("reversal-identity",

@@ -245,6 +245,6 @@ def lattice_index(times: np.ndarray, t: float, missing: str) -> int:
     """Index of the entry of ``times`` nearest t; raises
     ValueError("time {t} {missing}") when it is more than LATTICE_TOL away."""
     k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > LATTICE_TOL:
+    if not abs(times[k] - t) <= LATTICE_TOL:  # a NaN t is refused too
         raise ValueError(f"time {t} {missing}")
     return k

@@ -128,6 +128,10 @@ class ScenarioConfig:
             raise ConfigError("time_slices must be at least 2")
         if not 0.0 < self.horizon < np.inf:
             raise ConfigError("horizon must be positive and finite")
+        for key in ("x_min", "x_max"):
+            if not np.isfinite(self.grid.get(key, 0.0)):
+                raise ConfigError(f"grid.{key} must be finite, "
+                                  f"got {self.grid[key]}")
 
     def make_grid(self) -> Grid1D:
         return Grid1D(**self.grid)

@@ -263,8 +263,8 @@ def test_criterion_09_identity_suite(acceptance_log):
     core = np.flatnonzero(np.abs(grid.nodes) <= 3.0)
     ys = grid.nodes[rng.choice(core, 60)]
     xs = grid.nodes[rng.choice(core, 60)]
-    p = forward_transition(solution, kernel, ys, 0.25, xs, 0.75)
-    p_star = backward_transition(solution, kernel, ys, 0.25, xs, 0.75)
+    p = forward_transition(solution, ys, 0.25, xs, 0.75)
+    p_star = backward_transition(solution, ys, 0.25, xs, 0.75)
     lhs = PACKET.rho(ys, 0.25) * p
     rhs = p_star * PACKET.rho(xs, 0.75)
     reversal = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
@@ -272,7 +272,7 @@ def test_criterion_09_identity_suite(acceptance_log):
     # rescaling (u, v) -> (lam u, v / lam) must change nothing observable
     lam = 7.3
     scaled = BridgeSolution.from_factor_stacks(
-        grid, rho.times, lam * u.values, v.values / lam, solution.nu)
+        kernel.propagator(grid, rho.times), lam * u.values, v.values / lam)
     mask = rho.values >= DENSITY_FLOOR
     gauge = max(
         float(np.max(np.abs(scaled.rho.values - rho.values))),
@@ -280,10 +280,10 @@ def test_criterion_09_identity_suite(acceptance_log):
             mask, np.abs(scaled.b.values - solution.b.values), 0.0))),
         float(np.max(np.where(
             mask, np.abs(scaled.b_star.values - solution.b_star.values), 0.0))),
-        float(np.max(np.abs(forward_transition(scaled, kernel, ys, 0.25,
-                                               xs, 0.75) - p) / p)),
-        float(np.max(np.abs(backward_transition(scaled, kernel, ys, 0.25,
-                                                xs, 0.75) - p_star) / p_star)),
+        float(np.max(np.abs(forward_transition(scaled, ys, 0.25, xs, 0.75)
+                            - p) / p)),
+        float(np.max(np.abs(backward_transition(scaled, ys, 0.25, xs, 0.75)
+                            - p_star) / p_star)),
     )
 
     theta = sample_field(Grid1D(), PACKET.factor_v, 0.5)

@@ -94,9 +94,38 @@ def test_solved_factors_reproduce_both_marginals(coarse_bridge):
     boundary, factors, _ = coarse_bridge
     grid = boundary.rho0.grid
     mat = KernelMatrix.from_kernel(make_kernel("quantum-k1"), grid, 0.0, 1.0)
-    res = marginal_l1_residual(mat, factors.u0.values, factors.vT.values,
+    u, v = factors.u0.values, factors.vT.values
+    res = marginal_l1_residual(u, mat.apply_target(v), v, mat.apply_source(u),
                                boundary)
     assert res < 1e-10
+
+
+def test_ipf_applies_the_kernel_twice_a_sweep_and_reports_its_residual(
+        monkeypatch):
+    grid = Grid1D(-10.0, 10.0, 129)
+    boundary = _packet_boundary(grid)
+    mat = KernelMatrix.from_kernel(make_kernel("example1"), grid, 0.0, 1.0)
+    applied = []
+    for name in ("apply_source", "apply_target"):
+        method = getattr(KernelMatrix, name)
+        monkeypatch.setattr(
+            KernelMatrix, name,
+            lambda self, g, method=method: applied.append(1) or method(self, g))
+    log: list[tuple[int, float, float]] = []
+    # a loose tol stops while the residual is well above rounding noise
+    factors = solve_boundary_system(
+        mat, boundary, tol=1e-6,
+        callback=lambda k, ch, res: log.append((k, ch, res)))
+    assert len(log) > 1
+    assert len(applied) == 2 * len(log) + 1
+    monkeypatch.undo()
+    # the last sweep's pair is the returned one up to the gauge scalar
+    u, v = factors.u0.values, factors.vT.values
+    K, w = mat.entries, grid.weights
+    left = u * (K @ (w * v)) - boundary.rho0.values
+    right = v * ((w * u) @ K) - boundary.rhoT.values
+    assert log[-1][2] == pytest.approx(
+        float(w @ np.abs(left) + w @ np.abs(right)), rel=1e-9)
 
 
 def test_callback_reports_monotone_convergence():
@@ -178,8 +207,7 @@ def test_propagation_mass_guard_trips_on_non_gauge_scaling(coarse_bridge):
     _, factors, _ = coarse_bridge
     broken = BridgeFactors(
         u0=factors.u0.with_values(1.1 * factors.u0.values),
-        vT=factors.vT.with_values(1.1 * factors.vT.values),
-        gauge=factors.gauge)
+        vT=factors.vT.with_values(1.1 * factors.vT.values))
     with pytest.raises(PropagationError):
         propagate_factors(broken, make_kernel("quantum-k1").propagator(
             broken.u0.grid, np.linspace(0.0, 1.0, 4)))
@@ -230,17 +258,14 @@ def test_propagate_rejects_bad_time_axes(coarse_bridge):
 def test_forward_transition_rows_are_normalized(coarse_bridge):
     _, _, solution = coarse_bridge
     grid = solution.rho.grid
-    kernel = make_kernel("quantum-k1")
     probes = grid.nodes[[64, 128, 192]][:, None]
-    rows = forward_transition(solution, kernel, probes, 0.2,
-                              grid.nodes[None, :], 0.8)
+    rows = forward_transition(solution, probes, 0.2, grid.nodes[None, :], 0.8)
     np.testing.assert_allclose(rows @ grid.weights, 1.0, atol=1e-8)
 
 
 def test_reversal_identity_on_lattice_probes(coarse_bridge):
     _, _, solution = coarse_bridge
     grid = solution.rho.grid
-    kernel = make_kernel("quantum-k1")
     rng = np.random.default_rng(11)
     core = np.flatnonzero(np.abs(grid.nodes) <= 3.0)
     ys = grid.nodes[rng.choice(core, 40)]
@@ -248,16 +273,15 @@ def test_reversal_identity_on_lattice_probes(coarse_bridge):
     s, t = 0.2, 0.8
     rho_s = np.interp(ys, grid.nodes, solution.rho.slice(s).values)
     rho_t = np.interp(xs, grid.nodes, solution.rho.slice(t).values)
-    lhs = rho_s * forward_transition(solution, kernel, ys, s, xs, t)
-    rhs = backward_transition(solution, kernel, ys, s, xs, t) * rho_t
+    lhs = rho_s * forward_transition(solution, ys, s, xs, t)
+    rhs = backward_transition(solution, ys, s, xs, t) * rho_t
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
 def test_transition_time_guards(coarse_bridge):
     _, _, solution = coarse_bridge
-    kernel = make_kernel("quantum-k1")
     with pytest.raises(ValueError):
-        forward_transition(solution, kernel, 0.0, 0.33, 1.0, 0.8)
+        forward_transition(solution, 0.0, 0.33, 1.0, 0.8)
 
 
 # ------------------------------------------------------- gauge behaviour
@@ -268,8 +292,7 @@ def test_gauge_invariance_of_all_observables(coarse_bridge):
     lam = 7.3
     scaled = BridgeFactors(
         u0=factors.u0.with_values(lam * factors.u0.values),
-        vT=factors.vT.with_values(factors.vT.values / lam),
-        gauge=factors.gauge)
+        vT=factors.vT.with_values(factors.vT.values / lam))
     grid = solution.rho.grid
     other = propagate_factors(scaled, make_kernel("quantum-k1").propagator(
         grid, solution.rho.times))
@@ -279,13 +302,12 @@ def test_gauge_invariance_of_all_observables(coarse_bridge):
     for a, b in ((other.b, solution.b), (other.b_star, solution.b_star)):
         assert np.max(np.abs(np.where(mask, a.values - b.values, 0.0))) < 1e-9
 
-    kernel = make_kernel("quantum-k1")
     ys = grid.nodes[[100, 128, 150]]
-    p1 = forward_transition(solution, kernel, ys, 0.2, ys, 0.8)
-    p2 = forward_transition(other, kernel, ys, 0.2, ys, 0.8)
+    p1 = forward_transition(solution, ys, 0.2, ys, 0.8)
+    p2 = forward_transition(other, ys, 0.2, ys, 0.8)
     np.testing.assert_allclose(p1, p2, rtol=1e-12)
-    q1 = backward_transition(solution, kernel, ys, 0.2, ys, 0.8)
-    q2 = backward_transition(other, kernel, ys, 0.2, ys, 0.8)
+    q1 = backward_transition(solution, ys, 0.2, ys, 0.8)
+    q2 = backward_transition(other, ys, 0.2, ys, 0.8)
     np.testing.assert_allclose(q1, q2, rtol=1e-12)
 
 

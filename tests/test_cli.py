@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrobridge import KernelMatrix, bridge, cli, gallery, scenario
+from schrobridge import Grid1D, KernelMatrix, bridge, cli, gallery, scenario
 from schrobridge.kernels import KERNEL_TAGS
 
 
@@ -57,6 +57,17 @@ def test_bridge_solve_run_writes_all_artifacts(tmp_path, outdir, capsys):
     payload = json.loads((outdir / "bridge-report.json").read_text())
     assert payload["all_passed"] is True
 
+
+def test_boundary_recovery_is_read_off_the_written_density(tmp_path, outdir):
+    assert cli.main(["run", "--config",
+                     _write_config(tmp_path, BRIDGE_CONFIG)]) == cli.EXIT_OK
+    checks = json.loads((outdir / "bridge-report.json").read_text())["checks"]
+    measured = {c["name"]: c["measured"] for c in checks}
+    table = np.loadtxt(outdir / "rho.csv", delimiter=",", skiprows=1)
+    grid = Grid1D(**BRIDGE_CONFIG["grid"])
+    rho0 = scenario.density_from_spec(BRIDGE_CONFIG["boundary"]["rho0"], grid)
+    l1 = grid.weights @ np.abs(table[table[:, 0] == 0.0, 2] - rho0.values)
+    assert measured["boundary-recovery-l1"] == pytest.approx(l1, rel=1e-12)
 
 def test_explicit_out_flag_beats_the_environment(tmp_path, outdir):
     target = tmp_path / "elsewhere"
@@ -245,8 +256,10 @@ def test_non_finite_kernel_flags_are_config_errors(outdir, capsys, flags,
     (["--rho0", "gaussian:0,inf"], "'mean': 0.0, 'var': inf}"),
     (["--rho0", "gaussian:0,nan"], "'mean': 0.0, 'var': nan}"),
     (["--rho0", "gaussian:nan,1"], "'mean': nan, 'var': 1.0}"),
+    (["--x-min", "nan"], "grid.x_min must be finite, got nan"),
+    (["--x-max", "inf"], "grid.x_max must be finite, got inf"),
 ], ids=["horizon-inf", "tol-nan", "tol-0", "tol-negative", "var-inf",
-        "var-nan", "mean-nan"])
+        "var-nan", "mean-nan", "x-min-nan", "x-max-inf"])
 def test_out_of_range_run_parameters_are_refused_before_any_sweep(
         outdir, capsys, monkeypatch, flags, message):
     sweeps = []

@@ -181,6 +181,8 @@ def test_record_lattice_and_slices():
     assert ens.slice(0.25).shape == (64,)
     with pytest.raises(ValueError, match="time 0.3 was not recorded"):
         ens.slice(0.3)
+    with pytest.raises(ValueError, match="time nan was not recorded"):
+        ens.slice(np.nan)
 
 
 @pytest.mark.parametrize("kw, msg", [

@@ -185,6 +185,15 @@ def test_lattice_index_tolerates_rounding_and_names_a_missing_time():
         stack.slice_index(0.3)
 
 
+def test_a_nan_time_is_on_no_lattice():
+    times = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="time nan is missing"):
+        lattice_index(times, np.nan, "is missing")
+    stack = FieldStack.sample(Grid1D(-1.0, 1.0, 11), times, lambda x, t: x)
+    with pytest.raises(ValueError, match="time nan is not on the stack lattice"):
+        stack.slice(np.nan)
+
+
 def test_interior_max_skips_the_border_and_points_under_the_floor():
     res = np.zeros((4, 5))
     # the first and last slices and the edge nodes never count

@@ -296,5 +296,6 @@ def test_mass_drift_error_names_the_worst_slice():
     with pytest.raises(PropagationError,
                        match=r"drifts by 1\.000e-02 \(> 0\.0001\) at slice 1 "
                              r"\(t = 0\.5\)"):
-        BridgeSolution.from_factor_stacks(grid, np.array([0.0, 0.5, 1.0]),
-                                          u, v, nu=1.0)
+        BridgeSolution.from_factor_stacks(
+            make_kernel("heat").propagator(grid, np.array([0.0, 0.5, 1.0])),
+            u, v)
