@@ -208,13 +208,16 @@ class FieldStack:
         once, on the nodes; each position then takes its cell, found
         arithmetically on the uniform grid, and one multiply-add.  The
         result is within a few ulps of ``np.interp`` on each slice blended
-        in time, and NaN positions return NaN.
+        in time, and NaN positions return NaN.  A NaN time raises
+        ValueError.
         """
         times = self.times
         if t <= times[0]:
             lo, hi, w = 0, 0, 0.0
         elif t >= times[-1]:
             lo, hi, w = times.size - 1, times.size - 1, 0.0
+        elif t != t:  # NaN fails both clamp tests
+            raise ValueError(f"time {t} is not a number")
         else:
             hi = int(np.searchsorted(times, t))
             lo = hi - 1

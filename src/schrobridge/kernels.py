@@ -336,7 +336,9 @@ class Propagator:
         """Factor stacks u[k] = K(t_0, t_k)^T u0 and v[k] = K(t_k, t_N) vT.
 
         Row 0 of u is u0 and the last row of v is vT; integrals use the
-        grid's quadrature weights as in ``KernelMatrix``.
+        grid's quadrature weights as in ``KernelMatrix``.  Each per-pair
+        matrix is dropped once applied, before the next is built, so at
+        most one of them (beside ``matrix``, if built) is alive at a time.
         """
         kernel, grid, times = self.kernel, self.grid, self.times
         n_t = times.size
@@ -345,13 +347,11 @@ class Propagator:
         u[0] = u0
         v[-1] = vT
         for k in range(1, n_t):
-            mat = KernelMatrix.from_kernel(kernel, grid, float(times[0]),
-                                           float(times[k]))
-            u[k] = mat.apply_source(u0)
+            u[k] = KernelMatrix.from_kernel(
+                kernel, grid, float(times[0]), float(times[k])).apply_source(u0)
         for k in range(n_t - 1):
-            mat = KernelMatrix.from_kernel(kernel, grid, float(times[k]),
-                                           float(times[-1]))
-            v[k] = mat.apply_target(vT)
+            v[k] = KernelMatrix.from_kernel(
+                kernel, grid, float(times[k]), float(times[-1])).apply_target(vT)
         return u, v
 
 

@@ -194,6 +194,14 @@ def test_a_nan_time_is_on_no_lattice():
         stack.slice(np.nan)
 
 
+def test_interpolating_at_a_nan_time_names_the_time():
+    # a NaN time fails both clamp tests; it must not index past the stack
+    stack = FieldStack.sample(Grid1D(-1.0, 1.0, 11),
+                              np.array([0.0, 0.5, 1.0]), lambda x, t: x)
+    with pytest.raises(ValueError, match="time nan is not a number"):
+        stack.at(np.zeros(3), np.nan)
+
+
 def test_interior_max_skips_the_border_and_points_under_the_floor():
     res = np.zeros((4, 5))
     # the first and last slices and the edge nodes never count

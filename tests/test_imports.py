@@ -1,6 +1,9 @@
 """Every module-level import in the package is used by its module, every
 top-level export is used by the package itself, and scipy is loaded only
-by the code paths that call it."""
+by the one code path that calls it: a ``numeric-fk`` solve loads
+``scipy.linalg``; the package import, ``bridge-solve``, a heat
+``simulate`` and the ``gallery quantum-free`` suite load no scipy
+module."""
 from __future__ import annotations
 
 import ast
@@ -141,6 +144,11 @@ def test_heat_simulation_loads_no_scipy(tmp_path):
         "time_slices": 11,
         "sde": {"n_paths": 500, "dt": 1e-2, "seed": 3}})
     argv = ["simulate", "--config", config, "--out", str(tmp_path / "out")]
+    assert cli_scipy_modules(argv, tmp_path) == []
+
+
+def test_quantum_free_gallery_loads_no_scipy(tmp_path):
+    argv = ["gallery", "quantum-free", "--out", str(tmp_path / "out")]
     assert cli_scipy_modules(argv, tmp_path) == []
 
 

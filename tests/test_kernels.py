@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -524,6 +525,25 @@ def test_offset_row_build_returns_an_owned_contiguous_matrix():
     before = e[1, 1]
     e[0, 0] = 7.0
     assert e[1, 1] == before
+
+
+@pytest.mark.parametrize("tag", ("heat", "quantum-k1"))
+def test_a_sweep_holds_one_per_pair_matrix_at_a_time(tag):
+    grid, times = Grid1D(-10.0, 10.0, 257), np.linspace(0.0, 1.0, 11)
+    propagator = make_kernel(tag).propagator(grid, times)
+    u0, vT = PACKET.factor_u(grid.nodes, 0.0), PACKET.factor_v(grid.nodes, 1.0)
+    matrix_bytes = grid.n_points ** 2 * 8
+    stack_bytes = times.size * grid.n_points * 8
+    tracemalloc.start()
+    try:
+        propagator.sweep(u0, vT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "matrix" not in propagator.__dict__
+    # one matrix and its row-sized temporaries; holding the previous
+    # matrix while the next is built would peak near two
+    assert peak < 1.5 * matrix_bytes + 2 * stack_bytes
 
 
 # ---------------------------------------------------------------- numeric
