@@ -268,7 +268,8 @@ class KernelMatrix:
         ENTRY_FLOOR.  On grids whose nodes are exact multiples of the
         spacing (the default boxes) the row builds agree with ``evaluate``
         on the node pairs bit for bit; elsewhere they differ by the
-        rounding of x_j - y_i.
+        rounding of x_j - y_i.  ``Propagator.sweep`` builds untilted specs
+        only; the tilted tail serves ``Propagator.matrix``.
         """
         x = grid.nodes
         row = kernel.coef is None
@@ -315,9 +316,10 @@ class Propagator:
     Built once per (grid, slice lattice).  ``matrix`` is the boundary
     matrix K(times[0], times[-1]) that IPF iterates on, built on first
     use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
-    This base serves the ``GaussianKernel`` specs: it samples one
-    KernelMatrix per (times[0], t_k) and (t_k, times[-1]) pair (see
-    ``KernelMatrix.from_kernel``).
+    This base serves the ``GaussianKernel`` specs: ``matrix`` is the
+    tilted spec's build, and the sweep samples one untilted KernelMatrix
+    per (times[0], t_k) and (t_k, times[-1]) pair (see
+    ``KernelMatrix.from_kernel``) and applies the tilt to vectors.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -331,28 +333,71 @@ class Propagator:
                                         float(self.times[0]),
                                         float(self.times[-1]))
 
+    def _log_tilt(self, t: float) -> np.ndarray:
+        """The log-tilt a(., t) on the grid nodes (0 for an untilted
+        kernel), refused unless finite."""
+        if self.kernel.log_tilt is None:
+            return np.zeros(self.grid.n_points)
+        a = self.kernel.log_tilt(self.grid.nodes, t)
+        if not np.all(np.isfinite(a)):
+            raise PositivityError(
+                f"{self.kernel.tag} log-tilt at t = {t:.6g} is not finite")
+        return a
+
     def sweep(self, u0: np.ndarray, vT: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
         """Factor stacks u[k] = K(t_0, t_k)^T u0 and v[k] = K(t_k, t_N) vT.
 
         Row 0 of u is u0 and the last row of v is vT; integrals use the
         grid's quadrature weights as in ``KernelMatrix``.  Each per-pair
-        matrix is dropped once applied, before the next is built, so at
-        most one of them (beside ``matrix``, if built) is alive at a time.
+        matrix samples the untilted spec, and the tilt is two vectors on
+        either side of it (a Doob transform):
+        u[k] = e^{m0 - a(., t_k)} K_base(t_0, t_k)^T (u0 e^{a(., t_0) - m0}),
+        v[k] = e^{a(., t_k) - mT} K_base(t_k, t_N) (vT e^{mT - a(., t_N)}),
+        with m0 = max a(., t_0) and mT = min a(., t_N), so the inner
+        factors are at most 1.  A non-finite a, or a log range above
+        LOG_MAX in an outer factor, is refused.  For an untilted kernel
+        every factor is 1.0 and the stacks are the per-pair loop's bit for
+        bit; for a tilted one they differ from it by rounding.  Each
+        per-pair matrix is dropped once applied, before the next is built,
+        so at most one of them (beside ``matrix``, if built) is alive at a
+        time.
         """
-        kernel, grid, times = self.kernel, self.grid, self.times
+        base = replace(self.kernel, log_tilt=None)
+        grid, times = self.grid, self.times
         n_t = times.size
+        t0, T = float(times[0]), float(times[-1])
         u = np.empty((n_t, grid.n_points))
         v = np.empty((n_t, grid.n_points))
         u[0] = u0
         v[-1] = vT
+        a0, aT = self._log_tilt(t0), self._log_tilt(T)
+        m0, mT = np.max(a0), np.min(aT)
+        inner_u = u[0] * np.exp(a0 - m0)
+        inner_v = v[-1] * np.exp(mT - aT)
         for k in range(1, n_t):
-            u[k] = KernelMatrix.from_kernel(
-                kernel, grid, float(times[0]), float(times[k])).apply_source(u0)
+            t = float(times[k])
+            outer = _tilt_factor(m0 - self._log_tilt(t), t)
+            u[k] = KernelMatrix.from_kernel(base, grid, t0, t).apply_source(
+                inner_u)
+            u[k] *= outer
         for k in range(n_t - 1):
-            v[k] = KernelMatrix.from_kernel(
-                kernel, grid, float(times[k]), float(times[-1])).apply_target(vT)
+            t = float(times[k])
+            outer = _tilt_factor(self._log_tilt(t) - mT, t)
+            v[k] = KernelMatrix.from_kernel(base, grid, t, T).apply_target(
+                inner_v)
+            v[k] *= outer
         return u, v
+
+
+def _tilt_factor(log: np.ndarray, t: float) -> np.ndarray:
+    """exp(log), refused when the log range exceeds LOG_MAX."""
+    top = float(np.max(log))
+    if not top <= LOG_MAX:
+        raise PositivityError(
+            f"tilted sweep factor at t = {t:.6g} overflows: log range "
+            f"{top:.6g} > LOG_MAX = {LOG_MAX:.6g}")
+    return np.exp(log)
 
 
 def _offsets(x: np.ndarray) -> np.ndarray:

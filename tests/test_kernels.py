@@ -527,7 +527,7 @@ def test_offset_row_build_returns_an_owned_contiguous_matrix():
     assert e[1, 1] == before
 
 
-@pytest.mark.parametrize("tag", ("heat", "quantum-k1"))
+@pytest.mark.parametrize("tag", ("heat", "quantum-k1", "quantum-k2"))
 def test_a_sweep_holds_one_per_pair_matrix_at_a_time(tag):
     grid, times = Grid1D(-10.0, 10.0, 257), np.linspace(0.0, 1.0, 11)
     propagator = make_kernel(tag).propagator(grid, times)

@@ -1,6 +1,8 @@
 """Propagators: slice-aligned Feynman-Kac sweeps and the closed-form path."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,21 +260,82 @@ def test_swept_negativity_names_the_factor_slice_and_node():
         propagator.sweep(np.ones(GRID.n_points), vT)
 
 
-def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge):
+@pytest.mark.parametrize(
+    "tag", ("heat", "markov-family", "quantum-k1", "quantum-k2"))
+def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge, tag):
+    # an untilted sweep is the per-pair loop bit for bit; a tilted one
+    # applies its tilt as two vectors around untilted builds, which moves
+    # its entries by rounding (about 1e-14 relative, measured)
     _, factors, _ = coarse_bridge
-    kernel = make_kernel("quantum-k1")
+    kernel = make_kernel(tag)
     grid = factors.u0.grid
+    u0, vT = factors.u0.values, factors.vT.values
     times = np.linspace(0.0, 1.0, 6)
-    solution = propagate_factors(factors, kernel.propagator(grid, times))
+    u, v = kernel.propagator(grid, times).sweep(u0, vT)
 
-    u = [factors.u0.values]
-    u += [KernelMatrix.from_kernel(kernel, grid, 0.0, float(t))
-          .apply_source(factors.u0.values) for t in times[1:]]
-    v = [KernelMatrix.from_kernel(kernel, grid, float(t), 1.0)
-         .apply_target(factors.vT.values) for t in times[:-1]]
-    v += [factors.vT.values]
-    np.testing.assert_array_equal(solution.u.values, np.array(u))
-    np.testing.assert_array_equal(solution.v.values, np.array(v))
+    want_u = [u0] + [KernelMatrix.from_kernel(kernel, grid, 0.0, float(t))
+                     .apply_source(u0) for t in times[1:]]
+    want_v = [KernelMatrix.from_kernel(kernel, grid, float(t), 1.0)
+              .apply_target(vT) for t in times[:-1]] + [vT]
+    for got, want in ((u, np.array(want_u)), (v, np.array(want_v))):
+        if kernel.log_tilt is None:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("tag", ("quantum-k1", "quantum-k2"))
+def test_tilted_sweep_builds_sample_one_untilted_spec(monkeypatch, tag):
+    # the tilt rides on vectors, so no sweep build pays for it, and the
+    # sweep still makes one build per slice pair
+    kernel = make_kernel(tag)
+    grid, times = Grid1D(-10.0, 10.0, 65), np.linspace(0.0, 1.0, 5)
+    build = KernelMatrix.from_kernel
+    specs = []
+
+    def recording(spec, grid, s, t):
+        specs.append(spec)
+        return build(spec, grid, s, t)
+
+    monkeypatch.setattr(KernelMatrix, "from_kernel", staticmethod(recording))
+    kernel.propagator(grid, times).sweep(PACKET.factor_u(grid.nodes, 0.0),
+                                         PACKET.factor_v(grid.nodes, 1.0))
+    assert len(specs) == 2 * (times.size - 1)
+    assert len({id(spec) for spec in specs}) == 1
+    spec = specs[0]
+    assert spec.log_tilt is None
+    assert (spec.var, spec.coef, spec.shift) == (kernel.var, kernel.coef,
+                                                 kernel.shift)
+
+
+def _steep_tilt(slope: float):
+    """Heat tilted by a(x, t) = slope t x: on [-1, 1] over times (0, 1)
+    both sweep factors have log range ``slope``."""
+    return replace(make_kernel("heat"), tag="steep",
+                   log_tilt=lambda x, t: slope * t * x)
+
+
+def test_a_steep_tilt_just_inside_log_max_sweeps_finite():
+    grid = Grid1D(-1.0, 1.0, 33)
+    ones = np.ones(grid.n_points)
+    u, v = _steep_tilt(kernels.LOG_MAX - 0.5).propagator(
+        grid, (0.0, 1.0)).sweep(ones, ones)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    assert np.max(u[1]) > 1e300
+
+
+@pytest.mark.parametrize("tilt, match", [
+    (_steep_tilt(kernels.LOG_MAX + 0.5),
+     r"at t = 1 overflows: log range 710\.283 > LOG_MAX"),
+    (replace(make_kernel("heat"), tag="steep",
+             log_tilt=lambda x, t: np.where(x * t < 0.5, 0.0, -np.inf)),
+     r"steep log-tilt at t = 1 is not finite"),
+], ids=("overflowing", "non-finite"))
+def test_a_tilt_the_sweep_vectors_cannot_hold_is_refused(tilt, match):
+    grid = Grid1D(-1.0, 1.0, 33)
+    ones = np.ones(grid.n_points)
+    with pytest.raises(PositivityError, match=match):
+        tilt.propagator(grid, (0.0, 1.0)).sweep(ones, ones)
 
 
 def test_propagate_accepts_a_built_propagator(coarse_bridge):
