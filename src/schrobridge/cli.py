@@ -108,7 +108,7 @@ def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
     """Boundary data, IPF factors and bridge of a config.
 
     The kernel's propagator is built once for the config's slice lattice:
-    IPF iterates on its K(0, T) and the factors are swept through it.
+    IPF alone holds its K(0, T), which is freed before the factor sweep.
     """
     kernel = kernel_from_config(cfg.kernel, grid=grid)
     if getattr(kernel, "start", 0.0) > 0.0:
@@ -119,7 +119,7 @@ def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
                              cfg.horizon)
     boundary = BoundaryData(rho0=rho0, rhoT=rhoT, horizon=cfg.horizon)
     propagator = kernel.propagator(grid, cfg.make_times())
-    factors = solve_boundary_system(propagator.matrix, boundary,
+    factors = solve_boundary_system(propagator.matrix(), boundary,
                                     tol=cfg.ipf_tol, callback=callback)
     return boundary, factors, propagate_factors(factors, propagator)
 

@@ -82,7 +82,7 @@ def packet_bridge(kernel, grid: Grid1D | None = None,
         times = BRIDGE_TIMES
     boundary = packet_boundary(grid)
     propagator = kernel.propagator(grid, times)
-    factors = solve_boundary_system(propagator.matrix, boundary)
+    factors = solve_boundary_system(propagator.matrix(), boundary)
     return boundary, factors, propagate_factors(factors, propagator)
 
 

@@ -9,8 +9,8 @@ kernels for an arbitrary potential as fundamental solutions of the
 adjoint parabolic pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
 
 Bridge factors travel through ``kernel.propagator(grid, times)``, built
-once per grid and slice lattice: it holds the boundary matrix K(0, T)
-on that grid and sweeps a factor pair to every slice at once.
+once per grid and slice lattice: its ``matrix()`` builds K(0, T) anew on
+each call, and its sweep carries a factor pair to every slice at once.
 
 A spec's matrix has one build (``KernelMatrix.from_kernel``): two cores,
 one row of node offsets or the n^2 node pairs, and one tail.  Untilted
@@ -269,7 +269,7 @@ class KernelMatrix:
         spacing (the default boxes) the row builds agree with ``evaluate``
         on the node pairs bit for bit; elsewhere they differ by the
         rounding of x_j - y_i.  ``Propagator.sweep`` builds untilted specs
-        only; the tilted tail serves ``Propagator.matrix``.
+        only; the tilted tail serves ``Propagator.matrix()``.
         """
         x = grid.nodes
         row = kernel.coef is None
@@ -313,10 +313,11 @@ class KernelMatrix:
 class Propagator:
     """Factor propagation of one kernel over one slice lattice.
 
-    Built once per (grid, slice lattice).  ``matrix`` is the boundary
-    matrix K(times[0], times[-1]) that IPF iterates on, built on first
-    use; ``sweep(u0, vT)`` carries a factor pair to every slice at once.
-    This base serves the ``GaussianKernel`` specs: ``matrix`` is the
+    Built once per (grid, slice lattice).  ``matrix()`` builds the
+    boundary matrix K(times[0], times[-1]) that IPF iterates on, anew on
+    each call; no propagator holds it, so it is freed once IPF returns.
+    ``sweep(u0, vT)`` carries a factor pair to every slice at once.
+    This base serves the ``GaussianKernel`` specs: ``matrix()`` is the
     tilted spec's build, and the sweep samples one untilted KernelMatrix
     per (times[0], t_k) and (t_k, times[-1]) pair (see
     ``KernelMatrix.from_kernel``) and applies the tilt to vectors.
@@ -327,7 +328,6 @@ class Propagator:
         self.grid = grid
         self.times = _slice_times(times)
 
-    @cached_property
     def matrix(self) -> KernelMatrix:
         return KernelMatrix.from_kernel(self.kernel, self.grid,
                                         float(self.times[0]),
@@ -360,8 +360,7 @@ class Propagator:
         every factor is 1.0 and the stacks are the per-pair loop's bit for
         bit; for a tilted one they differ from it by rounding.  Each
         per-pair matrix is dropped once applied, before the next is built,
-        so at most one of them (beside ``matrix``, if built) is alive at a
-        time.
+        so at most one of them is alive at a time.
         """
         base = replace(self.kernel, log_tilt=None)
         grid, times = self.grid, self.times
@@ -640,7 +639,7 @@ class NumericFeynmanKacKernel(Kernel):
     ``n_substeps`` counts substeps over the whole lattice, rounded up to
     whole substeps per slice.  ``evaluate`` is the path for probes
     (Chapman-Kolmogorov check, transitions, moments): each call builds
-    ``propagator(grid, (s, t)).matrix`` (``n_substeps`` over that pair)
+    ``propagator(grid, (s, t)).matrix()`` (``n_substeps`` over that pair)
     and interpolates bilinearly between nodes.
     """
 
@@ -657,7 +656,7 @@ class NumericFeynmanKacKernel(Kernel):
         return FeynmanKacPropagator(self, grid, times)
 
     def evaluate(self, y, s, x, t):
-        mat = self.propagator(self.grid, (s, t)).matrix
+        mat = self.propagator(self.grid, (s, t)).matrix()
         y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
         yb, xb = np.broadcast_arrays(y, x)
         nodes = self.grid.nodes
@@ -674,17 +673,17 @@ class NumericFeynmanKacKernel(Kernel):
 class FeynmanKacPropagator(Propagator):
     """Feynman-Kac propagation on one slice-aligned Crank-Nicolson lattice.
 
-    ``matrix`` is the single dense ``solve_feynman_kac`` over ``steps``.
-    ``sweep`` evolves u0 forward through the same steps, one vector at a
-    time, and applies their transposes to vT in reverse order (the exact
-    discrete adjoint).  So u[-1] and v[0] equal ``matrix.apply_source(u0)``
-    and ``matrix.apply_target(vT)`` to rounding error, and <u_k, v_k>_w is
-    the same at every slice.  Every swept slice is checked for negative
-    values (relative to its peak, against NEGATIVITY_TOL); the rounding
-    noise it lets through is set to zero.
+    ``matrix()`` runs the single dense ``solve_feynman_kac`` over the
+    cached ``steps`` on each call.  ``sweep`` evolves u0 forward through
+    the same steps, one vector at a time, and applies their transposes to
+    vT in reverse order (the exact discrete adjoint).  So u[-1] and v[0]
+    equal ``matrix().apply_source(u0)`` and ``matrix().apply_target(vT)``
+    to rounding error, and <u_k, v_k>_w is the same at every slice.  Every
+    swept slice is checked for negative values (relative to its peak,
+    against NEGATIVITY_TOL); the rounding noise it lets through is set to
+    zero.
     """
 
-    @cached_property
     def matrix(self) -> KernelMatrix:
         return solve_feynman_kac(self)
 

@@ -309,7 +309,7 @@ def test_criterion_10_numeric_feynman_kac(acceptance_log):
     grid = Grid1D()
     inner = np.abs(grid.nodes) <= 6.0
     mat = NumericFeynmanKacKernel(Potential.zero(), grid=grid).propagator(
-        grid, (0.0, 0.5)).matrix
+        grid, (0.0, 0.5)).matrix()
     exact = _heat_exact(grid.nodes[inner][:, None], 0.0,
                         grid.nodes[None, :], 0.5)
     match = float(np.max(np.abs(mat.entries[inner] - exact)) / np.max(exact))
@@ -319,7 +319,7 @@ def test_criterion_10_numeric_feynman_kac(acceptance_log):
         level = Grid1D(-10.0, 10.0, n_points)
         m = NumericFeynmanKacKernel(Potential.zero(), grid=level,
                                     n_substeps=substeps).propagator(
-            level, (0.0, 0.5)).matrix
+            level, (0.0, 0.5)).matrix()
         keep = np.abs(level.nodes) <= 6.0
         ex = _heat_exact(level.nodes[keep][:, None], 0.0,
                          level.nodes[None, :], 0.5)
@@ -327,7 +327,7 @@ def test_criterion_10_numeric_feynman_kac(acceptance_log):
     order = min(float(np.log2(errs[i] / errs[i + 1])) for i in range(2))
 
     damped = NumericFeynmanKacKernel(Potential.packet(), grid=grid).propagator(
-        grid, (0.0, 0.5)).matrix
+        grid, (0.0, 0.5)).matrix()
     pushed = damped.apply_source(PACKET.factor_u(grid.nodes, 0.0))
     reference = PACKET.factor_u(grid.nodes, 0.5)
     propagation = float(np.max(np.abs(pushed - reference))

@@ -9,11 +9,12 @@ import pytest
 from schrobridge import (ExtrapolationWarning, GaussianKernel, Grid1D,
                          KernelMatrix, NumericFeynmanKacKernel,
                          PositivityError, Potential, TimeOrderingError,
-                         check_chapman_kolmogorov, extract_forward_drift,
+                         check_chapman_kolmogorov, cli, extract_forward_drift,
                          generalized_heat_residual, make_kernel,
                          pinned_coefficient, pinned_coefficient_dt,
-                         short_time_moments)
-from schrobridge.gallery import WIDE_GRID
+                         propagate_factors, short_time_moments,
+                         solve_boundary_system)
+from schrobridge.gallery import HORIZON, WIDE_GRID, packet_boundary
 from schrobridge.kernels import ENTRY_FLOOR, LOG_CLAMP
 from schrobridge.packet import PACKET
 
@@ -527,10 +528,25 @@ def test_offset_row_build_returns_an_owned_contiguous_matrix():
     assert e[1, 1] == before
 
 
+@pytest.fixture
+def built_specs(monkeypatch):
+    """The spec of every ``KernelMatrix.from_kernel`` build, in order."""
+    specs = []
+    build = KernelMatrix.from_kernel
+
+    def recording(cls, kernel, *args, **kwargs):
+        specs.append(kernel)
+        return build(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(recording))
+    return specs
+
+
 @pytest.mark.parametrize("tag", ("heat", "quantum-k1", "quantum-k2"))
-def test_a_sweep_holds_one_per_pair_matrix_at_a_time(tag):
+def test_a_sweep_holds_one_per_pair_matrix_at_a_time(tag, built_specs):
     grid, times = Grid1D(-10.0, 10.0, 257), np.linspace(0.0, 1.0, 11)
-    propagator = make_kernel(tag).propagator(grid, times)
+    kernel = make_kernel(tag)
+    propagator = kernel.propagator(grid, times)
     u0, vT = PACKET.factor_u(grid.nodes, 0.0), PACKET.factor_v(grid.nodes, 1.0)
     matrix_bytes = grid.n_points ** 2 * 8
     stack_bytes = times.size * grid.n_points * 8
@@ -540,10 +556,40 @@ def test_a_sweep_holds_one_per_pair_matrix_at_a_time(tag):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "matrix" not in propagator.__dict__
+    # one untilted build per (t_0, t_k) and per (t_k, t_N) pair
+    base = replace(kernel, log_tilt=None)
+    assert built_specs == [base] * (2 * (times.size - 1))
     # one matrix and its row-sized temporaries; holding the previous
     # matrix while the next is built would peak near two
     assert peak < 1.5 * matrix_bytes + 2 * stack_bytes
+
+
+@pytest.mark.parametrize("tag", ("heat", "quantum-k1"))
+def test_ipf_then_sweep_holds_one_n2_matrix_at_a_time(tag):
+    grid, times = Grid1D(-10.0, 10.0, 257), np.linspace(0.0, HORIZON, 11)
+    propagator = make_kernel(tag).propagator(grid, times)
+    boundary = packet_boundary(grid)
+    matrix_bytes = grid.n_points ** 2 * 8
+    stack_bytes = times.size * grid.n_points * 8
+    tracemalloc.start()
+    try:
+        factors = solve_boundary_system(propagator.matrix(), boundary)
+        propagate_factors(factors, propagator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K(0, T) is freed when IPF returns, before the sweep's first build; a
+    # propagator that kept it would peak near two matrices
+    assert peak < 1.5 * matrix_bytes + 2 * stack_bytes
+
+
+def test_a_five_slice_bridge_solve_builds_the_boundary_and_eight_pairs(
+        built_specs, tmp_path):
+    argv = ["bridge-solve", "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,2",
+            "--grid-points", "65", "--time-slices", "5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # one K(0, T) for IPF, then 2 * (5 - 1) per-pair matrices for the sweep
+    assert len(built_specs) == 1 + 2 * 4
 
 
 # ---------------------------------------------------------------- numeric
@@ -553,7 +599,7 @@ def _fk_matrix(potential, grid, s, t, n_substeps=None):
     """The dense Feynman-Kac matrix K(s, t) of one time pair on ``grid``."""
     kernel = NumericFeynmanKacKernel(potential, grid=grid,
                                      n_substeps=n_substeps)
-    return kernel.propagator(grid, (s, t)).matrix
+    return kernel.propagator(grid, (s, t)).matrix()
 
 
 def test_feynman_kac_zero_potential_matches_heat_kernel():

@@ -37,7 +37,7 @@ def _rel(got, ref) -> float:
 def test_sweeps_equal_the_dense_boundary_matrix(packet_propagator,
                                                 packet_sweep):
     u0, vT, (u, v) = packet_sweep
-    mat = packet_propagator.matrix
+    mat = packet_propagator.matrix()
     assert _rel(u[-1], mat.apply_source(u0)) <= 1e-13
     assert _rel(v[0], mat.apply_target(vT)) <= 1e-13
 
@@ -119,7 +119,7 @@ def test_an_indefinite_step_names_its_time_and_asks_for_substeps():
     with pytest.raises(NumericDomainError,
                        match=r"substep ending at t = 0\.125 is not positive "
                              r"definite .*increase n_substeps"):
-        kernel.propagator(grid, (0.0, 1.0)).matrix
+        kernel.propagator(grid, (0.0, 1.0)).matrix()
 
 
 def test_sweeps_leave_their_inputs_unchanged(packet_propagator):
@@ -162,7 +162,7 @@ def test_the_dense_solve_and_the_sweeps_build_one_step_list(monkeypatch):
     grid = Grid1D(-10.0, 10.0, 65)
     kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
     propagator = kernel.propagator(grid, np.linspace(0.0, 1.0, 5))
-    propagator.matrix
+    propagator.matrix()
     propagator.sweep(PACKET.factor_u(grid.nodes, 0.0),
                      PACKET.factor_v(grid.nodes, 1.0))
     assert len(calls) == 1
@@ -179,7 +179,7 @@ def test_sweeps_and_dense_solves_call_the_module_solve_banded(banded_calls):
     # one vector per step forward, one per transposed step backward
     assert banded_calls == [1] * (2 * n_steps)
     banded_calls.clear()
-    kernel.propagator(grid, times).matrix
+    kernel.propagator(grid, times).matrix()
     # the dense solve carries every interior delta as one block
     assert banded_calls == [grid.n_points - 2] * n_steps
 
@@ -210,7 +210,7 @@ def test_packet_propagator_on_129_points_builds_the_boundary_matrix():
     # negative entry (-2.8e-11) in K(0, T)
     grid = Grid1D(-10.0, 10.0, 129)
     kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
-    mat = kernel.propagator(grid, np.linspace(0.0, 1.0, 11)).matrix
+    mat = kernel.propagator(grid, np.linspace(0.0, 1.0, 11)).matrix()
     assert np.min(mat.entries) > 0.0
 
 
@@ -218,7 +218,7 @@ def test_packet_pair_solve_on_129_points():
     # the rule without its potential term gave 16 substeps and -4.1e-07
     grid = Grid1D(-10.0, 10.0, 129)
     kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
-    mat = kernel.propagator(grid, (0.0, 0.5)).matrix
+    mat = kernel.propagator(grid, (0.0, 0.5)).matrix()
     pushed = mat.apply_source(PACKET.factor_u(grid.nodes, 0.0))
     assert _rel(pushed, PACKET.factor_u(grid.nodes, 0.5)) < 1e-2
 
@@ -231,9 +231,9 @@ def test_default_substeps_refuse_a_huge_potential():
     # refused before any Crank-Nicolson step is built
     kernel = NumericFeynmanKacKernel(Potential.constant(1e6), grid=GRID)
     with pytest.raises(ValueError, match="pass n_substeps explicitly"):
-        kernel.propagator(GRID, TIMES).matrix
+        kernel.propagator(GRID, TIMES).matrix()
     with pytest.raises(ValueError, match="pass n_substeps explicitly"):
-        kernel.propagator(GRID, (0.0, 1.0)).matrix
+        kernel.propagator(GRID, (0.0, 1.0)).matrix()
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -242,7 +242,7 @@ def test_default_substeps_reject_a_non_finite_potential(value):
         _default_substeps(Potential.constant(value), GRID, TIMES)
     kernel = NumericFeynmanKacKernel(Potential.constant(value), grid=GRID)
     with pytest.raises(NumericDomainError):
-        kernel.propagator(GRID, TIMES).matrix
+        kernel.propagator(GRID, TIMES).matrix()
 
 
 def test_swept_negativity_names_the_factor_slice_and_node():
