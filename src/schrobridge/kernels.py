@@ -13,11 +13,13 @@ once per grid and slice lattice: its ``matrix()`` builds K(0, T) anew on
 each call, and its sweep carries a factor pair to every slice at once.
 
 A spec's matrix has one build (``KernelMatrix.from_kernel``): two cores,
-one row of node offsets or the n^2 node pairs, and one tail.  Untilted
-specs use the density form exp(-d^2 / 2 var) / sqrt(2 pi var),
-d = x - c y - shift; tilted ones a single exp of summed log-factors, so
-no 0 * inf intermediates can appear in far tails.  For ``pinned-example2``
-the density form and exp of its log-density differ by rounding only
+one row of node offsets or the n^2 node pairs, and one tail that floors
+the density exp(-d^2 / 2 var) / sqrt(2 pi var), d = x - c y - shift.
+A tilted spec's matrix holds its untilted spec's entries and carries the
+tilt as two vectors (a Doob transform), applied on either side of each
+matrix-vector product.  ``evaluate`` keeps the log form of a tilted
+kernel, a single exp of summed log-factors; for ``pinned-example2`` the
+density form and exp of its log-density differ by rounding only
 (<= 4.96e-14 relative on the default boxes).
 """
 
@@ -40,8 +42,6 @@ from .packet import PACKET
 ENTRY_FLOOR = 1e-300
 # the largest argument whose exp is finite
 LOG_MAX = float(np.log(np.finfo(float).max))
-# exp of anything below this is under ENTRY_FLOOR (by a factor e)
-LOG_CLAMP = float(np.log(ENTRY_FLOOR)) - 1.0
 NEGATIVITY_TOL = -1e-12
 MOMENT_DTS = (1e-2, 5e-3, 2.5e-3)
 MOMENT_HALF_WIDTH = 4.0
@@ -226,13 +226,18 @@ def markov_family_kernel(anchor_y: float = 0.0,
 class KernelMatrix:
     """Kernel sampled on the node pairs of one grid from time s to time t.
 
-    entries[i, j] = k(node_i, s, node_j, t), so a row is the propagated
-    delta from one node and integrates against the grid's quadrature
-    weights.
+    entries[i, j] = k(node_i, s, node_j, t) of an untilted kernel, so a row
+    is the propagated delta from one node and integrates against the
+    grid's quadrature weights.  A tilted spec's matrix (only
+    ``from_kernel`` makes one) holds its untilted spec's entries and the
+    log-tilts ``log_tilt`` = (a(., s), a(., t)) on the nodes; its kernel
+    is D(e^{a(., s)}) entries D(e^{-a(., t)}), applied as two vectors.
     """
 
     grid: Grid1D
     entries: np.ndarray
+    log_tilt: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -242,11 +247,12 @@ class KernelMatrix:
             raise PositivityError("kernel matrix entries must be finite")
 
     @classmethod
-    def _checked(cls, grid: Grid1D, entries: np.ndarray) -> "KernelMatrix":
+    def _checked(cls, grid: Grid1D, entries: np.ndarray,
+                 log_tilt) -> "KernelMatrix":
         """A matrix whose entries are finite by construction; skips the
         n^2 finiteness scan of ``__post_init__``."""
         mat = object.__new__(cls)
-        mat.__dict__.update(grid=grid, entries=entries)
+        mat.__dict__.update(grid=grid, entries=entries, log_tilt=log_tilt)
         return mat
 
     @classmethod
@@ -254,60 +260,66 @@ class KernelMatrix:
                     t: float) -> "KernelMatrix":
         """Sample a Gaussian spec on the node pairs of ``grid``, s to t.
 
-        The core (``core``: the density, or the log-density of a tilted
-        kernel) is computed on the 2n - 1 node offsets x_0 - x_{n-1}, ...,
-        0, ..., x_{n-1} - x_0 and expanded, entry (i, j) taking the sample
-        at offset x_j - x_i, when c = 1; otherwise on the n x n pairs
-        d = x_j - c y_i - shift.  An untilted core is then floored (on the
-        row, before it is expanded); a tilted one gets a(y_i, s) added down
-        the rows and a(x_j, t) subtracted along the columns, is clamped
-        below at LOG_CLAMP, then gets one in-place exp and one in-place
-        floor.  Non-finite or overflowing values are refused (from the
-        core, the tilt vectors and the largest log entry they allow; a
-        density core cannot be negative) and exp underflow is raised to
-        ENTRY_FLOOR.  On grids whose nodes are exact multiples of the
-        spacing (the default boxes) the row builds agree with ``evaluate``
+        The untilted spec's density core (``core``) is computed on the
+        2n - 1 node offsets x_0 - x_{n-1}, ..., 0, ..., x_{n-1} - x_0 and
+        expanded, entry (i, j) taking the sample at offset x_j - x_i, when
+        c = 1; otherwise on the n x n pairs d = x_j - c y_i - shift.  A
+        non-finite core is refused (a density cannot be negative), and the
+        core is floored at ENTRY_FLOOR (on the row, before it is expanded).
+        On grids whose nodes are exact multiples of the spacing (the
+        default boxes) the row builds agree with the untilted ``evaluate``
         on the node pairs bit for bit; elsewhere they differ by the
-        rounding of x_j - y_i.  ``Propagator.sweep`` builds untilted specs
-        only; the tilted tail serves ``Propagator.matrix()``.
+        rounding of x_j - y_i.  A tilted spec's matrix also carries a(., s)
+        and a(., t), refused unless both are finite and
+        max a(., s) - min a(., t) <= LOG_MAX, so no factor that
+        ``apply_target`` or ``apply_source`` multiplies by overflows.
         """
         x = grid.nodes
         row = kernel.coef is None
-        e = (kernel.core(0.0, s, _offsets(x), t) if row
-             else kernel.core(x[:, None], s, x[None, :], t))
+        base = replace(kernel, log_tilt=None)
+        e = (base.core(0.0, s, _offsets(x), t) if row
+             else base.core(x[:, None], s, x[None, :], t))
         # two reductions, so the n^2 core needs no n^2 mask
-        low, high = np.min(e), np.max(e)
-        if not (np.isfinite(low) and np.isfinite(high)):
+        if not (np.isfinite(np.min(e)) and np.isfinite(np.max(e))):
             raise PositivityError("kernel evaluation produced non-finite values")
-        if kernel.log_tilt is None:
-            np.maximum(e, ENTRY_FLOOR, out=e)
-            return cls._checked(grid, _lattice(e, x.size) if row else e)
-        tilt_s, tilt_t = kernel.log_tilt(x, s), kernel.log_tilt(x, t)
-        # rounding is monotone, so no entry exceeds this sum of extremes
-        top = (high + np.max(tilt_s)) - np.min(tilt_t)
-        if not (np.all(np.isfinite(tilt_s)) and np.all(np.isfinite(tilt_t))
-                and top <= LOG_MAX):
-            raise PositivityError("tilted kernel entries overflow or are not "
-                                  f"finite: log entry up to {top:.6g}")
-        e = _lattice(e, x.size) if row else e
-        e += tilt_s[:, None]
-        e -= tilt_t[None, :]
-        # every entry below LOG_CLAMP is floored anyway, and exp is slow
-        # where its result is subnormal; the clamp pass is skipped when the
-        # extremes show no entry can reach it
-        if (low + np.min(tilt_s)) - np.max(tilt_t) < LOG_CLAMP:
-            np.maximum(e, LOG_CLAMP, out=e)
-        np.exp(e, out=e)
+        log_tilt = None
+        if kernel.log_tilt is not None:
+            log_tilt = kernel.log_tilt(x, s), kernel.log_tilt(x, t)
+            for a, time in zip(log_tilt, (s, t)):
+                if not np.all(np.isfinite(a)):
+                    raise PositivityError(f"{kernel.tag} log-tilt at "
+                                          f"t = {time:.6g} is not finite")
+            top = float(np.max(log_tilt[0]) - np.min(log_tilt[1]))
+            if not top <= LOG_MAX:
+                raise PositivityError(
+                    f"{kernel.tag} tilt from s = {s:.6g} to t = {t:.6g} "
+                    f"overflows: log range {top:.6g} > LOG_MAX = {LOG_MAX:.6g}")
         np.maximum(e, ENTRY_FLOOR, out=e)
-        return cls._checked(grid, e)
+        return cls._checked(grid, _lattice(e, x.size) if row else e, log_tilt)
 
     def apply_target(self, g: np.ndarray) -> np.ndarray:
-        """Integrate k(y_i, s, x, t) g(x) dx over the grid."""
-        return self.entries @ (self.grid.weights * np.asarray(g, dtype=float))
+        """Integrate k(y_i, s, x, t) g(x) dx over the grid.  A tilt
+        applies as e^{a(., s) - mT} (entries @ (w g e^{mT - a(., t)})),
+        mT = min a(., t), so the inner factor is at most 1."""
+        g = np.asarray(g, dtype=float)
+        if self.log_tilt is None:
+            return self.entries @ (self.grid.weights * g)
+        a_s, a_t = self.log_tilt
+        m = np.min(a_t)
+        inner = self.grid.weights * (g * np.exp(m - a_t))
+        return np.exp(a_s - m) * (self.entries @ inner)
 
     def apply_source(self, f: np.ndarray) -> np.ndarray:
-        """Integrate f(y) k(y, s, x_j, t) dy over the grid."""
-        return (self.grid.weights * np.asarray(f, dtype=float)) @ self.entries
+        """Integrate f(y) k(y, s, x_j, t) dy over the grid.  A tilt
+        applies as e^{m0 - a(., t)} ((w f e^{a(., s) - m0}) @ entries),
+        m0 = max a(., s), so the inner factor is at most 1."""
+        f = np.asarray(f, dtype=float)
+        if self.log_tilt is None:
+            return (self.grid.weights * f) @ self.entries
+        a_s, a_t = self.log_tilt
+        m = np.max(a_s)
+        inner = self.grid.weights * (f * np.exp(a_s - m))
+        return np.exp(m - a_t) * (inner @ self.entries)
 
 
 class Propagator:
@@ -317,10 +329,9 @@ class Propagator:
     boundary matrix K(times[0], times[-1]) that IPF iterates on, anew on
     each call; no propagator holds it, so it is freed once IPF returns.
     ``sweep(u0, vT)`` carries a factor pair to every slice at once.
-    This base serves the ``GaussianKernel`` specs: ``matrix()`` is the
-    tilted spec's build, and the sweep samples one untilted KernelMatrix
-    per (times[0], t_k) and (t_k, times[-1]) pair (see
-    ``KernelMatrix.from_kernel``) and applies the tilt to vectors.
+    This base serves the ``GaussianKernel`` specs: ``matrix()`` and every
+    per-pair matrix of the sweep are ``KernelMatrix.from_kernel`` builds,
+    so a tilt rides on two vectors in both.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid1D, times):
@@ -333,70 +344,28 @@ class Propagator:
                                         float(self.times[0]),
                                         float(self.times[-1]))
 
-    def _log_tilt(self, t: float) -> np.ndarray:
-        """The log-tilt a(., t) on the grid nodes (0 for an untilted
-        kernel), refused unless finite."""
-        if self.kernel.log_tilt is None:
-            return np.zeros(self.grid.n_points)
-        a = self.kernel.log_tilt(self.grid.nodes, t)
-        if not np.all(np.isfinite(a)):
-            raise PositivityError(
-                f"{self.kernel.tag} log-tilt at t = {t:.6g} is not finite")
-        return a
-
     def sweep(self, u0: np.ndarray, vT: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
         """Factor stacks u[k] = K(t_0, t_k)^T u0 and v[k] = K(t_k, t_N) vT.
 
         Row 0 of u is u0 and the last row of v is vT; integrals use the
         grid's quadrature weights as in ``KernelMatrix``.  Each per-pair
-        matrix samples the untilted spec, and the tilt is two vectors on
-        either side of it (a Doob transform):
-        u[k] = e^{m0 - a(., t_k)} K_base(t_0, t_k)^T (u0 e^{a(., t_0) - m0}),
-        v[k] = e^{a(., t_k) - mT} K_base(t_k, t_N) (vT e^{mT - a(., t_N)}),
-        with m0 = max a(., t_0) and mT = min a(., t_N), so the inner
-        factors are at most 1.  A non-finite a, or a log range above
-        LOG_MAX in an outer factor, is refused.  For an untilted kernel
-        every factor is 1.0 and the stacks are the per-pair loop's bit for
-        bit; for a tilted one they differ from it by rounding.  Each
-        per-pair matrix is dropped once applied, before the next is built,
-        so at most one of them is alive at a time.
+        matrix is built, applied and dropped before the next is built, so
+        at most one of them is alive at a time.
         """
-        base = replace(self.kernel, log_tilt=None)
         grid, times = self.grid, self.times
-        n_t = times.size
         t0, T = float(times[0]), float(times[-1])
-        u = np.empty((n_t, grid.n_points))
-        v = np.empty((n_t, grid.n_points))
+        u = np.empty((times.size, grid.n_points))
+        v = np.empty_like(u)
         u[0] = u0
         v[-1] = vT
-        a0, aT = self._log_tilt(t0), self._log_tilt(T)
-        m0, mT = np.max(a0), np.min(aT)
-        inner_u = u[0] * np.exp(a0 - m0)
-        inner_v = v[-1] * np.exp(mT - aT)
-        for k in range(1, n_t):
-            t = float(times[k])
-            outer = _tilt_factor(m0 - self._log_tilt(t), t)
-            u[k] = KernelMatrix.from_kernel(base, grid, t0, t).apply_source(
-                inner_u)
-            u[k] *= outer
-        for k in range(n_t - 1):
-            t = float(times[k])
-            outer = _tilt_factor(self._log_tilt(t) - mT, t)
-            v[k] = KernelMatrix.from_kernel(base, grid, t, T).apply_target(
-                inner_v)
-            v[k] *= outer
+        for k in range(1, times.size):
+            u[k] = KernelMatrix.from_kernel(
+                self.kernel, grid, t0, float(times[k])).apply_source(u[0])
+        for k in range(times.size - 1):
+            v[k] = KernelMatrix.from_kernel(
+                self.kernel, grid, float(times[k]), T).apply_target(v[-1])
         return u, v
-
-
-def _tilt_factor(log: np.ndarray, t: float) -> np.ndarray:
-    """exp(log), refused when the log range exceeds LOG_MAX."""
-    top = float(np.max(log))
-    if not top <= LOG_MAX:
-        raise PositivityError(
-            f"tilted sweep factor at t = {t:.6g} overflows: log range "
-            f"{top:.6g} > LOG_MAX = {LOG_MAX:.6g}")
-    return np.exp(log)
 
 
 def _offsets(x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -101,7 +102,10 @@ def assert_near_interp():
 
 
 def _dense_entries(kernel, grid, s, t):
-    """Kernel sampled on every pair of grid nodes, then floored."""
+    """Kernel sampled on every pair of grid nodes, then floored; a tilted
+    spec's untilted spec, whose entries its matrix holds."""
+    if getattr(kernel, "log_tilt", None) is not None:
+        kernel = replace(kernel, log_tilt=None)
     e = kernel.evaluate(grid.nodes[:, None], s, grid.nodes[None, :], t)
     return np.maximum(e, ENTRY_FLOOR)
 

@@ -201,6 +201,20 @@ def test_bridge_solve_markov_family(outdir, anchor):
     assert code == cli.EXIT_OK
 
 
+def test_a_tilted_bridge_solve_runs_and_reruns_byte_identically(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        code = cli.main(["bridge-solve", "--kernel", "quantum-k2",
+                         "--rho0", "gaussian:0,1", "--rhoT", "gaussian:0,2",
+                         "--grid-points", "129", "--out", str(out)])
+        assert code == cli.EXIT_OK
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert {"bridge-report.json", "rho.csv", "drift-forward.csv"} <= set(names)
+    assert sorted(p.name for p in runs[1].iterdir()) == names
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["bridge-solve", "simulate", "run"])
 def test_a_markov_anchor_after_t0_is_refused_before_any_build(
         command, tmp_path, outdir, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -14,8 +15,8 @@ from schrobridge import (ExtrapolationWarning, GaussianKernel, Grid1D,
                          pinned_coefficient, pinned_coefficient_dt,
                          propagate_factors, short_time_moments,
                          solve_boundary_system)
-from schrobridge.gallery import HORIZON, WIDE_GRID, packet_boundary
-from schrobridge.kernels import ENTRY_FLOOR, LOG_CLAMP
+from schrobridge.gallery import HORIZON, packet_boundary
+from schrobridge.kernels import ENTRY_FLOOR
 from schrobridge.packet import PACKET
 
 TAGS = ("heat", "example1", "quantum-k1", "pinned-example2", "quantum-k2")
@@ -302,14 +303,40 @@ def _reference(name, grid, s, t):
 @pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
 @pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"pinned-example2"}))
 def test_gaussian_spec_reproduces_the_closed_forms_bit_for_bit(name, grid):
+    # a tilted spec's matrix holds untilted entries; its applications are
+    # checked against the closed form below
     kernel = _kernel(name)
     for s, t in _pairs(name):
         want = _reference(name, grid, s, t)
         got = kernel.evaluate(grid.nodes[:, None], s, grid.nodes[None, :], t)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(
-            KernelMatrix.from_kernel(kernel, grid, s, t).entries,
-            np.maximum(want, ENTRY_FLOOR))
+        if kernel.log_tilt is None:
+            np.testing.assert_array_equal(
+                KernelMatrix.from_kernel(kernel, grid, s, t).entries,
+                np.maximum(want, ENTRY_FLOOR))
+
+
+def _dense(entries, grid):
+    """The floored entries as a directly built (untilted) KernelMatrix."""
+    return KernelMatrix(grid=grid, entries=np.maximum(entries, ENTRY_FLOOR))
+
+
+def _assert_applies_as(mat, ref, grid, bound=1e-13):
+    """Both applications of ``mat`` match ``ref``'s to ``bound`` relative
+    per node, on a positive test function."""
+    g = 1.0 + 0.5 * np.sin(grid.nodes)
+    for apply in ("apply_target", "apply_source"):
+        got, want = getattr(mat, apply)(g), getattr(ref, apply)(g)
+        assert np.max(np.abs(got - want) / want) <= bound
+
+
+@pytest.mark.parametrize("grid", DYADIC_GRIDS + ROUNDED_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("name", ["quantum-k1", "quantum-k2"])
+def test_tilted_builds_apply_the_closed_forms_to_rounding(name, grid):
+    kernel = make_kernel(name)
+    for s, t in REFERENCE_PAIRS:
+        _assert_applies_as(KernelMatrix.from_kernel(kernel, grid, s, t),
+                           _dense(_reference(name, grid, s, t), grid), grid)
 
 
 @pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=_grid_id)
@@ -349,17 +376,15 @@ def test_offset_row_build_is_bit_equal_on_dyadic_grids(name, grid,
 def test_offset_row_build_matches_dense_to_rounding(name, grid,
                                                     dense_reference):
     kernel = _kernel(name)
-    g = 1.0 + 0.5 * np.sin(grid.nodes)
+    y, x = grid.nodes[:, None], grid.nodes[None, :]
     for s, t in _pairs(name, ROW_PAIRS):
         mat = KernelMatrix.from_kernel(kernel, grid, s, t)
-        ref = KernelMatrix(grid=grid,
-                           entries=dense_reference(kernel, grid, s, t))
-        above = ref.entries > ENTRY_FLOOR
-        rel = np.abs(mat.entries - ref.entries)[above] / ref.entries[above]
+        ref = dense_reference(kernel, grid, s, t)
+        above = ref > ENTRY_FLOOR
+        rel = np.abs(mat.entries - ref)[above] / ref[above]
         assert np.max(rel) <= 1e-11
-        for apply in ("apply_target", "apply_source"):
-            got, want = getattr(mat, apply)(g), getattr(ref, apply)(g)
-            assert np.max(np.abs(got - want) / want) <= 1e-13
+        _assert_applies_as(mat, _dense(kernel.evaluate(y, s, x, t), grid),
+                           grid)
 
 
 def _recording(kernel, shapes):
@@ -424,16 +449,31 @@ def test_gaussian_builds_refuse_a_bad_variance(name, bad):
         KernelMatrix.from_kernel(kernel, Grid1D(-10.0, 10.0, 65), 0.0, 0.5)
 
 
+def _build_or_refusal(kernel, grid, s, t):
+    """The built matrix's entries, or the message of its refusal."""
+    try:
+        with np.errstate(all="ignore"):
+            return KernelMatrix.from_kernel(kernel, grid, s, t).entries
+    except PositivityError as err:
+        return str(err)
+
+
 @pytest.mark.parametrize("name, t", [("quantum-k1", 1e-160),
                                      ("quantum-k2", 5e-321)])
-def test_a_subnormal_variance_gives_a_refused_log_core(name, t):
-    # var = 1e-320 passes the variance check, but every off-diagonal log
-    # core value d^2 / (-2 var) is -inf
-    assert 0.0 < make_kernel(name).var(0.0, t) < 1e-300
-    with np.errstate(all="ignore"), pytest.raises(PositivityError,
-                                                  match="non-finite"):
-        KernelMatrix.from_kernel(make_kernel(name), Grid1D(-10.0, 10.0, 65),
-                                 0.0, t)
+@pytest.mark.parametrize("bad_var", [False, True])
+def test_a_tilted_spec_is_refused_or_accepted_as_its_untilted_spec(
+        name, t, bad_var):
+    # var = 1e-320 passes the variance check; the untilted density core
+    # alone decides, so the tilt neither refuses nor rescues the build
+    kernel = make_kernel(name)
+    assert 0.0 < kernel.var(0.0, t) < 1e-300
+    if bad_var:
+        kernel = replace(kernel, var=lambda s, t: -1.0)
+    grid = Grid1D(-10.0, 10.0, 65)
+    got = _build_or_refusal(kernel, grid, 0.0, t)
+    want = _build_or_refusal(replace(kernel, log_tilt=None), grid, 0.0, t)
+    assert isinstance(got, str) == bad_var
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.fixture
@@ -452,12 +492,11 @@ def spoil_core(monkeypatch):
 
 
 # heat and quantum-k1 build from an offset row, the pinned pair from n^2
-# pairs; a finite log value whose exp overflows is refused only when tilted
+# pairs
 @pytest.mark.parametrize("name, bad", [
     (name, bad) for name in ("heat", "quantum-k1", "pinned-example2",
                              "quantum-k2")
-    for bad in (np.nan, np.inf, -np.inf)] + [("quantum-k1", 800.0),
-                                             ("quantum-k2", 800.0)])
+    for bad in (np.nan, np.inf, -np.inf)])
 def test_gaussian_builds_keep_the_positivity_guard(name, bad, spoil_core):
     spoil_core(bad)
     with np.errstate(all="ignore"), pytest.raises(PositivityError):
@@ -499,25 +538,6 @@ def test_gaussian_builds_floor_underflowing_corners(name):
     assert np.all(e > 0.0)
 
 
-def test_narrow_tilted_build_equals_the_unclamped_expression():
-    # the tilted build clamps log entries at LOG_CLAMP before its exp; the
-    # floor must hide the clamp bit for bit, floored entries included
-    kernel = make_kernel("quantum-k1")
-    s, t = 0.0, 0.05
-    x = WIDE_GRID.nodes
-    log_e = kernel.core(x[:, None], s, x[None, :], t)
-    log_e += PACKET.log_factor_v(x, s)[:, None]
-    log_e -= PACKET.log_factor_v(x, t)[None, :]
-    # entries far below the clamp, and entries just above it whose exp
-    # lands between ENTRY_FLOOR / e and ENTRY_FLOOR
-    assert np.any(log_e < LOG_CLAMP - 30.0)
-    assert np.any((log_e > LOG_CLAMP) & (log_e < LOG_CLAMP + 1.0))
-    want = np.maximum(np.exp(log_e), ENTRY_FLOOR)
-    got = KernelMatrix.from_kernel(kernel, WIDE_GRID, s, t).entries
-    assert got.flags.c_contiguous
-    np.testing.assert_array_equal(got, want)
-
-
 def test_offset_row_build_returns_an_owned_contiguous_matrix():
     grid = Grid1D(-10.0, 10.0, 65)
     e = KernelMatrix.from_kernel(_kernel("markov-family"), grid,
@@ -528,18 +548,25 @@ def test_offset_row_build_returns_an_owned_contiguous_matrix():
     assert e[1, 1] == before
 
 
+def _digest(entries):
+    """A digest of the entries' bytes, read in place (no n^2 copy)."""
+    return hashlib.sha256(entries).hexdigest()
+
+
 @pytest.fixture
 def built_specs(monkeypatch):
-    """The spec of every ``KernelMatrix.from_kernel`` build, in order."""
-    specs = []
+    """Every ``KernelMatrix.from_kernel`` build, in order: its spec, times,
+    entries digest and log-tilts, with no matrix kept alive."""
+    built = []
     build = KernelMatrix.from_kernel
 
-    def recording(cls, kernel, *args, **kwargs):
-        specs.append(kernel)
-        return build(kernel, *args, **kwargs)
+    def recording(cls, kernel, grid, s, t):
+        mat = build(kernel, grid, s, t)
+        built.append((kernel, s, t, _digest(mat.entries), mat.log_tilt))
+        return mat
 
     monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(recording))
-    return specs
+    return built
 
 
 @pytest.mark.parametrize("tag", ("heat", "quantum-k1", "quantum-k2"))
@@ -556,12 +583,23 @@ def test_a_sweep_holds_one_per_pair_matrix_at_a_time(tag, built_specs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one untilted build per (t_0, t_k) and per (t_k, t_N) pair
-    base = replace(kernel, log_tilt=None)
-    assert built_specs == [base] * (2 * (times.size - 1))
     # one matrix and its row-sized temporaries; holding the previous
     # matrix while the next is built would peak near two
     assert peak < 1.5 * matrix_bytes + 2 * stack_bytes
+    # one build per (t_0, t_k) and per (t_k, t_N) pair, each holding the
+    # untilted spec's entries and the tilt at its two times
+    built = list(built_specs)
+    assert [spec for spec, *_ in built] == [kernel] * (2 * (times.size - 1))
+    base = replace(kernel, log_tilt=None)
+    for _, s, t, digest, log_tilt in built:
+        assert digest == _digest(KernelMatrix.from_kernel(base, grid, s, t)
+                                 .entries)
+        if kernel.log_tilt is None:
+            assert log_tilt is None
+        else:
+            np.testing.assert_array_equal(
+                log_tilt, (kernel.log_tilt(grid.nodes, s),
+                           kernel.log_tilt(grid.nodes, t)))
 
 
 @pytest.mark.parametrize("tag", ("heat", "quantum-k1"))

@@ -263,9 +263,7 @@ def test_swept_negativity_names_the_factor_slice_and_node():
 @pytest.mark.parametrize(
     "tag", ("heat", "markov-family", "quantum-k1", "quantum-k2"))
 def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge, tag):
-    # an untilted sweep is the per-pair loop bit for bit; a tilted one
-    # applies its tilt as two vectors around untilted builds, which moves
-    # its entries by rounding (about 1e-14 relative, measured)
+    # the sweep applies one per-pair matrix per slice, tilted or not
     _, factors, _ = coarse_bridge
     kernel = make_kernel(tag)
     grid = factors.u0.grid
@@ -277,35 +275,36 @@ def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge, tag):
                      .apply_source(u0) for t in times[1:]]
     want_v = [KernelMatrix.from_kernel(kernel, grid, float(t), 1.0)
               .apply_target(vT) for t in times[:-1]] + [vT]
-    for got, want in ((u, np.array(want_u)), (v, np.array(want_v))):
-        if kernel.log_tilt is None:
-            np.testing.assert_array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(u, np.array(want_u))
+    np.testing.assert_array_equal(v, np.array(want_v))
 
 
 @pytest.mark.parametrize("tag", ("quantum-k1", "quantum-k2"))
 def test_tilted_sweep_builds_sample_one_untilted_spec(monkeypatch, tag):
-    # the tilt rides on vectors, so no sweep build pays for it, and the
-    # sweep still makes one build per slice pair
+    # the tilt rides on vectors, so every sweep build holds the untilted
+    # spec's entries, and the sweep still makes one build per slice pair
     kernel = make_kernel(tag)
     grid, times = Grid1D(-10.0, 10.0, 65), np.linspace(0.0, 1.0, 5)
     build = KernelMatrix.from_kernel
-    specs = []
+    built = []
 
     def recording(spec, grid, s, t):
-        specs.append(spec)
-        return build(spec, grid, s, t)
+        built.append((spec, s, t, build(spec, grid, s, t)))
+        return built[-1][-1]
 
     monkeypatch.setattr(KernelMatrix, "from_kernel", staticmethod(recording))
     kernel.propagator(grid, times).sweep(PACKET.factor_u(grid.nodes, 0.0),
                                          PACKET.factor_v(grid.nodes, 1.0))
-    assert len(specs) == 2 * (times.size - 1)
-    assert len({id(spec) for spec in specs}) == 1
-    spec = specs[0]
-    assert spec.log_tilt is None
-    assert (spec.var, spec.coef, spec.shift) == (kernel.var, kernel.coef,
-                                                 kernel.shift)
+    monkeypatch.undo()
+    assert len(built) == 2 * (times.size - 1)
+    base = replace(kernel, log_tilt=None)
+    for spec, s, t, mat in built:
+        assert spec is kernel
+        np.testing.assert_array_equal(
+            mat.entries, KernelMatrix.from_kernel(base, grid, s, t).entries)
+        a_s, a_t = mat.log_tilt
+        np.testing.assert_array_equal(a_s, kernel.log_tilt(grid.nodes, s))
+        np.testing.assert_array_equal(a_t, kernel.log_tilt(grid.nodes, t))
 
 
 def _steep_tilt(slope: float):
@@ -326,7 +325,8 @@ def test_a_steep_tilt_just_inside_log_max_sweeps_finite():
 
 @pytest.mark.parametrize("tilt, match", [
     (_steep_tilt(kernels.LOG_MAX + 0.5),
-     r"at t = 1 overflows: log range 710\.283 > LOG_MAX"),
+     r"steep tilt from s = 0 to t = 1 overflows: log range 710\.283 "
+     r"> LOG_MAX"),
     (replace(make_kernel("heat"), tag="steep",
              log_tilt=lambda x, t: np.where(x * t < 0.5, 0.0, -np.inf)),
      r"steep log-tilt at t = 1 is not finite"),
