@@ -3,10 +3,10 @@
 The boundary problem asks for positive factors (u0, vT) such that the
 product measure u0(y) k(y, 0, x, T) vT(x) has the prescribed densities
 as its two marginals.  ``solve_boundary_system`` finds the factor pair
-by iterative proportional fitting; ``propagate_factors`` carries the
-pair across a time lattice through the kernel's ``Propagator``, giving
-interpolating densities and the two drifts; the transition constructors
-tilt the reference kernel by the propagated factors.
+by iterative proportional fitting on the kernel's ``Propagator``, which
+alone holds the time lattice; ``propagate_factors`` carries the pair
+across it, giving interpolating densities and the two drifts; the
+transition constructors tilt the reference kernel by the factors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (ConvergenceError, IncompatibilityError, NormalizationError,
                      PositivityError, PropagationError)
 from .burgers import hopf_cole_velocity
 from .grids import FieldStack, Grid1D, ScalarField, integrate
-from .kernels import ENTRY_FLOOR, Kernel, KernelMatrix, Propagator
+from .kernels import ENTRY_FLOOR, Kernel, Propagator
 
 MASS_TOL = 1e-8
 MASS_DRIFT_TOL = 1e-4
@@ -50,17 +50,14 @@ def _positive(grid: Grid1D, image: np.ndarray, factor: str, sweep: int):
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Prescribed start/end densities on a common grid."""
+    """Prescribed densities, on one grid, at a lattice's first and last time."""
 
     rho0: ScalarField
     rhoT: ScalarField
-    horizon: float
 
     def __post_init__(self):
         if self.rho0.grid != self.rhoT.grid:
             raise ValueError("boundary densities must share a grid")
-        if not 0.0 < self.horizon < np.inf:
-            raise ValueError("horizon must be positive and finite")
         for name, f in (("rho0", self.rho0), ("rhoT", self.rhoT)):
             bad = np.flatnonzero(f.values <= 0.0)
             if bad.size:
@@ -80,7 +77,7 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class BridgeFactors:
-    """Positive factor pair, u0 at time 0 and vT at the horizon."""
+    """Positive factor pair, u0 and vT at a lattice's first and last time."""
 
     u0: ScalarField
     vT: ScalarField
@@ -95,16 +92,17 @@ def marginal_l1_residual(u: np.ndarray, kv: np.ndarray, v: np.ndarray,
     return float(w @ np.abs(left) + w @ np.abs(right))
 
 
-def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
+def solve_boundary_system(propagator: Propagator, boundary: BoundaryData,
                           tol: float = IPF_TOL,
                           callback: Callable[[int, float, float], None] | None = None,
                           ) -> BridgeFactors:
     """Iterative proportional fitting for the boundary factor pair.
 
-    Alternates u = rho0 / K v and v = rhoT / K^T u (quadrature-weighted
-    kernel applications) until the successive L1 change of the pair drops
-    below ``tol``, within IPF_MAX_SWEEPS sweeps.  The returned pair is
-    gauge-fixed so u0 has unit integral.  Each sweep applies the kernel
+    Builds K(t_0, t_N) = ``propagator.matrix()``, freed when IPF returns,
+    and alternates u = rho0 / K v and v = rhoT / K^T u (weighted kernel
+    applications) until the sweep-to-sweep L1 change of the pair drops
+    below ``tol``, within IPF_MAX_SWEEPS sweeps.  The pair, at t_0 and t_N,
+    is gauge-fixed so u0 has unit integral.  Each sweep applies the kernel
     twice (K^T u, then K v, which the residual and the next sweep share).
 
     ``callback(iteration, l1_change, marginal_residual)``, when given, is
@@ -112,12 +110,14 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"IPF tol must be positive and finite, got {tol}")
-    if matrix.grid != boundary.grid:
-        raise ValueError(f"kernel matrix grid {matrix.grid} differs from "
+    grid, times = propagator.grid, propagator.times
+    if grid != boundary.grid:
+        raise ValueError(f"propagator grid {grid} differs from "
                          f"the boundary grid {boundary.grid}")
+    matrix = propagator.matrix()
     rho0 = boundary.rho0.values
     rhoT = boundary.rhoT.values
-    w = matrix.grid.weights
+    w = grid.weights
 
     v = rhoT.copy()
     kv = matrix.apply_target(v)
@@ -125,9 +125,8 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
     change = float("inf")
     residual = float("inf")
     for sweep in range(1, IPF_MAX_SWEEPS + 1):
-        u = rho0 / np.maximum(_positive(matrix.grid, kv, "end", sweep),
-                              ENTRY_FLOOR)
-        ktu = _positive(matrix.grid, matrix.apply_source(u), "start", sweep)
+        u = rho0 / np.maximum(_positive(grid, kv, "end", sweep), ENTRY_FLOOR)
+        ktu = _positive(grid, matrix.apply_source(u), "start", sweep)
         v_new = rhoT / np.maximum(ktu, ENTRY_FLOOR)
 
         change = float(w @ np.abs(v_new - v))
@@ -142,9 +141,8 @@ def solve_boundary_system(matrix: KernelMatrix, boundary: BoundaryData,
         if change < tol:
             gauge = float(w @ u)
             return BridgeFactors(
-                u0=ScalarField(matrix.grid, u / gauge, time_label=0.0),
-                vT=ScalarField(matrix.grid, v * gauge,
-                               time_label=boundary.horizon))
+                u0=ScalarField(grid, u / gauge, time_label=float(times[0])),
+                vT=ScalarField(grid, v * gauge, time_label=float(times[-1])))
     raise ConvergenceError(
         f"IPF did not reach tol={tol} within {IPF_MAX_SWEEPS} sweeps "
         f"(last change {change:.3e}, marginal residual {residual:.3e})",

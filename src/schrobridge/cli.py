@@ -107,8 +107,8 @@ def run_gallery_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
 def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
     """Boundary data, IPF factors and bridge of a config.
 
-    The kernel's propagator is built once for the config's slice lattice:
-    IPF alone holds its K(0, T), which is freed before the factor sweep.
+    The kernel's propagator is built once for the config's slice lattice;
+    IPF and the factor sweep both take it, and IPF alone builds K(0, T).
     """
     kernel = kernel_from_config(cfg.kernel, grid=grid)
     if getattr(kernel, "start", 0.0) > 0.0:
@@ -117,10 +117,10 @@ def _solve_bridge(cfg: ScenarioConfig, grid: Grid1D, callback=None):
     rho0 = density_from_spec(cfg.boundary.get("rho0"), grid, cfg.base_dir, 0.0)
     rhoT = density_from_spec(cfg.boundary.get("rhoT"), grid, cfg.base_dir,
                              cfg.horizon)
-    boundary = BoundaryData(rho0=rho0, rhoT=rhoT, horizon=cfg.horizon)
+    boundary = BoundaryData(rho0=rho0, rhoT=rhoT)
     propagator = kernel.propagator(grid, cfg.make_times())
-    factors = solve_boundary_system(propagator.matrix(), boundary,
-                                    tol=cfg.ipf_tol, callback=callback)
+    factors = solve_boundary_system(propagator, boundary, tol=cfg.ipf_tol,
+                                    callback=callback)
     return boundary, factors, propagate_factors(factors, propagator)
 
 

@@ -325,9 +325,9 @@ class KernelMatrix:
 class Propagator:
     """Factor propagation of one kernel over one slice lattice.
 
-    Built once per (grid, slice lattice).  ``matrix()`` builds the
-    boundary matrix K(times[0], times[-1]) that IPF iterates on, anew on
-    each call; no propagator holds it, so it is freed once IPF returns.
+    Built once per (grid, slice lattice), the one holder of a bridge's
+    times.  ``matrix()`` builds the boundary matrix K(times[0], times[-1])
+    anew on each call; IPF calls it and drops it when it returns.
     ``sweep(u0, vT)`` carries a factor pair to every slice at once.
     This base serves the ``GaussianKernel`` specs: ``matrix()`` and every
     per-pair matrix of the sweep are ``KernelMatrix.from_kernel`` builds,
@@ -590,11 +590,16 @@ def solve_feynman_kac(propagator: "FeynmanKacPropagator") -> KernelMatrix:
     full[1:-1, 1:-1] = w
     del w
     entries = full.T
-    worst = float(np.min(entries))
-    if worst < NEGATIVITY_TOL:
+    i, j = np.unravel_index(np.argmin(entries), entries.shape)
+    if entries[i, j] < NEGATIVITY_TOL:
+        times = propagator.times
+        # the damped start takes two of the substeps as four half steps
+        substeps = sum(map(len, propagator.steps)) - 2
         raise PositivityError(
-            f"Feynman-Kac solution went negative ({worst:.3e}); "
-            "refine the substeps")
+            f"Feynman-Kac solution went negative ({entries[i, j]:.3e}) at "
+            f"source node {i} (y = {grid.nodes[i]:.6g}), target node {j} "
+            f"(x = {grid.nodes[j]:.6g}) of K({times[0]:.6g}, {times[-1]:.6g}) "
+            f"over {substeps} substeps; refine the substeps")
     np.maximum(entries, ENTRY_FLOOR, out=entries)
     return KernelMatrix(grid, entries)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,5 @@ class RunReport:
             "scenario": self.scenario,
             "config": dict(self.config),
             "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "measured": c.measured, "lower": c.lower,
-                 "upper": c.upper, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }

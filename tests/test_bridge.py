@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from schrobridge import (BoundaryData, BridgeFactors, ConvergenceError,
                          forward_transition, gauge_align, make_kernel,
                          normalize, propagate_factors, sample_field,
                          solve_boundary_system)
-from schrobridge import bridge
+from schrobridge import bridge, kernels
 from schrobridge.bridge import _worst_node, marginal_l1_residual
 from schrobridge.grids import DENSITY_FLOOR
 from schrobridge.packet import PACKET
@@ -21,7 +23,14 @@ from schrobridge.packet import PACKET
 def _packet_boundary(grid: Grid1D) -> BoundaryData:
     rho0 = normalize(sample_field(grid, PACKET.rho, 0.0))
     rhoT = normalize(sample_field(grid, PACKET.rho, 1.0))
-    return BoundaryData(rho0=rho0, rhoT=rhoT, horizon=1.0)
+    return BoundaryData(rho0=rho0, rhoT=rhoT)
+
+
+def _holding(matrix: KernelMatrix):
+    """A propagator over (0, 1) on the matrix's grid whose matrix() is it."""
+    propagator = make_kernel("heat").propagator(matrix.grid, (0.0, 1.0))
+    propagator.matrix = lambda: matrix
+    return propagator
 
 
 # ------------------------------------------------------------- validation
@@ -31,41 +40,98 @@ def test_boundary_data_rejects_bad_inputs():
     g = Grid1D(-10.0, 10.0, 65)
     rho0 = normalize(sample_field(g, PACKET.rho, 0.0))
     with pytest.raises(NormalizationError):
-        BoundaryData(rho0=rho0, rhoT=rho0.with_values(2.0 * rho0.values),
-                     horizon=1.0)
+        BoundaryData(rho0=rho0, rhoT=rho0.with_values(2.0 * rho0.values))
     neg = rho0.values.copy()
     neg[3] = -neg[3]
     neg[40] = 0.0
     message = re.escape("must be strictly positive: 2 of 65 nodes are <= 0, "
                         f"the first is node 3 (x = -9.0625, value {neg[3]:.3e})")
     with pytest.raises(PositivityError, match=f"^rho0 {message}$"):
-        BoundaryData(rho0=rho0.with_values(neg), rhoT=rho0, horizon=1.0)
+        BoundaryData(rho0=rho0.with_values(neg), rhoT=rho0)
     with pytest.raises(PositivityError, match=f"^rhoT {message}$"):
-        BoundaryData(rho0=rho0, rhoT=rho0.with_values(neg), horizon=1.0)
+        BoundaryData(rho0=rho0, rhoT=rho0.with_values(neg))
     with pytest.raises(ValueError):
         other = normalize(sample_field(Grid1D(-10.0, 10.0, 33), PACKET.rho, 0.0))
-        BoundaryData(rho0=rho0, rhoT=other, horizon=1.0)
-    for horizon in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            BoundaryData(rho0=rho0, rhoT=rho0, horizon=horizon)
+        BoundaryData(rho0=rho0, rhoT=other)
 
 
 def test_solver_rejects_mismatched_grid():
     g = Grid1D(-10.0, 10.0, 65)
-    mat = KernelMatrix.from_kernel(make_kernel("heat"), Grid1D(-10.0, 10.0, 33),
-                                   0.0, 1.0)
+    propagator = make_kernel("heat").propagator(Grid1D(-10.0, 10.0, 33),
+                                                (0.0, 1.0))
     with pytest.raises(ValueError):
-        solve_boundary_system(mat, _packet_boundary(g))
+        solve_boundary_system(propagator, _packet_boundary(g))
 
 
 def test_solver_rejects_a_grid_of_the_same_size_on_another_box():
     # same node count, different box: the nodes and weights differ
-    mat = KernelMatrix.from_kernel(make_kernel("quantum-k1"),
-                                   Grid1D(-12.0, 12.0, 257), 0.0, 1.0)
+    propagator = make_kernel("quantum-k1").propagator(
+        Grid1D(-12.0, 12.0, 257), (0.0, 1.0))
     boundary = _packet_boundary(Grid1D(-10.0, 10.0, 257))
     with pytest.raises(ValueError, match=r"x_min=-12\.0.*differs from the "
                                          r"boundary grid .*x_min=-10\.0"):
-        solve_boundary_system(mat, boundary)
+        solve_boundary_system(propagator, boundary)
+
+
+@pytest.mark.parametrize("kernel", [
+    make_kernel("heat"), kernels.NumericFeynmanKacKernel(
+        kernels.Potential.zero(), grid=Grid1D(-10.0, 10.0, 33))],
+    ids=["gaussian", "numeric-fk"])
+def test_a_propagator_on_another_grid_is_refused_before_any_build(
+        kernel, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("a kernel matrix was built")
+    monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(refuse))
+    monkeypatch.setattr(kernels, "solve_feynman_kac", refuse)
+    propagator = kernel.propagator(Grid1D(-10.0, 10.0, 33), (0.0, 1.0))
+    with pytest.raises(ValueError, match="differs from the boundary grid"):
+        solve_boundary_system(propagator,
+                              _packet_boundary(Grid1D(-10.0, 10.0, 65)))
+
+
+def test_ipf_builds_the_boundary_matrix_once_per_solve(monkeypatch):
+    grid = Grid1D(-10.0, 10.0, 65)
+    propagator = make_kernel("example1").propagator(
+        grid, np.linspace(0.0, 1.0, 5))
+    built = []
+    matrix = type(propagator).matrix
+    monkeypatch.setattr(type(propagator), "matrix",
+                        lambda self: built.append(self) or matrix(self))
+    boundary = _packet_boundary(grid)
+    solve_boundary_system(propagator, boundary)
+    assert built == [propagator]
+    solve_boundary_system(propagator, boundary)
+    assert built == [propagator] * 2
+
+
+def test_the_factors_carry_the_lattice_end_times():
+    grid = Grid1D(-10.0, 10.0, 65)
+    factors = solve_boundary_system(
+        make_kernel("heat").propagator(grid, (0.25, 0.5, 1.5)),
+        _packet_boundary(grid))
+    assert type(factors.u0.time_label) is float
+    assert (factors.u0.time_label, factors.vT.time_label) == (0.25, 1.5)
+
+
+def test_only_ipf_and_the_numeric_probe_build_a_propagator_matrix():
+    """No caller builds K(0, T) to hand to IPF: ``.matrix()`` is called in
+    the package only inside ``solve_boundary_system`` and
+    ``NumericFeynmanKacKernel.evaluate``."""
+    callers = set()
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "matrix"):
+            callers.add(".".join(scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in Path(bridge.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), ())
+    assert callers == {"solve_boundary_system",
+                       "NumericFeynmanKacKernel.evaluate"}
 
 
 # -------------------------------------------------------------- the solve
@@ -77,7 +143,8 @@ def test_ipf_matches_a_brute_force_reference():
     boundary = _packet_boundary(grid)
     kernel = make_kernel("example1")
     mat = KernelMatrix.from_kernel(kernel, grid, 0.0, 1.0)
-    factors = solve_boundary_system(mat, boundary, tol=1e-13)
+    factors = solve_boundary_system(kernel.propagator(grid, (0.0, 1.0)),
+                                    boundary, tol=1e-13)
 
     K, w = mat.entries, grid.weights
     v = boundary.rhoT.values.copy()
@@ -104,7 +171,8 @@ def test_ipf_applies_the_kernel_twice_a_sweep_and_reports_its_residual(
         monkeypatch):
     grid = Grid1D(-10.0, 10.0, 129)
     boundary = _packet_boundary(grid)
-    mat = KernelMatrix.from_kernel(make_kernel("example1"), grid, 0.0, 1.0)
+    kernel = make_kernel("example1")
+    mat = KernelMatrix.from_kernel(kernel, grid, 0.0, 1.0)
     applied = []
     for name in ("apply_source", "apply_target"):
         method = getattr(KernelMatrix, name)
@@ -114,7 +182,7 @@ def test_ipf_applies_the_kernel_twice_a_sweep_and_reports_its_residual(
     log: list[tuple[int, float, float]] = []
     # a loose tol stops while the residual is well above rounding noise
     factors = solve_boundary_system(
-        mat, boundary, tol=1e-6,
+        kernel.propagator(grid, (0.0, 1.0)), boundary, tol=1e-6,
         callback=lambda k, ch, res: log.append((k, ch, res)))
     assert len(log) > 1
     assert len(applied) == 2 * len(log) + 1
@@ -131,9 +199,9 @@ def test_ipf_applies_the_kernel_twice_a_sweep_and_reports_its_residual(
 def test_callback_reports_monotone_convergence():
     grid = Grid1D(-10.0, 10.0, 129)
     boundary = _packet_boundary(grid)
-    mat = KernelMatrix.from_kernel(make_kernel("example1"), grid, 0.0, 1.0)
+    propagator = make_kernel("example1").propagator(grid, (0.0, 1.0))
     log: list[tuple[int, float, float]] = []
-    solve_boundary_system(mat, boundary, tol=1e-12,
+    solve_boundary_system(propagator, boundary, tol=1e-12,
                           callback=lambda k, ch, res: log.append((k, ch, res)))
     assert [k for k, _, _ in log] == list(range(1, len(log) + 1))
     residuals = np.array([res for _, _, res in log])
@@ -144,10 +212,10 @@ def test_callback_reports_monotone_convergence():
 def test_convergence_error_carries_diagnostics(monkeypatch):
     grid = Grid1D(-10.0, 10.0, 65)
     boundary = _packet_boundary(grid)
-    mat = KernelMatrix.from_kernel(make_kernel("example1"), grid, 0.0, 1.0)
+    propagator = make_kernel("example1").propagator(grid, (0.0, 1.0))
     monkeypatch.setattr(bridge, "IPF_MAX_SWEEPS", 2)
     with pytest.raises(ConvergenceError) as info:
-        solve_boundary_system(mat, boundary, tol=1e-15)
+        solve_boundary_system(propagator, boundary, tol=1e-15)
     assert info.value.last_change > 0.0
     assert np.isfinite(info.value.last_residual)
     assert str(info.value).endswith(
@@ -165,7 +233,7 @@ def test_incompatible_kernel_is_reported():
                        match=r"end factor to a non-positive intermediate at "
                              r"sweep 1, worst at node 30 \(x = -0.625, "
                              r"value 0.000e\+00\)$"):
-        solve_boundary_system(mat, boundary)
+        solve_boundary_system(_holding(mat), boundary)
 
 
 def test_unreachable_end_node_is_named_with_its_sweep():
@@ -178,7 +246,7 @@ def test_unreachable_end_node_is_named_with_its_sweep():
                        match=r"start factor to a non-positive intermediate at "
                              r"sweep 1, worst at node 40 \(x = 2.5, "
                              r"value 0.000e\+00\)$"):
-        solve_boundary_system(mat, boundary)
+        solve_boundary_system(_holding(mat), boundary)
 
 
 def test_worst_node_prefers_the_first_non_finite_entry():

@@ -349,6 +349,20 @@ def test_the_quantum_free_suite_runs_off_its_default_grid(outdir):
                                           for c in payload["checks"]}
 
 
+def test_the_quantum_free_suite_refuses_a_grid_it_cannot_resolve(
+        outdir, capsys, monkeypatch):
+    # at 257 points the quantum-k1 bridge's slice-1 mass drifts by 3.2e-2
+    monkeypatch.setattr(KernelMatrix, "from_kernel", classmethod(
+        lambda cls, *args: pytest.fail("a kernel matrix was built")))
+    code = cli.main(["gallery", "quantum-free", "--grid-points", "257"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: the quantum-free suite needs at least 398 grid points "
+        "to resolve its first slice, got 257\n")
+    assert gallery.QF_MIN_GRID_POINTS == 398
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--n-paths"])
 def test_gallery_path_flags_are_quantum_free_only(outdir, capsys, flag):
     assert cli.main(["gallery", "example1", flag, "3"]) == cli.EXIT_CONFIG

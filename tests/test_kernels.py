@@ -611,7 +611,7 @@ def test_ipf_then_sweep_holds_one_n2_matrix_at_a_time(tag):
     stack_bytes = times.size * grid.n_points * 8
     tracemalloc.start()
     try:
-        factors = solve_boundary_system(propagator.matrix(), boundary)
+        factors = solve_boundary_system(propagator, boundary)
         propagate_factors(factors, propagator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

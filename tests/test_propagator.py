@@ -260,6 +260,20 @@ def test_swept_negativity_names_the_factor_slice_and_node():
         propagator.sweep(np.ones(GRID.n_points), vT)
 
 
+def test_dense_negativity_names_the_entry_the_pair_and_the_substeps():
+    # the packet potential at 193 points: the default rule's 24 substeps
+    # over (0, 0.5) leave a negative entry near the right edge
+    grid = Grid1D(-10.0, 10.0, 193)
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
+    with pytest.raises(PositivityError,
+                       match=r"^Feynman-Kac solution went negative "
+                             r"\(-5\.66\de-08\) at source node 189 "
+                             r"\(y = 9\.6875\), target node 188 "
+                             r"\(x = 9\.58333\) of K\(0, 0\.5\) over 24 "
+                             r"substeps; refine the substeps$"):
+        kernel.propagator(grid, (0.0, 0.5)).matrix()
+
+
 @pytest.mark.parametrize(
     "tag", ("heat", "markov-family", "quantum-k1", "quantum-k2"))
 def test_closed_form_propagation_is_the_per_pair_loop(coarse_bridge, tag):

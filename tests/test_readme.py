@@ -14,6 +14,8 @@ def test_the_readme_python_blocks_run_in_order():
     assert len(blocks) == 2
     names: dict = {}
     for block in blocks:
+        # solve_boundary_system builds K(0, T) from the propagator it takes
+        assert ".matrix()" not in block
         exec(compile(block, str(README), "exec"), names)
     solution = names["solution"]
     assert names["rho_mid"].time_label == 0.5

@@ -1,11 +1,14 @@
-"""Every ``run:`` script of the CI workflow is valid bash.
+"""Every ``run:`` script of the CI workflow is valid bash, and every
+Python program it embeds compiles.
 
 A quoting slip in a step (an apostrophe in a comment of a single-quoted
 program, say) makes its whole script a syntax error that only shows on
-the CI runner; ``bash -n`` finds it without running anything.
+the CI runner; ``bash -n`` finds it without running anything, and
+``compile`` does the same for the Python inside the quotes.
 """
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -31,3 +34,12 @@ def test_every_workflow_run_script_parses_as_bash():
         done = subprocess.run(["bash", "-n"], input=script, text=True,
                               capture_output=True, timeout=60)
         assert done.returncode == 0, f"step {name!r}: {done.stderr}"
+
+
+def test_every_embedded_python_program_compiles():
+    programs = [(name, body) for name, script in _run_steps()
+                for body in re.findall(r"python3 -c '([^']*)'", script)]
+    # the traced smoke step and the untraced gallery-qf step
+    assert len(programs) == 2
+    for name, body in programs:
+        compile(body, f"step {name!r}", "exec")
