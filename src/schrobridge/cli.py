@@ -129,15 +129,15 @@ def run_bridge_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
         raise ConfigError("bridge-solve needs a 'boundary' section")
     _refuse_unread(cfg, _BRIDGE_READS, "bridge-solve")
     grid = cfg.make_grid()
-    sweeps: list[tuple[int, float, float]] = []
+    sweeps: list[tuple[int, float]] = []
     boundary, factors, solution = _solve_bridge(
-        cfg, grid, callback=lambda k, ch, res: sweeps.append((k, ch, res)))
+        cfg, grid, callback=lambda k, res: sweeps.append((k, res)))
 
     report = RunReport(scenario="bridge-solve", config={
         "kernel": cfg.kernel.get("tag"), "grid_points": grid.n_points,
         "horizon": cfg.horizon, "ipf_tol": cfg.ipf_tol})
     report.add("ipf-sweeps", float(len(sweeps)), upper=float(IPF_MAX_SWEEPS),
-               detail=f"last change {sweeps[-1][1]:.3e}")
+               detail=f"last marginal residual {sweeps[-1][1]:.3e}")
     report.add("boundary-recovery-l1", float(grid.weights @ np.abs(
         solution.rho.values[0] - boundary.rho0.values)), upper=1e-6)
 

@@ -106,6 +106,9 @@ def step_schedule(horizon: float, dt: float, record_times: np.ndarray):
     idx = np.round(rec / dt).astype(int)
     if np.any(np.abs(idx * dt - rec) > 1e-9) or np.any(idx < 0) or np.any(idx > n_steps):
         raise ValueError("record times must sit on the step lattice")
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError(f"record times {rec.tolist()} must fall on strictly "
+                         f"increasing steps of {dt}")
     return n_steps, idx
 
 

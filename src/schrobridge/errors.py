@@ -26,14 +26,12 @@ class PositivityError(SchrobridgeError):
 class ConvergenceError(SchrobridgeError):
     """Raised when an iteration exceeds its sweep budget.
 
-    Carries the last successive change and marginal residual so callers
-    can report how far the iteration got.
+    Carries the last marginal residual, the quantity the iteration stops
+    on, so callers can report how far it got.
     """
 
-    def __init__(self, message: str, last_change: float = float("nan"),
-                 last_residual: float = float("nan")):
+    def __init__(self, message: str, last_residual: float = float("nan")):
         super().__init__(message)
-        self.last_change = last_change
         self.last_residual = last_residual
 
 

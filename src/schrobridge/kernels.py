@@ -614,19 +614,23 @@ class NumericFeynmanKacKernel(Kernel):
     whole substeps per slice.  ``evaluate`` is the path for probes
     (Chapman-Kolmogorov check, transitions, moments): each call builds
     ``propagator(grid, (s, t)).matrix()`` (``n_substeps`` over that pair)
-    and interpolates bilinearly between nodes.
+    and interpolates bilinearly between nodes.  Both paths run on the
+    kernel's one ``grid``; a propagator on any other grid is refused.
     """
 
     tag = "numeric-fk"
 
-    def __init__(self, potential: Potential, grid: Grid1D | None = None,
+    def __init__(self, potential: Potential, grid: Grid1D,
                  n_substeps: int | None = None):
         self.potential = potential
-        self.grid = grid or Grid1D()
+        self.grid = grid
         self.n_substeps = n_substeps
         self.nu = potential.nu
 
     def propagator(self, grid: Grid1D, times) -> "FeynmanKacPropagator":
+        if grid != self.grid:
+            raise ValueError(f"propagator grid {grid} differs from "
+                             f"the numeric-fk kernel's grid {self.grid}")
         return FeynmanKacPropagator(self, grid, times)
 
     def evaluate(self, y, s, x, t):

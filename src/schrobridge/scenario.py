@@ -259,7 +259,7 @@ def _header_rows(path: Path) -> int:
 
 
 def kernel_from_config(cfg: dict, grid: Grid1D | None = None) -> Kernel:
-    """Instantiate a kernel from a config section."""
+    """Instantiate a kernel from a config section (numeric-fk on ``grid``)."""
     cfg = dict(cfg)
     tag = cfg.pop("tag")
     if tag == "numeric-fk":

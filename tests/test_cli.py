@@ -596,17 +596,30 @@ class TestExitCodes:
 
     def test_unconverged_ipf_names_its_marginal_residual(self, outdir,
                                                         capsys):
-        # plain IPF contracts by ~0.96 per sweep on this short horizon; the
-        # change test gives up while the marginals already match to ~5e-11
+        # plain IPF contracts by ~0.96 per sweep on this short horizon, so
+        # after 500 sweeps the marginals still miss tol, by ~5e-11
         code = cli.main(["bridge-solve", "--rho0", "gaussian:0,1",
                          "--rhoT", "gaussian:0,1.02", "--horizon", "0.01"])
         assert code == cli.EXIT_NUMERIC
         found = re.search(r"IPF did not reach tol=1e-12 within 500 sweeps "
-                          r"\(last change (\S+), marginal residual (\S+)\)",
+                          r"\(last marginal residual (\S+)\)",
                           capsys.readouterr().err)
         assert found is not None
-        change, residual = map(float, found.groups())
-        assert change > 1e-12 and residual < 1e-10
+        residual = float(found.group(1))
+        assert 1e-12 < residual < 1e-10
+
+    def test_a_converged_example1_bridge_fails_on_its_mass_drift(
+            self, outdir, capsys):
+        # IPF meets tol on these marginals; the narrow K(0, t_1) then
+        # loses mass on the first slice
+        code = cli.main(["bridge-solve", "--kernel", "example1",
+                         "--rho0", "gaussian:0.1,1.05",
+                         "--rhoT", "gaussian:-0.2,3.1"])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "interpolating density mass drifts by" in err
+        assert "at slice 1 (t = 0.01)" in err
+        assert "IPF" not in err
 
     @pytest.mark.parametrize("flag", ["--rho0", "--rhoT"])
     def test_underflowing_boundary_density_names_its_first_zero_node(

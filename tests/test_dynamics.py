@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -201,6 +202,19 @@ def test_record_times_must_sit_on_the_step_lattice():
     with pytest.raises(ValueError, match="step lattice"):
         simulate_forward(PACKET.drift_forward, _rho0(grid), _cfg(n_paths=8),
                          1.0, record_times=np.array([0.0, 0.12345e-1, 1.0]))
+
+
+
+@pytest.mark.parametrize("times", [[0.5, 0.5, 1.0], [0.5, 0.5 + 1e-10, 1.0],
+                                   [0.0, 1.0, 0.5]],
+                         ids=["repeated", "same-step", "decreasing"])
+def test_record_times_must_fall_on_strictly_increasing_steps(times):
+    # a repeated step would leave one recorded column unwritten
+    with pytest.raises(ValueError, match=re.escape(
+            f"record times {times} must fall on strictly increasing steps")):
+        simulate_forward(lambda x, t: np.zeros_like(x), _rho0(Grid1D()),
+                         _cfg(n_paths=5, dt=1e-2, seed=1), 1.0,
+                         record_times=times)
 
 
 # ------------------------------------------------------------ statistics

@@ -168,6 +168,23 @@ def test_the_dense_solve_and_the_sweeps_build_one_step_list(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_propagator_off_the_kernel_grid_is_refused_before_any_step(
+        monkeypatch):
+    # a 129-point bridge on a kernel left on another grid would evaluate
+    # its transitions on that grid
+    def refuse(*args):
+        pytest.fail("a Crank-Nicolson step was built")
+
+    monkeypatch.setattr(kernels, "_crank_nicolson_steps", refuse)
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=Grid1D())
+    with pytest.raises(ValueError, match=r"n_points=129.*differs from the "
+                                         r"numeric-fk kernel's grid "
+                                         r".*n_points=513"):
+        kernel.propagator(Grid1D(-10.0, 10.0, 129), np.linspace(0.0, 1.0, 11))
+    with pytest.raises(TypeError, match="grid"):
+        NumericFeynmanKacKernel(Potential.packet())
+
+
 def test_sweeps_and_dense_solves_call_the_module_solve_banded(banded_calls):
     grid = Grid1D(-10.0, 10.0, 65)
     times = np.linspace(0.0, 1.0, 5)
