@@ -15,11 +15,10 @@ from .burgers import (burgers_residual, compatibility_potential,
 from .dynamics import (PathEnsemble, SDEConfig, cdf_from_field,
                        empirical_density, fokker_planck_residual, ks_distance,
                        simulate_backward, simulate_forward)
-from .errors import (BoundaryLeakError, ConfigError, ConvergenceError,
-                     ExtrapolationWarning, IncompatibilityError,
-                     MissingInputError, NormalizationError, NumericDomainError,
-                     PositivityError, PropagationError, SchrobridgeError,
-                     TimeOrderingError)
+from .errors import (ConfigError, ConvergenceError, ExtrapolationWarning,
+                     IncompatibilityError, MissingInputError,
+                     NormalizationError, NumericDomainError, PositivityError,
+                     PropagationError, SchrobridgeError, TimeOrderingError)
 from .gallery import (example1_suite, example2_suite, packet_boundary,
                       packet_bridge, quantum_free_suite, run_scenario,
                       scenario_names, verify_parabolic_system)

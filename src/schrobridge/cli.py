@@ -189,7 +189,7 @@ def run_simulate_pipeline(cfg: ScenarioConfig, outdir: Path) -> int:
     config = dataclasses.replace(config, nu=nu)
     report = RunReport(scenario="simulate", config={
         "direction": direction, "n_paths": config.n_paths, "dt": config.dt,
-        "seed": config.seed, "policy": config.boundary_policy})
+        "seed": config.seed})
     simulate = simulate_forward if forward else simulate_backward
     ens = simulate(drift, start, config, cfg.horizon, record_times=record)
 

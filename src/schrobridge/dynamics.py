@@ -3,7 +3,8 @@
 The forward process follows dX = b(X, t) dt + sqrt(2 nu) dW from rho0;
 the backward process follows the reversed-clock integration
 dY = -b*(Y, T - tau) dtau + sqrt(2 nu) dW from rhoT.  Euler-Maruyama
-stepping and node-centered histograms for empirical densities.
+stepping and node-centered histograms for empirical densities.  The ends
+of the start density's grid are the walls, and they reflect every path.
 
 Random numbers come from one PCG64 stream per fixed chunk of CHUNK
 paths, spawned from the seed with the chunk index as its key.  Each
@@ -36,12 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryLeakError
 from .grids import (FieldStack, Grid1D, ScalarField, gradient_values,
                     interior_max, laplacian_values, lattice_index, normalize,
                     time_derivative)
 
-BOUNDARY_POLICIES = ("reflect", "absorb-and-discard")
 CHUNK = 8192
 NOISE_ROWS = 16
 RECORD_SLICES = 11
@@ -55,7 +54,6 @@ class SDEConfig:
     n_paths: int = 10_000
     dt: float = 1e-3
     seed: int = 0
-    boundary_policy: str = "reflect"
 
     def __post_init__(self):
         if not 0.0 < self.nu < np.inf:
@@ -66,9 +64,6 @@ class SDEConfig:
             raise ValueError("dt must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.boundary_policy not in BOUNDARY_POLICIES:
-            raise ValueError(
-                f"boundary_policy must be one of {BOUNDARY_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,6 @@ def _run_euler(drift, init_density: ScalarField, config: SDEConfig,
     cdf, nodes = _inverse_cdf_table(init_density)
     sig = np.sqrt(2.0 * config.nu * config.dt)
     lo, hi = init_density.grid.x_min, init_density.grid.x_max
-    reflect = config.boundary_policy == "reflect"
     rec_at = {int(step): r for r, step in enumerate(rec_idx)}
 
     n = config.n_paths
@@ -200,9 +194,7 @@ def _run_euler(drift, init_density: ScalarField, config: SDEConfig,
             for k in range(first, min(first + NOISE_ROWS, n_steps)):
                 tau = k * config.dt
                 x = x + drift(x, tau) * config.dt + sig * block[k - first]
-                if not reflect:
-                    x = np.where((x < lo) | (x > hi), np.nan, x)
-                elif not (x.min() >= lo and x.max() <= hi):  # NaN takes the folds
+                if not (x.min() >= lo and x.max() <= hi):  # NaN takes the folds
                     x = np.where(x > hi, 2.0 * hi - x, x)
                     x = np.where(x < lo, 2.0 * lo - x, x)
                     x = np.clip(x, lo, hi)
@@ -213,18 +205,6 @@ def _run_euler(drift, init_density: ScalarField, config: SDEConfig,
     return out
 
 
-def _finish(out: np.ndarray, times: np.ndarray, config: SDEConfig) -> PathEnsemble:
-    n_requested = out.shape[0]
-    if config.boundary_policy == "absorb-and-discard":
-        alive = ~np.isnan(out).any(axis=1)
-        if alive.sum() < 0.9 * n_requested:
-            raise BoundaryLeakError(
-                f"only {alive.sum()} of {n_requested} paths stayed inside "
-                "the domain; enlarge the box or tighten the drift")
-        out = out[alive]
-    return PathEnsemble(times=times, positions=out, n_requested=n_requested)
-
-
 def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float,
                      record_times: np.ndarray | None = None) -> PathEnsemble:
     """Euler-Maruyama paths of dX = b dt + sqrt(2 nu) dW started from rho0.
@@ -232,10 +212,8 @@ def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float
     ``drift`` is b(x, t), e.g. a lattice drift's ``FieldStack.at``.
     Initial positions are drawn by inverse-CDF sampling of rho0 on its
     grid, whose ends are the walls.  ``record_times`` (default:
-    RECORD_SLICES uniform slices) must sit on the step lattice.
-    Reflection (default) folds overshoots back between the walls; the
-    absorbing policy discards exited paths and raises if fewer than 90
-    percent survive.
+    RECORD_SLICES uniform slices) must sit on the step lattice.  A step
+    that overshoots a wall is folded back between them, so no path is lost.
     """
     if not callable(drift):
         raise TypeError("drift must be a callable b(x, t), got a "
@@ -244,7 +222,7 @@ def simulate_forward(drift, rho0: ScalarField, config: SDEConfig, horizon: float
         record_times = np.linspace(0.0, horizon, RECORD_SLICES)
     times = np.asarray(record_times, dtype=float)
     out = _run_euler(drift, rho0, config, horizon, times)
-    return _finish(out, times, config)
+    return PathEnsemble(times=times, positions=out, n_requested=config.n_paths)
 
 
 def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
@@ -252,7 +230,8 @@ def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
                       ) -> PathEnsemble:
     """Reversed-clock paths dY = -b*(Y, T - tau) dtau + sqrt(2 nu) dW from rhoT.
 
-    ``drift_star`` is b*(x, t); the walls are the ends of rhoT's grid.
+    ``drift_star`` is b*(x, t); the walls are the ends of rhoT's grid and
+    reflect, as in ``simulate_forward``.
     ``record_times`` are forward time labels; the returned ensemble's
     columns are ordered by increasing forward time, so slice(0.0) is the
     reconstructed start-time sample.
@@ -266,13 +245,13 @@ def simulate_backward(drift_star, rhoT: ScalarField, config: SDEConfig,
     taus = horizon - times[::-1]
     out = _run_euler(lambda y, tau: -drift_star(y, horizon - tau), rhoT,
                      config, horizon, taus)
-    return _finish(out[:, ::-1], times, config)
+    return PathEnsemble(times=times, positions=out[:, ::-1],
+                        n_requested=config.n_paths)
 
 
 def empirical_density(ensemble: PathEnsemble, t: float, grid: Grid1D) -> ScalarField:
     """Node-centered histogram density of the recorded slice at time t."""
     samples = ensemble.slice(t)
-    samples = samples[~np.isnan(samples)]
     h = grid.spacing
     edges = np.concatenate((grid.nodes - 0.5 * h, [grid.nodes[-1] + 0.5 * h]))
     counts, _ = np.histogram(samples, bins=edges)

@@ -43,10 +43,6 @@ class PropagationError(SchrobridgeError):
     """Raised when propagated factors lose probability mass beyond tolerance."""
 
 
-class BoundaryLeakError(SchrobridgeError):
-    """Raised when too many sample paths are absorbed at the domain edge."""
-
-
 class MissingInputError(SchrobridgeError):
     """Raised when a referenced input file does not exist or cannot be read."""
 

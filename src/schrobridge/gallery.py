@@ -228,8 +228,7 @@ def quantum_free_suite(grid_points: int = 1025, n_paths: int = 20_000,
                detail="current-velocity continuity, no diffusion term")
 
     # Monte Carlo: forward variance growth and backward start recovery
-    cfg = SDEConfig(nu=1.0, n_paths=n_paths, dt=1e-3, seed=seed,
-                    boundary_policy="reflect")
+    cfg = SDEConfig(nu=1.0, n_paths=n_paths, dt=1e-3, seed=seed)
     ens = simulate_forward(PACKET.drift_forward, boundary.rho0, cfg, HORIZON,
                            record_times=np.array([0.0, 0.5, 1.0]))
     for t_probe in (0.5, 1.0):

@@ -6,7 +6,8 @@ kernels of the worked free-packet example are ``GaussianKernel`` specs,
 log k = log N(x; c(s, t) y + shift(s, t), var(s, t)) + a(y, s) - a(x, t),
 built by tag with ``make_kernel``.  ``NumericFeynmanKacKernel`` builds grid
 kernels for an arbitrary potential as fundamental solutions of the
-adjoint parabolic pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v.
+adjoint parabolic pair du/dt = nu*lap(u) - c*u, dv/dt = -nu*lap(v) + c*v
+on every node, with zero-flux walls at the grid's ends.
 
 Bridge factors travel through ``kernel.propagator(grid, times)``, built
 once per grid and slice lattice: its ``matrix()`` builds K(0, T) anew on
@@ -419,19 +420,19 @@ def solve_banded(diag, off, b):
 
 @dataclass(frozen=True)
 class _Step:
-    """One factor A^-1 B of the evolution on the interior nodes, ending at
-    time ``t``.
+    """One factor A^-1 B of the evolution on every node, ending at time ``t``.
 
-    A and B are symmetric tridiagonal.  A has diagonal ``a_diag`` and
-    off-diagonal ``a_off``; B has diagonal ``b_diag`` and off-diagonal
-    ``b_off``, or is the identity for an implicit-Euler step (``b_diag``
-    None).
+    A and B are symmetric tridiagonal, the zero-flux Crank-Nicolson pair
+    written in the trapezoid weights W (``_crank_nicolson_steps``).  A has
+    diagonal ``a_diag`` and off-diagonal ``a_off``; B has diagonal
+    ``b_diag`` and off-diagonal ``b_off`` (0 for an implicit-Euler step,
+    whose B is W).
     """
 
     t: float
     a_diag: np.ndarray
     a_off: np.ndarray
-    b_diag: np.ndarray | None = None
+    b_diag: np.ndarray
     b_off: float = 0.0
 
     def solve(self, w: np.ndarray):
@@ -477,9 +478,8 @@ def _evolve(steps, w: np.ndarray, transpose: bool = False) -> np.ndarray:
     for step in steps:
         if transpose:
             step.solve(w)
-        if step.b_diag is not None:
-            step.apply_b(w, spare, scratch)
-            w, spare = spare, w
+        step.apply_b(w, spare, scratch)
+        w, spare = spare, w
         if not transpose:
             step.solve(w)
     return w
@@ -490,16 +490,15 @@ def _default_substeps(potential: Potential, grid: Grid1D,
     """max(16, ceil(nu*span/(2h^2)), ceil(span*max|c|)) substeps over times.
 
     The second term keeps the diffusion number nu*dt/h^2 near 2; the third
-    keeps dt*|c| <= 1, with max|c| taken over the interior nodes at every
-    slice time, which a strong potential on a coarse grid needs for
+    keeps dt*|c| <= 1, with max|c| taken over every node at every slice
+    time, which a strong potential on a coarse grid needs for
     nonnegative kernel entries.  A non-finite max|c| is a domain error; a
     potential term above POTENTIAL_SUBSTEP_CAP times the larger of the
     first two is refused, so a huge potential asks for an explicit count
     instead of running for as long as it takes.
     """
     span = float(times[-1] - times[0])
-    xs = grid.nodes[1:-1]
-    c_max = max(float(np.max(np.abs(potential(xs, t)))) for t in times)
+    c_max = max(float(np.max(np.abs(potential(grid.nodes, t)))) for t in times)
     if not np.isfinite(c_max):
         raise NumericDomainError(
             f"potential {potential.label!r}: max|c| over the lattice is {c_max}")
@@ -517,6 +516,13 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
                           times: np.ndarray,
                           n_substeps: int | None = None) -> list[list[_Step]]:
     """The steps of every slice interval on the slice-aligned lattice.
+
+    Each step solves W du/dt = -nu*S u - W c u on every node, with W the
+    trapezoid weights and S the stiffness matrix (diagonal 2/h, 1/h at the
+    two walls, off-diagonal -1/h), so the walls are zero-flux.  A
+    Crank-Nicolson step from tau to tau' has A = W(1 + dt*c(tau')/2) +
+    (dt*nu/2) S and B = W(1 - dt*c(tau)/2) - (dt*nu/2) S; an implicit-Euler
+    step has A = W(1 + dt*c(tau')) + dt*nu*S and B = W.
 
     ``n_substeps`` over times[0]..times[-1] are rounded up to a whole
     number in every slice interval; a lattice whose largest diffusion
@@ -539,21 +545,22 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
             f"diffusion number nu*dt/h^2 = {diffusion:.3g} exceeds 10; "
             "increase n_substeps")
 
-    xs = grid.nodes[1:-1]
-    rate = nu / h2
+    xs, wt, h = grid.nodes, grid.weights, grid.spacing
+    stiff = 2.0 * wt / h2  # S's diagonal: 2/h, 1/h at the walls
 
     def implicit_euler(tau_next, dt):
-        c_next = potential(xs, tau_next)
-        return _Step(tau_next, 1.0 + dt * (2.0 * rate + c_next),
-                     np.full(xs.size - 1, -dt * rate))
+        return _Step(tau_next,
+                     wt * (1.0 + dt * potential(xs, tau_next)) + dt * nu * stiff,
+                     np.full(xs.size - 1, -dt * nu / h), wt)
 
     def crank_nicolson(tau, tau_next):
         dt = tau_next - tau
-        r = dt * rate
-        return _Step(tau_next, 1.0 + r + 0.5 * dt * potential(xs, tau_next),
-                     np.full(xs.size - 1, -0.5 * r),
-                     b_diag=1.0 - r - 0.5 * dt * potential(xs, tau),
-                     b_off=0.5 * r)
+        half = 0.5 * dt * nu
+        return _Step(tau_next,
+                     wt * (1.0 + 0.5 * dt * potential(xs, tau_next)) + half * stiff,
+                     np.full(xs.size - 1, -half / h),
+                     wt * (1.0 - 0.5 * dt * potential(xs, tau)) - half * stiff,
+                     half / h)
 
     steps = []
     damped = 0
@@ -575,21 +582,19 @@ def _crank_nicolson_steps(potential: Potential, grid: Grid1D,
 def solve_feynman_kac(propagator: "FeynmanKacPropagator") -> KernelMatrix:
     """Numeric fundamental solution of the forward generalized heat equation.
 
-    Evolves the interior grid deltas (scaled 1/h) over the propagator's
-    lattice under du/dt = nu*lap(u) - c*u, with homogeneous values at the
-    grid edges, as one dense block through ``propagator.steps`` (the steps
-    its ``sweep`` runs): entries[i, j] ~ k(y_i, times[0], x_j, times[-1]).
+    Evolves the grid deltas of every node, the block W^-1 of inverse
+    trapezoid weights, over the propagator's lattice under
+    du/dt = nu*lap(u) - c*u with zero-flux walls, through
+    ``propagator.steps`` (the steps its ``sweep`` runs).  With M the
+    evolution over the lattice, the kernel is K = (M W^-1)^T:
+    entries[i, j] ~ k(y_i, times[0], x_j, times[-1]), and for c = 0 every
+    row integrates to 1 against the weights.
     """
     grid = propagator.grid
-    n, h = grid.n_points, grid.spacing
-    w = np.eye(n - 2, order="F")
-    w /= h
-    w = _evolve((step for interval in propagator.steps for step in interval), w)
-
-    full = np.zeros((n, n))
-    full[1:-1, 1:-1] = w
-    del w
-    entries = full.T
+    # W^-1 is symmetric, so the transpose is its Fortran-ordered block
+    w = np.diag(1.0 / grid.weights).T
+    entries = _evolve((step for interval in propagator.steps
+                       for step in interval), w).T
     i, j = np.unravel_index(np.argmin(entries), entries.shape)
     if entries[i, j] < NEGATIVITY_TOL:
         times = propagator.times
@@ -653,10 +658,12 @@ class FeynmanKacPropagator(Propagator):
 
     ``matrix()`` runs the single dense ``solve_feynman_kac`` over the
     cached ``steps`` on each call.  ``sweep`` evolves u0 forward through
-    the same steps, one vector at a time, and applies their transposes to
-    vT in reverse order (the exact discrete adjoint).  So u[-1] and v[0]
-    equal ``matrix().apply_source(u0)`` and ``matrix().apply_target(vT)``
-    to rounding error, and <u_k, v_k>_w is the same at every slice.  Every
+    the same steps, one vector at a time, on every node.  It applies their
+    transposes in reverse order (the exact discrete adjoint) to W vT and
+    stores each slice divided by W, since K(t_k, T) W = W^-1 M^T W with M
+    the evolution from t_k to T.  So u[-1] and v[0] equal
+    ``matrix().apply_source(u0)`` and ``matrix().apply_target(vT)`` to
+    rounding error, and <u_k, v_k>_w is the same at every slice.  Every
     swept slice is checked for negative values (relative to its peak,
     against NEGATIVITY_TOL); the rounding noise it lets through is set to
     zero.
@@ -672,19 +679,19 @@ class FeynmanKacPropagator(Propagator):
 
     def sweep(self, u0: np.ndarray, vT: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-        u = np.zeros((self.times.size, self.grid.n_points))
-        v = np.zeros_like(u)
+        u = np.empty((self.times.size, self.grid.n_points))
+        v = np.empty_like(u)
         u[0] = u0
         v[-1] = vT
         # the evolved values are owned copies: solves overwrite them
-        w = u[0, 1:-1].copy()
+        w = u[0].copy()
         for k, interval in enumerate(self.steps, start=1):
             w = _evolve(interval, w)
-            u[k, 1:-1] = w
-        w = v[-1, 1:-1].copy()
+            u[k] = w
+        w = self.grid.weights * v[-1]
         for k in range(self.times.size - 2, -1, -1):
             w = _evolve(reversed(self.steps[k]), w, transpose=True)
-            v[k, 1:-1] = w
+            v[k] = w / self.grid.weights
         for name, stack in (("u", u), ("v", v)):
             _check_swept(name, stack, self.times, self.grid)
         return np.maximum(u, 0.0), np.maximum(v, 0.0)

@@ -11,8 +11,9 @@ A scenario file is a single JSON object.  Top-level keys:
   grid         {"x_min", "x_max", "n_points"}
   time_slices  interpolation slice count (default 101)
   ipf_tol      IPF convergence tolerance (default 1e-12)
-  sde          {"n_paths", "dt", "seed", "boundary_policy", "direction"};
-               paths diffuse at the kernel's nu (1 for quantum-free)
+  sde          {"n_paths", "dt", "seed", "direction"}; paths diffuse at
+               the kernel's nu (1 for quantum-free) and reflect at the
+               grid's ends
   ck           {"s", "tau", "t", "threshold"}
   output_dir   default output directory for this run
 
@@ -56,7 +57,7 @@ _TOP_KEYS = {"pipeline", "scenario", "kernel", "boundary", "horizon", "grid",
              "time_slices", "ipf_tol", "sde", "ck", "output_dir"}
 _BOUNDARY_KEYS = {"rho0", "rhoT"}
 _GRID_KEYS = {"x_min", "x_max", "n_points"}
-_SDE_KEYS = {"n_paths", "dt", "seed", "boundary_policy", "direction"}
+_SDE_KEYS = {"n_paths", "dt", "seed", "direction"}
 _CK_KEYS = {"s", "tau", "t", "threshold"}
 # the keys of each numeric-fk potential kind; the packet's closed forms are nu = 1
 _POTENTIAL_KEYS = {"zero": {"kind", "nu"}, "constant": {"kind", "nu", "value"},

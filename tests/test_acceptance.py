@@ -227,8 +227,7 @@ def test_criterion_07_compatibility_condition(gallery_report,
 
 def test_criterion_08_monte_carlo_consistency(acceptance_log):
     boundary = packet_boundary(Grid1D())
-    config = SDEConfig(nu=1.0, n_paths=100_000, dt=1e-3, seed=2024,
-                       boundary_policy="reflect")
+    config = SDEConfig(nu=1.0, n_paths=100_000, dt=1e-3, seed=2024)
     record = np.array([0.0, 0.5, 1.0])
     forward = simulate_forward(PACKET.drift_forward, boundary.rho0, config,
                                1.0, record_times=record)

@@ -431,6 +431,16 @@ def test_sde_nu_is_not_a_config_key(tmp_path, outdir, capsys):
     assert "unknown sde keys: ['nu']" in capsys.readouterr().err
 
 
+def test_sde_boundary_policy_is_not_a_config_key(tmp_path, outdir, capsys):
+    # the walls always reflect; there is no wall option to choose
+    payload = dict(SIM_CONFIG, sde={"boundary_policy": "reflect"})
+    code = cli.main(["run", "--config", _write_config(tmp_path, payload)])
+    assert code == cli.EXIT_CONFIG == 2
+    assert ("unknown sde keys: ['boundary_policy']"
+            in capsys.readouterr().err)
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"form": "gaussian", "mean": "0.5", "var": True},
      "gaussian density mean must be a number, got '0.5'"),

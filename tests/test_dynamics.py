@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from schrobridge import dynamics
-from schrobridge import (BoundaryLeakError, FieldStack, Grid1D,
-                         SDEConfig, ScalarField, cdf_from_field,
-                         empirical_density, fokker_planck_residual,
-                         ks_distance, make_kernel, normalize, sample_field,
-                         simulate_backward, simulate_forward)
+from schrobridge import (FieldStack, Grid1D, SDEConfig, ScalarField,
+                         cdf_from_field, empirical_density,
+                         fokker_planck_residual, ks_distance, make_kernel,
+                         normalize, sample_field, simulate_backward,
+                         simulate_forward)
 from schrobridge.packet import PACKET
 
 
@@ -104,22 +104,6 @@ def test_partial_last_chunk_records_every_path(monkeypatch):
         assert np.all(np.isfinite(ens.positions))
         tail = ens.positions[128:]
         assert np.intersect1d(tail[:, 0], ens.positions[:128, 0]).size == 0
-
-
-def test_absorbing_walls_drop_exactly_the_exited_paths(monkeypatch):
-    monkeypatch.setattr(dynamics, "CHUNK", 64)
-    every_step = np.linspace(0.0, 1.0, 101)
-    cfg = _cfg(n_paths=2 * 64 + 17, dt=1e-2, seed=3,
-               boundary_policy="absorb-and-discard")
-    rho0 = _rho0(Grid1D(-3.0, 3.0, 65))
-    held = simulate_forward(PACKET.drift_forward, rho0, cfg, 1.0,
-                            record_times=every_step)
-    # the same paths with no walls at all
-    free, _ = _per_chunk_reference(PACKET.drift_forward, rho0, cfg, 1.0,
-                                   every_step, -np.inf, np.inf)
-    inside = np.all(np.abs(free) <= 3.0, axis=1)
-    assert 0 < held.n_requested - held.n_paths == np.sum(~inside)
-    np.testing.assert_array_equal(held.positions, free[inside])
 
 
 def test_interleaved_runs_share_no_rng_state(monkeypatch):
@@ -244,17 +228,34 @@ def test_backward_run_recovers_the_start_density():
 
 def test_reflecting_walls_keep_paths_inside():
     grid = Grid1D(-3.0, 3.0, 129)
-    ens = simulate_forward(PACKET.drift_forward, _rho0(grid),
-                           _cfg(boundary_policy="reflect"), 1.0)
+    ens = simulate_forward(PACKET.drift_forward, _rho0(grid), _cfg(), 1.0)
     assert np.min(ens.positions) >= -3.0
     assert np.max(ens.positions) <= 3.0
     assert ens.n_paths == 2000
 
 
+def test_a_tight_box_keeps_every_path():
+    # a box much narrower than the packet's spread: every path folds at
+    # the walls many times, and none is lost
+    tight = Grid1D(-0.5, 0.5, 65)
+    ens = simulate_forward(PACKET.drift_forward, _rho0(tight),
+                           _cfg(n_paths=500), 1.0)
+    assert ens.n_requested == ens.n_paths == 500
+    assert np.all(np.isfinite(ens.positions))
+    assert np.min(ens.positions) >= -0.5
+    assert np.max(ens.positions) <= 0.5
+
+
+def test_the_sampler_has_no_wall_option():
+    # the walls always reflect: ensembles sample the conservative bridge
+    with pytest.raises(TypeError, match="boundary_policy"):
+        SDEConfig(boundary_policy="reflect")
+
+
 def _per_chunk_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
     """The sequential per-chunk Euler loop: each chunk runs all its steps,
     one drift call and one vector of normals per step, before the next
-    chunk starts.  Under reflect it folds on every step.  Also returns
+    chunk starts.  It folds at the walls on every step.  Also returns
     counts of the steps on which a chunk crossed the upper and the lower
     wall."""
     n_steps, rec_idx = dynamics.step_schedule(horizon, cfg.dt, record_taus)
@@ -272,12 +273,9 @@ def _per_chunk_reference(drift_at, start, cfg, horizon, record_taus, lo, hi):
             x = (x + drift_at(x, k * cfg.dt) * cfg.dt
                  + sig * rng.standard_normal(end - begin))
             crossings += [np.any(x > hi), np.any(x < lo)]
-            if cfg.boundary_policy == "reflect":
-                x = np.where(x > hi, 2.0 * hi - x, x)
-                x = np.where(x < lo, 2.0 * lo - x, x)
-                x = np.clip(x, lo, hi)
-            else:
-                x = np.where((x < lo) | (x > hi), np.nan, x)
+            x = np.where(x > hi, 2.0 * hi - x, x)
+            x = np.where(x < lo, 2.0 * lo - x, x)
+            x = np.clip(x, lo, hi)
             path.append(x)
         out[begin:end] = np.stack(path, axis=1)[:, rec_idx]
     return out, crossings
@@ -329,11 +327,12 @@ def test_reflection_equals_the_three_pass_reference(monkeypatch, box,
 # ------------------------------------------------------------ noise schedule
 
 
-def _lock_step_case(simulate, policy, n_paths, n_steps):
-    """One run and its per-chunk reference, recorded on every step."""
-    lo, hi = -3.0, 3.0
+def _lock_step_case(simulate, n_paths, n_steps, box=(-3.0, 3.0)):
+    """One run, its per-chunk reference, recorded on every step, and the
+    reference's wall crossings."""
+    lo, hi = box
     domain = Grid1D(lo, hi, 65)
-    cfg = _cfg(n_paths=n_paths, dt=2.5e-3, seed=4, boundary_policy=policy)
+    cfg = _cfg(n_paths=n_paths, dt=2.5e-3, seed=4)
     horizon = n_steps * cfg.dt
     times = np.arange(n_steps + 1) * cfg.dt
     if simulate is simulate_forward:
@@ -344,28 +343,32 @@ def _lock_step_case(simulate, policy, n_paths, n_steps):
         drift_at = lambda y, tau: -drift(y, horizon - tau)
     start = normalize(sample_field(domain, PACKET.rho, t0))
     got = simulate(drift, start, cfg, horizon, record_times=times)
-    want, _ = _per_chunk_reference(drift_at, start, cfg, horizon, taus, lo, hi)
+    want, crossed = _per_chunk_reference(drift_at, start, cfg, horizon, taus,
+                                         lo, hi)
     if simulate is simulate_backward:
         want = want[:, ::-1]
-    return got, want[~np.isnan(want).any(axis=1)]
+    return got, want, crossed
 
 
 @pytest.mark.parametrize("simulate", [simulate_forward, simulate_backward])
-@pytest.mark.parametrize("policy", ["reflect", "absorb-and-discard"])
+@pytest.mark.parametrize("box", [(-3.0, 3.0), (-0.5, 0.5)],
+                         ids=["wide-box", "tight-box"])
 @pytest.mark.parametrize("n_paths", [1, 64, 2 * 64 + 17])
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
-def test_lock_step_runs_equal_the_per_chunk_loop(monkeypatch, simulate, policy,
+def test_lock_step_runs_equal_the_per_chunk_loop(monkeypatch, simulate, box,
                                                  n_paths, blocks, extra):
     # the step guard asks for at least 100 steps, so blocks of 128 rows
     # put the edges at NOISE_ROWS - 1, NOISE_ROWS, NOISE_ROWS + 1 and
-    # 3 NOISE_ROWS + 5 steps in reach
+    # 3 NOISE_ROWS + 5 steps in reach; in the tight box paths fold at
+    # the walls, and more than one path reaches both
     monkeypatch.setattr(dynamics, "CHUNK", 64)
     monkeypatch.setattr(dynamics, "NOISE_ROWS", 128)
-    got, want = _lock_step_case(simulate, policy, n_paths, blocks * 128 + extra)
-    assert got.n_requested == n_paths
+    got, want, crossed = _lock_step_case(simulate, n_paths,
+                                         blocks * 128 + extra, box)
+    assert got.n_requested == got.n_paths == n_paths
     assert _same_bits(got.positions, want)
-    if policy == "absorb-and-discard" and n_paths > 1:
-        assert got.n_paths < n_paths
+    if box == (-0.5, 0.5):
+        assert (crossed.min() if n_paths > 1 else crossed.max()) > 0
 
 
 class _StartedJob(Future):
@@ -429,7 +432,7 @@ def test_draws_run_ahead_taken_back_or_waited_for_keep_each_stream_in_order(
     monkeypatch.setattr(_ScriptedPool, "offset", offset)
     monkeypatch.setattr(_StartedJob, "finish_on", finish_on)
     for simulate in (simulate_forward, simulate_backward):
-        got, want = _lock_step_case(simulate, "reflect", 2 * 64 + 17, 100)
+        got, want, _ = _lock_step_case(simulate, 2 * 64 + 17, 100)
         assert _same_bits(got.positions, want)
 
 
@@ -449,7 +452,7 @@ def test_ensembles_do_not_depend_on_the_core_count(monkeypatch, cores):
     sys.setswitchinterval(1e-5)  # switch threads often
     try:
         for simulate in (simulate_forward, simulate_backward):
-            got, want = _lock_step_case(simulate, "reflect", 4 * 64 + 17, 200)
+            got, want, _ = _lock_step_case(simulate, 4 * 64 + 17, 200)
             assert _same_bits(got.positions, want)
     finally:
         sys.setswitchinterval(interval)
@@ -485,35 +488,19 @@ def test_a_failing_drift_propagates_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_absorbing_walls_discard_leaked_paths():
-    grid = Grid1D(-6.0, 6.0, 129)
-    ens = simulate_forward(PACKET.drift_forward, _rho0(grid),
-                           _cfg(boundary_policy="absorb-and-discard",
-                                n_paths=4000, seed=23), 1.0)
-    assert ens.n_requested == 4000
-    assert 0.9 * 4000 <= ens.n_paths <= 4000
-    assert np.all(np.isfinite(ens.positions))
-
-
-def test_heavy_leak_raises():
-    tight = Grid1D(-0.5, 0.5, 65)
-    with pytest.raises(BoundaryLeakError):
-        simulate_forward(PACKET.drift_forward, _rho0(tight),
-                         _cfg(boundary_policy="absorb-and-discard",
-                              n_paths=500), 1.0)
-
-
-@pytest.mark.parametrize("policy", ["reflect", "absorb-and-discard"])
+@pytest.mark.parametrize("box", [(-4.0, 4.0), (-1.0, 1.0)],
+                         ids=["wide-box", "tight-box"])
 @pytest.mark.parametrize("simulate, drift_fn, boundary_time", [
     (simulate_forward, PACKET.drift_forward, 0.0),
     (simulate_backward, PACKET.drift_backward, 1.0),
 ])
 def test_lattice_drift_paths_equal_the_interp_reference(
-        policy, simulate, drift_fn, boundary_time, interp_reference):
-    grid = Grid1D(-4.0, 4.0, 65)
+        box, simulate, drift_fn, boundary_time, interp_reference):
+    # in the tight box the lookups also run on paths folded at the walls
+    grid = Grid1D(*box, 65)
     stack = FieldStack.sample(grid, np.linspace(0.0, 1.0, 11), drift_fn)
     start = normalize(sample_field(grid, PACKET.rho, boundary_time))
-    cfg = _cfg(n_paths=600, dt=1e-2, seed=5, boundary_policy=policy)
+    cfg = _cfg(n_paths=600, dt=1e-2, seed=5)
     got = simulate(stack.at, start, cfg, 1.0)
     want = simulate(lambda x, t: interp_reference(stack, x, t), start, cfg,
                     1.0)
@@ -521,9 +508,7 @@ def test_lattice_drift_paths_equal_the_interp_reference(
     assert got.positions.shape == want.positions.shape
     np.testing.assert_allclose(got.positions, want.positions, rtol=0.0,
                                atol=1e-12)
-    if policy == "absorb-and-discard":
-        # absorbed paths carry NaN through the later lookups
-        assert got.n_paths < got.n_requested
+    assert got.n_paths == got.n_requested == 600
 
 
 @pytest.mark.parametrize("simulate", [simulate_forward, simulate_backward])
@@ -534,11 +519,6 @@ def test_a_drift_that_is_not_callable_is_refused(simulate):
     for drift in (0.5, stack):  # a lattice drift is passed as its .at
         with pytest.raises(TypeError, match="must be a callable"):
             simulate(drift, start, _cfg(n_paths=10, dt=1e-2), 1.0)
-
-
-def test_bad_policy_is_rejected():
-    with pytest.raises(ValueError):
-        SDEConfig(boundary_policy="bounce")
 
 
 @pytest.mark.parametrize("nu", [np.inf, np.nan, 0.0])

@@ -651,6 +651,16 @@ def test_feynman_kac_zero_potential_matches_heat_kernel():
     assert rel < 1e-3
 
 
+@pytest.mark.parametrize("lo, hi, n", [(-10.0, 10.0, 257), (-2.0, 2.0, 65)],
+                         ids=["wide-box", "tight-box"])
+def test_feynman_kac_rows_of_a_zero_potential_hold_unit_mass(lo, hi, n):
+    # the walls are zero-flux, so no row loses mass, the wall rows
+    # included; in the tight box every row's mass reaches the walls
+    grid = Grid1D(lo, hi, n)
+    mat = _fk_matrix(Potential.zero(), grid, 0.0, 1.0)
+    assert np.max(np.abs(mat.entries @ grid.weights - 1.0)) <= 1e-12
+
+
 def test_feynman_kac_constant_potential_scales_the_heat_kernel():
     lam = 0.8
     grid = Grid1D(-10.0, 10.0, 257)

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from schrobridge import (PACKET, BridgeSolution, Grid1D, KernelMatrix,
-                         NumericDomainError, NumericFeynmanKacKernel,
-                         PositivityError, Potential, PropagationError,
-                         kernels, make_kernel, normalize, propagate_factors,
-                         sample_field)
+from schrobridge import (PACKET, BoundaryData, BridgeSolution, Grid1D,
+                         KernelMatrix, NumericDomainError,
+                         NumericFeynmanKacKernel, PositivityError, Potential,
+                         PropagationError, ScalarField, kernels, make_kernel,
+                         normalize, propagate_factors, sample_field,
+                         solve_boundary_system)
 from schrobridge.kernels import _default_substeps
 
 GRID = Grid1D(-10.0, 10.0, 257)
@@ -58,14 +59,34 @@ def test_adjoint_sweep_is_the_transpose_and_conserves_the_pairing(
 def test_sweeps_track_the_packet_factors(packet_sweep):
     _, _, (u, v) = packet_sweep
     x = GRID.nodes
-    # factor_v does not decay toward the horizon, so the box's zero edge
-    # values pull v down near the edges; compare it inside |x| <= 6
+    # factor_v does not decay toward the box's walls, whose zero flux
+    # bends v near the edges; compare it inside |x| <= 6
     inner = np.abs(x) <= 6.0
     for k, t in enumerate(TIMES):
         assert _rel(u[k], PACKET.factor_u(x, t)) <= 1e-3, k
         ref = PACKET.factor_v(x, t)
         err = np.max(np.abs(v[k][inner] - ref[inner])) / np.max(ref)
         assert err <= 1e-3, k
+
+
+def test_packet_bridge_factors_and_drifts_stay_bounded_at_the_walls():
+    # N(0, 1) -> N(0, 2) under the packet potential: zero-flux walls leave
+    # no wall block that couples to the rest only through the entry floor,
+    # where IPF could park a second gauge of the pair
+    x = GRID.nodes
+    boundary = BoundaryData(
+        normalize(ScalarField(GRID, np.exp(-0.5 * x ** 2))),
+        normalize(ScalarField(GRID, np.exp(-0.25 * x ** 2))))
+    kernel = NumericFeynmanKacKernel(Potential.packet(), grid=GRID)
+    propagator = kernel.propagator(GRID, TIMES)
+    factors = solve_boundary_system(propagator, boundary)
+    assert np.max(factors.u0.values) <= 10.0
+    assert np.max(factors.vT.values) <= 10.0
+    solution = propagate_factors(factors, propagator)
+    n = GRID.n_points
+    for drift in (solution.b, solution.b_star):
+        assert np.max(np.abs(drift.values[:, [1, n - 2]])) <= 50.0
+    assert np.max(np.abs(solution.masses - 1.0)) <= 1e-14
 
 
 def test_solve_banded_is_the_ldlt_solve_for_vectors_and_columns():
@@ -197,8 +218,8 @@ def test_sweeps_and_dense_solves_call_the_module_solve_banded(banded_calls):
     assert banded_calls == [1] * (2 * n_steps)
     banded_calls.clear()
     kernel.propagator(grid, times).matrix()
-    # the dense solve carries every interior delta as one block
-    assert banded_calls == [grid.n_points - 2] * n_steps
+    # the dense solve carries the delta of every node as one block
+    assert banded_calls == [grid.n_points] * n_steps
 
 
 def test_substeps_are_whole_per_slice_with_one_damped_start():
@@ -208,17 +229,20 @@ def test_substeps_are_whole_per_slice_with_one_damped_start():
                                      n_substeps=50)
     steps = kernel.propagator(GRID, TIMES).steps
     assert [len(interval) for interval in steps] == [5] + [3] * 19
-    assert [step.b_diag is None for step in steps[0]] == [True] * 4 + [False]
+    # an implicit-Euler step's B is the trapezoid weights W
+    assert [np.array_equal(step.b_diag, GRID.weights) and step.b_off == 0.0
+            for step in steps[0]] == [True] * 4 + [False]
 
 
 def test_default_substeps_follow_the_potential():
     pot = Potential.packet()
     # the fk-bridge lattice: the diffusion term (82) still sets the count,
-    # above span * max|c| = 48.2
+    # above span * max|c| = 49 (the walls' c)
     assert _default_substeps(pot, GRID, TIMES) == 82
     coarse = Grid1D(-10.0, 10.0, 129)
-    # 129 points: the potential term (ceil 47.4) beats the diffusion term (21)
-    assert _default_substeps(pot, coarse, np.linspace(0.0, 1.0, 11)) == 48
+    # 129 points: the potential term (49, from the walls' c) beats the
+    # diffusion term (21)
+    assert _default_substeps(pot, coarse, np.linspace(0.0, 1.0, 11)) == 49
     assert _default_substeps(Potential.zero(), coarse, TIMES) == 21
 
 
@@ -278,15 +302,15 @@ def test_swept_negativity_names_the_factor_slice_and_node():
 
 
 def test_dense_negativity_names_the_entry_the_pair_and_the_substeps():
-    # the packet potential at 193 points: the default rule's 24 substeps
-    # over (0, 0.5) leave a negative entry near the right edge
+    # the packet potential at 193 points: the default rule's 25 substeps
+    # over (0, 0.5) leave a negative entry at the right wall
     grid = Grid1D(-10.0, 10.0, 193)
     kernel = NumericFeynmanKacKernel(Potential.packet(), grid=grid)
     with pytest.raises(PositivityError,
                        match=r"^Feynman-Kac solution went negative "
-                             r"\(-5\.66\de-08\) at source node 189 "
-                             r"\(y = 9\.6875\), target node 188 "
-                             r"\(x = 9\.58333\) of K\(0, 0\.5\) over 24 "
+                             r"\(-5\.49\de-08\) at source node 192 "
+                             r"\(y = 10\), target node 192 "
+                             r"\(x = 10\) of K\(0, 0\.5\) over 25 "
                              r"substeps; refine the substeps$"):
         kernel.propagator(grid, (0.0, 0.5)).matrix()
 
